@@ -56,7 +56,7 @@ type inferReport struct {
 	GOOS           string       `json:"goos"`
 	GOARCH         string       `json:"goarch"`
 	NumCPU         int          `json:"num_cpu"`
-	Kernel         string       `json:"kernel"` // fused conv-row kernel: avx2 or generic
+	Kernel         string       `json:"kernel"` // fused conv kernel (fused.Vectorized): avx2-4x4 tile or generic
 	Entries        []inferEntry `json:"entries"`
 	GeomeanSpeedup float64      `json:"geomean_e2e_speedup"` // over end-to-end entries
 }

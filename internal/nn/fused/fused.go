@@ -11,12 +11,13 @@
 // intermediate buffers are planned at compile time into one arena slab;
 // Forward never allocates and never touches a layer object.
 //
-// The convolution product itself runs on register-blocked kernels sized to
-// the paper's Table 1 shapes (outC and inC·k·k both divisible by 4): four
-// output channels advance together through the im2col matrix, so each
-// streamed element of the (inC·k·k, oh·ow) column matrix feeds four
-// accumulating rows instead of one. Arbitrary geometries fall back to
-// remainder loops that mirror tensor's generic kernel row for row.
+// The convolution product runs on register-blocked tile kernels: four
+// output channels advance together through the coefficient rows of the
+// im2col product, so every loaded coefficient element feeds four
+// accumulators. Stride-1 convs (every Table 1 conv) never build that
+// matrix: each reads a zero-bordered copy of its input in place through an
+// offset table (implicit im2col). Strided convs stage the explicit matrix
+// and run the same kernels over it.
 //
 // Bit-for-bit contract: every kernel here accumulates each output element
 // in exactly the per-element order and grouping of the layer-by-layer path
@@ -70,12 +71,25 @@ type op struct {
 
 	w, bias []float64 // parameter aliases (opConv, opDense)
 
-	in     []float64      // previous step's output; nil = the caller's input
-	out    []float64      // this step's output
-	cols   []float64      // im2col scratch (opConv; shared arena region)
-	rowBuf []float64      // pooled-conv row-block scratch (shared region)
-	inT    *tensor.Tensor // rank-3 view of in for Im2ColInto; nil = caller's input
-	colsT  *tensor.Tensor // rank-2 view of cols
+	in  []float64 // previous step's output; nil = the caller's input
+	out []float64 // this step's output
+
+	// Conv kernel plan (opConv). Coefficient row p of the im2col product
+	// is base[off[p] : off[p]+width], and output element (oy, ox) is
+	// virtual column oy·vw + ox. A stride-1 conv reads a zero-bordered
+	// copy of its input: base is the op's own (inC, inH+2·pad, inW+2·pad)
+	// plane, off[p] = ch·Hp·Wp + ky·Wp + kx and vw = Wp. A strided conv
+	// stages the explicit im2col matrix: base is the shared cols region,
+	// off[p] = p·oh·ow and vw = ow. width covers the last valid column,
+	// rounded up to a multiple of 4; base is sized so the rounded reads
+	// stay inside it.
+	base  []float64
+	off   []int
+	width int
+	vw    int
+	tile  []float64      // blockRows×width kernel output (shared region)
+	inT   *tensor.Tensor // strided: rank-3 view of in; nil = caller's input
+	colsT *tensor.Tensor // strided: rank-2 view of base for Im2ColInto
 }
 
 // Engine is a compiled forward-only inference plan for one input geometry.
@@ -157,7 +171,7 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 					i++
 				}
 			}
-			// Fuse a directly following 2×2 max-pool into the row walk.
+			// Fuse a directly following 2×2 max-pool into the channel walk.
 			if i < len(layers) {
 				if mp, ok := layers[i].(*nn.MaxPool2); ok {
 					pout, err := mp.OutputShape(shape)
@@ -203,26 +217,30 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		return nil, fmt.Errorf("fused: network reduces to the identity (dropout only)")
 	}
 
-	// Pass 2: plan the arena. One shared im2col region sized for the
-	// largest conv, one shared row-block scratch for pooled convs, then
-	// each op's output buffer, all in a single slab.
-	colsMax, rowMax, actTotal := 0, 0, 0
-	for _, o := range ops {
+	// Pass 2: plan the arena. One kernel tile region shared by every conv
+	// and one explicit im2col region shared by the strided convs, then
+	// each stride-1 conv's own zero-bordered input plane — its border is
+	// zeroed here, once, and stays zero only because no other op writes
+	// into the plane — then each op's output buffer, all in a single slab.
+	tileMax, colsMax, planes, actTotal := 0, 0, 0, 0
+	baseLen := make([]int, len(ops))
+	for idx := range ops {
+		o := &ops[idx]
 		if o.kind == opConv {
-			need := o.inC * o.k * o.k * o.oh * o.ow
-			if need > colsMax {
-				colsMax = need
-			}
-			if o.pool && blockRows*o.oh*o.ow > rowMax {
-				rowMax = blockRows * o.oh * o.ow
+			baseLen[idx] = planConv(o)
+			tileMax = max(tileMax, blockRows*o.width)
+			if o.stride == 1 {
+				planes += baseLen[idx]
+			} else {
+				colsMax = max(colsMax, baseLen[idx])
 			}
 		}
 		actTotal += o.outLen
 	}
-	arena := make([]float64, colsMax+rowMax+actTotal)
-	colsRegion := arena[:colsMax]
-	rowRegion := arena[colsMax : colsMax+rowMax]
-	cur := colsMax + rowMax
+	arena := make([]float64, tileMax+colsMax+planes+actTotal)
+	tileRegion := arena[:tileMax]
+	colsRegion := arena[tileMax : tileMax+colsMax]
+	cur := tileMax + colsMax
 
 	e := &Engine{
 		inShape: append([]int(nil), inShape...),
@@ -237,25 +255,27 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		o.out = arena[cur : cur+o.outLen]
 		cur += o.outLen
 		if o.kind == opConv {
-			kk := o.inC * o.k * o.k
-			n := o.oh * o.ow
-			o.cols = colsRegion[:kk*n]
-			t, err := tensor.FromSlice(o.cols, kk, n)
-			if err != nil {
-				return nil, fmt.Errorf("fused: plan cols: %w", err)
-			}
-			o.colsT = t
-			if o.pool {
-				o.rowBuf = rowRegion[:blockRows*n]
-			}
-			if prev != nil {
-				// Pre-wrap the producing buffer as a rank-3 tensor so
-				// Forward's im2col needs no per-call wrapping.
-				t, err := tensor.FromSlice(prev, prevShape[0], prevShape[1], prevShape[2])
+			o.tile = tileRegion[:blockRows*o.width]
+			if o.stride == 1 {
+				o.base = arena[cur : cur+baseLen[idx]]
+				cur += baseLen[idx]
+			} else {
+				kk, n := len(o.off), o.oh*o.ow
+				o.base = colsRegion[:baseLen[idx]]
+				t, err := tensor.FromSlice(o.base[:kk*n], kk, n)
 				if err != nil {
-					return nil, fmt.Errorf("fused: plan conv input: %w", err)
+					return nil, fmt.Errorf("fused: plan cols: %w", err)
 				}
-				o.inT = t
+				o.colsT = t
+				if prev != nil {
+					// Pre-wrap the producing buffer as a rank-3 tensor so
+					// Forward's im2col needs no per-call wrapping.
+					t, err := tensor.FromSlice(prev, prevShape[0], prevShape[1], prevShape[2])
+					if err != nil {
+						return nil, fmt.Errorf("fused: plan conv input: %w", err)
+					}
+					o.inT = t
+				}
 			}
 		}
 		prev = o.out
@@ -279,13 +299,43 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 	return e, nil
 }
 
-// Vectorized names the conv-row kernel the engine runs on this host:
-// "avx2" for the assembly kernel, "generic" for the pure-Go blocked
-// kernels. Both produce bit-identical outputs; the name is recorded by
-// benchmark reports so numbers are attributable to a kernel.
+// planConv builds a conv op's offset table and virtual-column geometry
+// and returns the length of the input region its kernels read. Coefficient
+// row p = (ch·k + ky)·k + kx follows tensor.Im2ColInto's row order, so the
+// kernels accumulate in the layered path's coefficient order.
+func planConv(o *op) int {
+	kk := o.inC * o.k * o.k
+	o.off = make([]int, kk)
+	if o.stride != 1 {
+		n := o.oh * o.ow
+		for p := range o.off {
+			o.off[p] = p * n
+		}
+		o.vw = o.ow
+		o.width = roundUp4(n)
+		return o.off[kk-1] + o.width
+	}
+	hp, wp := o.inH+2*o.pad, o.inW+2*o.pad
+	for p := range o.off {
+		ch, ky, kx := p/(o.k*o.k), p/o.k%o.k, p%o.k
+		o.off[p] = ch*hp*wp + ky*wp + kx
+	}
+	o.vw = wp
+	o.width = roundUp4((o.oh-1)*wp + o.ow)
+	return max(o.inC*hp*wp, o.off[kk-1]+o.width)
+}
+
+// roundUp4 rounds n up to a multiple of 4, the tile kernel's column step.
+func roundUp4(n int) int { return (n + 3) &^ 3 }
+
+// Vectorized names the conv kernel the engine runs on this host:
+// "avx2-4x4" for the assembly tile kernel (4 channels × 4 columns), and
+// "generic" for the pure-Go blocked kernels. Both produce bit-identical
+// outputs; the name is recorded by benchmark reports so numbers are
+// attributable to a kernel.
 func Vectorized() string {
 	if useAVX2 {
-		return "avx2"
+		return "avx2-4x4"
 	}
 	return "generic"
 }
@@ -342,11 +392,7 @@ func (e *Engine) Forward(x *tensor.Tensor) ([]float64, error) {
 		switch o.kind {
 		case opConv:
 			if o.stride == 1 {
-				src := o.in
-				if src == nil {
-					src = x.Data()
-				}
-				im2colStride1(o.cols, src, o.inC, o.inH, o.inW, o.k, o.pad, o.oh, o.ow)
+				padInput(o, e.input(o, x))
 			} else {
 				src := o.inT
 				if src == nil {
@@ -375,4 +421,17 @@ func (e *Engine) input(o *op, x *tensor.Tensor) []float64 {
 		return x.Data()
 	}
 	return o.in
+}
+
+// padInput copies a stride-1 conv's (inC, inH, inW) input into the
+// interior of its zero-bordered plane, row by row.
+func padInput(o *op, x []float64) {
+	hp, wp := o.inH+2*o.pad, o.inW+2*o.pad
+	for c := 0; c < o.inC; c++ {
+		src := x[c*o.inH*o.inW : (c+1)*o.inH*o.inW]
+		dst := o.base[c*hp*wp+o.pad*wp+o.pad:]
+		for y := 0; y < o.inH; y++ {
+			copy(dst[y*wp:y*wp+o.inW], src[y*o.inW:y*o.inW+o.inW])
+		}
+	}
 }

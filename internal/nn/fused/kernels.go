@@ -2,207 +2,131 @@ package fused
 
 import "hotspot/internal/tensor"
 
-// blockRows is the register-blocking factor of the dense conv kernel: four
-// output channels advance together through the im2col matrix, so each
-// streamed element of the column matrix feeds four accumulating rows. The
-// paper's Table 1 conv stages have outC ∈ {16, 32}, both multiples of
-// four, so the remainder path never runs on the reference network.
+// blockRows is the register-blocking factor of the conv kernels: four
+// output channels advance together through the coefficient rows, so each
+// loaded element of a coefficient row feeds four accumulators. The paper's
+// Table 1 conv stages have outC ∈ {16, 32}, both multiples of four; for
+// other channel counts the last tile's unused lanes recompute the last
+// live channel and are never emitted.
 const blockRows = 4
 
-// convRun executes one fused conv(+bias)(+ReLU)(+pool) op over the im2col
-// matrix already staged in o.cols. Kernel selection replicates the layered
-// path's density gate exactly: the same tensor.SparseSkip decision over
-// the same weight data, so the fused and layered paths always take
-// structurally matching kernels and produce bit-identical outputs.
+// convRun executes one fused conv(+bias)(+ReLU)(+pool) op over the
+// coefficient rows its plan addresses (o.base at o.off[p], o.width virtual
+// columns each). Kernel selection replicates the layered path's density
+// gate exactly: the same tensor.SparseSkip decision over the same weight
+// data, so the fused and layered paths always take structurally matching
+// kernels and produce bit-identical outputs.
 func convRun(o *op) {
-	m, k, n := o.outC, o.inC*o.k*o.k, o.oh*o.ow
-	if tensor.SparseSkip(o.w[:m*k]) {
-		convSparse(o, m, k, n)
+	if tensor.SparseSkip(o.w[:o.outC*len(o.off)]) {
+		convSparse(o)
 		return
 	}
-	convDense(o, m, k, n)
+	convDense(o)
 }
 
-// convDense is the blocked dense kernel. Output rows are produced four at
-// a time; each finished row gets its bias+ReLU epilogue while hot and, for
-// pooled ops, is folded into the 2×2 max-pool immediately — the pre-pool
-// activation never exists as a full tensor. On CPUs with AVX2 the row
-// product runs on the assembly kernel instead, which vectorizes across
-// output columns (lanes never interact, so per-element order — and hence
-// every output bit — is unchanged).
-func convDense(o *op, m, k, n int) {
+// convDense is the blocked dense kernel. Output channels are produced four
+// at a time into the shared tile buffer, with bias and ReLU folded into
+// the kernel epilogue; each finished channel is emitted at once (pooled
+// convs fold it into the 2×2 max-pool), so the pre-pool activation never
+// exists as a full tensor.
+func convDense(o *op) {
+	m, k, w := o.outC, len(o.off), o.width
+	t := o.tile[:blockRows*w]
+	for i := 0; i < m; i += blockRows {
+		r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
+		convTile(t,
+			o.w[i*k:i*k+k], o.w[r1*k:r1*k+k], o.w[r2*k:r2*k+k], o.w[r3*k:r3*k+k],
+			o.base, o.off,
+			o.bias[i], o.bias[r1], o.bias[r2], o.bias[r3], o.relu)
+		for r := 0; r < blockRows && i+r < m; r++ {
+			emitRow(o, i+r, t[r*w:r*w+w])
+		}
+	}
+}
+
+// convTile computes one 4-channel tile: row r of t (len(t)/4 virtual
+// columns) is ar · B + br, rectified when relu is set, where coefficient
+// row p of B is base[off[p]:]. It runs the AVX2 kernel where the host has
+// it and the order-identical Go body elsewhere.
+func convTile(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64, relu bool) {
 	if useAVX2 {
-		convDenseVec(o, m, k, n)
-		return
-	}
-	a, b := o.w, o.cols
-	if !o.pool {
-		out := o.out
-		i := 0
-		for ; i+3 < m; i += 4 {
-			d0 := out[i*n : i*n+n]
-			d1 := out[(i+1)*n : (i+1)*n+n]
-			d2 := out[(i+2)*n : (i+2)*n+n]
-			d3 := out[(i+3)*n : (i+3)*n+n]
-			block4(d0, d1, d2, d3,
-				a[i*k:i*k+k], a[(i+1)*k:(i+1)*k+k], a[(i+2)*k:(i+2)*k+k], a[(i+3)*k:(i+3)*k+k],
-				b, n)
-			biasReLURow(d0, o.bias[i], o.relu)
-			biasReLURow(d1, o.bias[i+1], o.relu)
-			biasReLURow(d2, o.bias[i+2], o.relu)
-			biasReLURow(d3, o.bias[i+3], o.relu)
-		}
-		for ; i < m; i++ {
-			d := out[i*n : i*n+n]
-			row1(d, a[i*k:i*k+k], b, n)
-			biasReLURow(d, o.bias[i], o.relu)
-		}
-		return
-	}
-	rb := o.rowBuf
-	r0, r1, r2, r3 := rb[0:n], rb[n:2*n], rb[2*n:3*n], rb[3*n:4*n]
-	i := 0
-	for ; i+3 < m; i += 4 {
-		block4(r0, r1, r2, r3,
-			a[i*k:i*k+k], a[(i+1)*k:(i+1)*k+k], a[(i+2)*k:(i+2)*k+k], a[(i+3)*k:(i+3)*k+k],
-			b, n)
-		for r := 0; r < 4; r++ {
-			d := rb[r*n : r*n+n]
-			biasReLURow(d, o.bias[i+r], o.relu)
-			poolRow(o.out[(i+r)*o.ph*o.pw:(i+r+1)*o.ph*o.pw], d, o.ow, o.ph, o.pw)
-		}
-	}
-	for ; i < m; i++ {
-		row1(r0, a[i*k:i*k+k], b, n)
-		biasReLURow(r0, o.bias[i], o.relu)
-		poolRow(o.out[i*o.ph*o.pw:(i+1)*o.ph*o.pw], r0, o.ow, o.ph, o.pw)
-	}
-}
-
-// convDenseVec is convDense on the AVX2 row kernel: one call per output
-// row computes the whole im2col product row with bias and ReLU folded into
-// the vector epilogue, keeping each column's accumulator in a register for
-// the entire k walk. Pooled rows still stage through rowBuf and fold into
-// the 2×2 max-pool immediately.
-func convDenseVec(o *op, m, k, n int) {
-	a, b := o.w, o.cols
-	if !o.pool {
-		for i := 0; i < m; i++ {
-			convRowFast(o.out[i*n:i*n+n], a[i*k:i*k+k], b, n, o.bias[i], o.relu)
-		}
-		return
-	}
-	r0 := o.rowBuf[:n]
-	for i := 0; i < m; i++ {
-		convRowFast(r0, a[i*k:i*k+k], b, n, o.bias[i], o.relu)
-		poolRow(o.out[i*o.ph*o.pw:(i+1)*o.ph*o.pw], r0, o.ow, o.ph, o.pw)
-	}
-}
-
-// convRowFast computes one full fused output row d = arow · b (+bias,
-// +optional ReLU) using the assembly kernel for the 4-aligned column
-// prefix and an order-identical scalar loop for the 0–3 trailing columns.
-func convRowFast(d, arow, b []float64, n int, bias float64, relu bool) {
-	nv := n &^ 3
-	if nv > 0 {
 		r := int64(0)
 		if relu {
 			r = 1
 		}
-		convRowAVX2(&d[0], &arow[0], &b[0], len(arow), nv, n, bias, r)
+		convTileAVX2(&t[0], &a0[0], &a1[0], &a2[0], &a3[0], &base[0], &off[0],
+			len(off), len(t)/blockRows, b0, b1, b2, b3, r)
+		return
 	}
-	if nv < n {
-		convRowTail(d, arow, b, nv, n, bias, relu)
-	}
+	block4(t, a0, a1, a2, a3, base, off, b0, b1, b2, b3, relu)
 }
 
-// convRowTail computes columns [j0, n) of one fused output row, one column
-// at a time with a register accumulator. The accumulation order per
-// element — 4-wide coefficient groups summed left-associatively, then
-// singles, then bias — is exactly the layered kernel's, so this path and
-// the vector kernel produce identical bits for their respective columns.
-func convRowTail(d, arow, b []float64, j0, n int, bias float64, relu bool) {
-	k := len(arow)
-	kg := k &^ 3
-	for j := j0; j < n; j++ {
-		s := 0.0
-		p := 0
-		for ; p < kg; p += 4 {
-			s += arow[p]*b[p*n+j] + arow[p+1]*b[(p+1)*n+j] + arow[p+2]*b[(p+2)*n+j] + arow[p+3]*b[(p+3)*n+j]
-		}
-		for ; p < k; p++ {
-			s += arow[p] * b[p*n+j]
-		}
-		s += bias
-		if relu {
-			s = rectify(s)
-		}
-		d[j] = s
+// emitRow stores output channel c from its finished virtual-column row:
+// output element (oy, ox) is row[oy·vw+ox]. Pooled convs fold the row into
+// the 2×2 max-pool in place; the others copy the ow valid columns out of
+// every vw.
+func emitRow(o *op, c int, row []float64) {
+	if o.pool {
+		phw := o.ph * o.pw
+		poolRow(o.out[c*phw:(c+1)*phw], row, o.vw, o.ph, o.pw)
+		return
+	}
+	n := o.oh * o.ow
+	dst := o.out[c*n : c*n+n]
+	for oy := 0; oy < o.oh; oy++ {
+		copy(dst[oy*o.ow:oy*o.ow+o.ow], row[oy*o.vw:oy*o.vw+o.ow])
 	}
 }
 
 // convSparse mirrors tensor's row-skipping sparse kernel with the fused
-// epilogue: per-row accumulation one coefficient at a time, zeros skipped.
-func convSparse(o *op, m, k, n int) {
-	a, b := o.w, o.cols
-	for i := 0; i < m; i++ {
-		var d []float64
-		if o.pool {
-			d = o.rowBuf[:n]
-		} else {
-			d = o.out[i*n : i*n+n]
-		}
+// epilogue: per-channel accumulation one coefficient at a time, zeros
+// skipped.
+func convSparse(o *op) {
+	k, w := len(o.off), o.width
+	d := o.tile[:w]
+	for i := 0; i < o.outC; i++ {
 		for j := range d {
 			d[j] = 0
 		}
-		arow := a[i*k : i*k+k]
-		for p, av := range arow {
+		for p, av := range o.w[i*k : i*k+k] {
 			if av == 0 {
 				continue
 			}
-			brow := b[p*n : p*n+n]
-			for j, bv := range brow[:len(d)] {
+			brow := o.base[o.off[p] : o.off[p]+w]
+			for j, bv := range brow {
 				d[j] += av * bv
 			}
 		}
 		biasReLURow(d, o.bias[i], o.relu)
-		if o.pool {
-			poolRow(o.out[i*o.ph*o.pw:(i+1)*o.ph*o.pw], d, o.ow, o.ph, o.pw)
-		}
+		emitRow(o, i, d)
 	}
 }
 
-// block4 computes four output rows d0..d3 = a0..a3 · b at once, where each
-// aI has length k and b is (k, n) row-major. The k dimension advances in
-// the same 4-wide groups, with the same per-element addition grouping, as
-// tensor.matmulInto's dense kernel — that grouping is load-bearing for the
-// bit-for-bit parity contract. The blocking wins because every b element
-// loaded feeds four accumulator rows instead of one, cutting the kernel's
-// dominant memory traffic (streaming the im2col matrix) by 4×.
-func block4(d0, d1, d2, d3, a0, a1, a2, a3, b []float64, n int) {
-	d1 = d1[:len(d0)]
-	d2 = d2[:len(d0)]
-	d3 = d3[:len(d0)]
+// block4 is the pure-Go body of the tile kernel, with convTile's
+// contract. The coefficient dimension advances in the same 4-wide groups,
+// with the same per-element addition grouping, as tensor.matmulInto's
+// dense kernel — that grouping is load-bearing for the bit-for-bit parity
+// contract — and every loaded coefficient element feeds four accumulating
+// rows instead of one.
+func block4(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64, relu bool) {
+	w := len(t) / blockRows
+	d0, d1, d2, d3 := t[:w], t[w:2*w], t[2*w:3*w], t[3*w:4*w]
 	for j := range d0 {
 		d0[j], d1[j], d2[j], d3[j] = 0, 0, 0, 0
 	}
-	k := len(a0)
+	k := len(off)
 	p := 0
 	for ; p+3 < k; p += 4 {
-		b0 := b[p*n : p*n+n]
-		b1 := b[(p+1)*n : (p+1)*n+n]
-		b2 := b[(p+2)*n : (p+2)*n+n]
-		b3 := b[(p+3)*n : (p+3)*n+n]
-		b0 = b0[:len(d0)]
-		b1 = b1[:len(d0)]
-		b2 = b2[:len(d0)]
-		b3 = b3[:len(d0)]
+		br0 := base[off[p] : off[p]+w]
+		br1 := base[off[p+1] : off[p+1]+w]
+		br2 := base[off[p+2] : off[p+2]+w]
+		br3 := base[off[p+3] : off[p+3]+w]
 		a00, a01, a02, a03 := a0[p], a0[p+1], a0[p+2], a0[p+3]
 		a10, a11, a12, a13 := a1[p], a1[p+1], a1[p+2], a1[p+3]
 		a20, a21, a22, a23 := a2[p], a2[p+1], a2[p+2], a2[p+3]
 		a30, a31, a32, a33 := a3[p], a3[p+1], a3[p+2], a3[p+3]
 		for j := range d0 {
-			bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+			bv0, bv1, bv2, bv3 := br0[j], br1[j], br2[j], br3[j]
 			d0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
 			d1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
 			d2[j] += a20*bv0 + a21*bv1 + a22*bv2 + a23*bv3
@@ -210,46 +134,19 @@ func block4(d0, d1, d2, d3, a0, a1, a2, a3, b []float64, n int) {
 		}
 	}
 	for ; p < k; p++ {
-		brow := b[p*n : p*n+n]
+		brow := base[off[p] : off[p]+w]
 		av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
-		for j, bv := range brow[:len(d0)] {
+		for j, bv := range brow {
 			d0[j] += av0 * bv
 			d1[j] += av1 * bv
 			d2[j] += av2 * bv
 			d3[j] += av3 * bv
 		}
 	}
-}
-
-// row1 computes one output row d = arow · b, reproducing tensor's dense
-// single-row kernel exactly. It is the remainder path for outC % 4 rows.
-func row1(d, arow, b []float64, n int) {
-	for j := range d {
-		d[j] = 0
-	}
-	k := len(arow)
-	p := 0
-	for ; p+3 < k; p += 4 {
-		av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-		b0 := b[p*n : p*n+n]
-		b1 := b[(p+1)*n : (p+1)*n+n]
-		b2 := b[(p+2)*n : (p+2)*n+n]
-		b3 := b[(p+3)*n : (p+3)*n+n]
-		b0 = b0[:len(d)]
-		b1 = b1[:len(d)]
-		b2 = b2[:len(d)]
-		b3 = b3[:len(d)]
-		for j := range d {
-			d[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-		}
-	}
-	for ; p < k; p++ {
-		av := arow[p]
-		brow := b[p*n : p*n+n]
-		for j, bv := range brow[:len(d)] {
-			d[j] += av * bv
-		}
-	}
+	biasReLURow(d0, b0, relu)
+	biasReLURow(d1, b1, relu)
+	biasReLURow(d2, b2, relu)
+	biasReLURow(d3, b3, relu)
 }
 
 // biasReLURow adds the channel bias to a finished row and, when relu is
@@ -295,58 +192,6 @@ func poolRow(dst, src []float64, srcW, ph, pw int) {
 				best = v
 			}
 			drow[px] = best
-		}
-	}
-}
-
-// im2colStride1 stages a (c, h, w) input into the im2col matrix for a
-// stride-1 square-kernel conv. It produces exactly the values of
-// tensor.Im2ColInto — im2col is pure data movement, so how the elements
-// get there cannot affect parity — but each kernel-row's run of valid
-// columns moves with one copy instead of per-column bounds-checked loads,
-// which matters because im2col is ~30% of the fused forward.
-func im2colStride1(cols, src []float64, c, h, w, k, pad, oh, ow int) {
-	ncols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				rowBase := ((ch*k+ky)*k + kx) * ncols
-				// With stride 1, ix = ox - pad + kx, so the in-bounds ox
-				// run is [pad-kx, w+pad-kx) clamped to [0, ow).
-				lo := pad - kx
-				if lo < 0 {
-					lo = 0
-				} else if lo > ow {
-					lo = ow
-				}
-				hi := w + pad - kx
-				if hi < lo {
-					hi = lo
-				} else if hi > ow {
-					hi = ow
-				}
-				for oy := 0; oy < oh; oy++ {
-					dst := cols[rowBase+oy*ow : rowBase+oy*ow+ow]
-					iy := oy - pad + ky
-					if iy < 0 || iy >= h {
-						for x := range dst {
-							dst[x] = 0
-						}
-						continue
-					}
-					for x := 0; x < lo; x++ {
-						dst[x] = 0
-					}
-					if hi > lo {
-						s := chBase + iy*w + (lo - pad + kx)
-						copy(dst[lo:hi], src[s:s+hi-lo])
-					}
-					for x := hi; x < ow; x++ {
-						dst[x] = 0
-					}
-				}
-			}
 		}
 	}
 }

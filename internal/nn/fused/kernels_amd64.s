@@ -1,88 +1,174 @@
-// AVX2 conv-row kernel and CPU feature detection for the fused inference
+// AVX2 conv tile kernel and CPU feature detection for the fused inference
 // engine. See kernels_amd64.go for the calling contract and the
 // bit-for-bit parity argument; the short version is that vector lanes are
-// independent output columns, every lane executes the exact scalar
+// independent output elements, every lane executes the exact scalar
 // operation sequence of the layered kernel (separate VMULPD/VADDPD — no
 // FMA contraction, which would change results), and the rectifier is a
 // GT_OQ compare-and-mask so NaN and -0 behave exactly like Go's v > 0.
 
 #include "textflag.h"
 
-// func convRowAVX2(d, a, b *float64, k, nv, n int, bias float64, relu int64)
+// func convTileAVX2(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0, b1, b2, b3 float64, relu int64)
 //
-// For each output column j in [0, nv), nv % 4 == 0:
+// For each 4-column step j of [0, width) and each channel r in 0..3:
 //
 //	s = 0
-//	for p in 4-wide groups:   s += a[p]·b[p·n+j] + a[p+1]·b[(p+1)·n+j] + a[p+2]·b[(p+2)·n+j] + a[p+3]·b[(p+3)·n+j]
-//	for remaining p:          s += a[p]·b[p·n+j]
-//	s += bias
+//	for p in 4-wide groups:   s += ar[p]·B[p][j] + ar[p+1]·B[p+1][j] + ar[p+2]·B[p+2][j] + ar[p+3]·B[p+3][j]
+//	for remaining p:          s += ar[p]·B[p][j]
+//	s += br
 //	if relu != 0:             s = s > 0 ? s : +0
-//	d[j] = s
-TEXT ·convRowAVX2(SB), NOSPLIT, $0-64
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ k+24(FP), R8
-	MOVQ nv+32(FP), R9
-	MOVQ n+40(FP), R10
-	MOVQ relu+56(FP), R11
-
-	VBROADCASTSD bias+48(FP), Y14
-	VXORPD Y15, Y15, Y15     // +0.0 lanes for the rectifier compare
-	SHLQ $3, R10             // R10 = n*8, the byte stride between b rows
-	MOVQ R8, R12
-	ANDQ $-4, R12            // R12 = k &^ 3, the 4-wide group limit
-	XORQ CX, CX              // j (element index)
+//	d[r·width + j] = s
+//
+// with B[p][j] = base[off[p] + j]. All 16 YMM registers are live in the
+// group loop: Y0-Y3 the four channels' accumulators, Y4-Y7 the four
+// coefficient rows (loaded once, used by every channel), Y8-Y11 the
+// channels' group sums and Y12-Y15 their products.
+//
+// Registers: R8-R11 coefficient rows a0..a3, SI = base + j·8, DX = off,
+// AX = p, BX = k &^ 3, R12 = k, R13 = width, CX = j, DI scratch.
+TEXT ·convTileAVX2(SB), NOSPLIT, $0-112
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ base+40(FP), SI
+	MOVQ off+48(FP), DX
+	MOVQ k+56(FP), R12
+	MOVQ width+64(FP), R13
+	MOVQ R12, BX
+	ANDQ $-4, BX             // BX = k &^ 3, the 4-wide group limit
+	XORQ CX, CX
 
 loopj:
-	CMPQ CX, R9
+	CMPQ CX, R13
 	JGE  done
-	LEAQ (DX)(CX*8), BX      // &b[j], advanced by n*8 per p
-	VXORPD Y0, Y0, Y0        // s = 0 (accumulates in-register; the layered
-	XORQ R13, R13            // kernel's 0-then-+= start is 0 + group too)
+	VXORPD Y0, Y0, Y0        // s = 0 per channel (the layered kernel's
+	VXORPD Y1, Y1, Y1        // 0-then-+= start is 0 + group too)
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
 
 loopp4:
-	CMPQ R13, R12
+	CMPQ AX, BX
 	JGE  tailp
-	VBROADCASTSD (SI)(R13*8), Y1
-	VBROADCASTSD 8(SI)(R13*8), Y2
-	VBROADCASTSD 16(SI)(R13*8), Y3
-	VBROADCASTSD 24(SI)(R13*8), Y4
-	VMULPD (BX), Y1, Y1      // a[p]·b-row lanes
-	ADDQ R10, BX
-	VMULPD (BX), Y2, Y2
-	ADDQ R10, BX
-	VMULPD (BX), Y3, Y3
-	ADDQ R10, BX
-	VMULPD (BX), Y4, Y4
-	ADDQ R10, BX
-	VADDPD Y2, Y1, Y1        // ((m0+m1)+m2)+m3: the Go expression's
-	VADDPD Y3, Y1, Y1        // left-associative grouping, exactly
-	VADDPD Y4, Y1, Y1
-	VADDPD Y1, Y0, Y0        // s += group
-	ADDQ $4, R13
+	MOVQ (DX)(AX*8), DI      // coefficient rows p..p+3 at base+off[p]+j
+	VMOVUPD (SI)(DI*8), Y4
+	MOVQ 8(DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Y5
+	MOVQ 16(DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Y6
+	MOVQ 24(DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Y7
+
+	VBROADCASTSD (R8)(AX*8), Y8    // m0 = ar[p]·row p
+	VBROADCASTSD (R9)(AX*8), Y9
+	VBROADCASTSD (R10)(AX*8), Y10
+	VBROADCASTSD (R11)(AX*8), Y11
+	VMULPD Y4, Y8, Y8
+	VMULPD Y4, Y9, Y9
+	VMULPD Y4, Y10, Y10
+	VMULPD Y4, Y11, Y11
+
+	VBROADCASTSD 8(R8)(AX*8), Y12  // m1 = ar[p+1]·row p+1
+	VBROADCASTSD 8(R9)(AX*8), Y13
+	VBROADCASTSD 8(R10)(AX*8), Y14
+	VBROADCASTSD 8(R11)(AX*8), Y15
+	VMULPD Y5, Y12, Y12
+	VMULPD Y5, Y13, Y13
+	VMULPD Y5, Y14, Y14
+	VMULPD Y5, Y15, Y15
+	VADDPD Y12, Y8, Y8             // m0+m1
+	VADDPD Y13, Y9, Y9
+	VADDPD Y14, Y10, Y10
+	VADDPD Y15, Y11, Y11
+
+	VBROADCASTSD 16(R8)(AX*8), Y12 // m2
+	VBROADCASTSD 16(R9)(AX*8), Y13
+	VBROADCASTSD 16(R10)(AX*8), Y14
+	VBROADCASTSD 16(R11)(AX*8), Y15
+	VMULPD Y6, Y12, Y12
+	VMULPD Y6, Y13, Y13
+	VMULPD Y6, Y14, Y14
+	VMULPD Y6, Y15, Y15
+	VADDPD Y12, Y8, Y8             // (m0+m1)+m2
+	VADDPD Y13, Y9, Y9
+	VADDPD Y14, Y10, Y10
+	VADDPD Y15, Y11, Y11
+
+	VBROADCASTSD 24(R8)(AX*8), Y12 // m3
+	VBROADCASTSD 24(R9)(AX*8), Y13
+	VBROADCASTSD 24(R10)(AX*8), Y14
+	VBROADCASTSD 24(R11)(AX*8), Y15
+	VMULPD Y7, Y12, Y12
+	VMULPD Y7, Y13, Y13
+	VMULPD Y7, Y14, Y14
+	VMULPD Y7, Y15, Y15
+	VADDPD Y12, Y8, Y8             // ((m0+m1)+m2)+m3: the Go
+	VADDPD Y13, Y9, Y9             // expression's left-associative
+	VADDPD Y14, Y10, Y10           // grouping, exactly
+	VADDPD Y15, Y11, Y11
+
+	VADDPD Y8, Y0, Y0              // s += group
+	VADDPD Y9, Y1, Y1
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y3, Y3
+	ADDQ $4, AX
 	JMP  loopp4
 
 tailp:
-	CMPQ R13, R8
+	CMPQ AX, R12
 	JGE  epilogue
-	VBROADCASTSD (SI)(R13*8), Y1
-	VMULPD (BX), Y1, Y1
-	ADDQ R10, BX
-	VADDPD Y1, Y0, Y0        // s += a[p]·b[p·n+j]
-	INCQ R13
+	MOVQ (DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Y4
+	VBROADCASTSD (R8)(AX*8), Y8
+	VBROADCASTSD (R9)(AX*8), Y9
+	VBROADCASTSD (R10)(AX*8), Y10
+	VBROADCASTSD (R11)(AX*8), Y11
+	VMULPD Y4, Y8, Y8
+	VMULPD Y4, Y9, Y9
+	VMULPD Y4, Y10, Y10
+	VMULPD Y4, Y11, Y11
+	VADDPD Y8, Y0, Y0              // s += ar[p]·B[p][j]
+	VADDPD Y9, Y1, Y1
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y3, Y3
+	INCQ AX
 	JMP  tailp
 
 epilogue:
-	VADDPD Y14, Y0, Y0       // s += bias (after the full dot, like the
-	TESTQ R11, R11           // layered per-row epilogue)
+	VBROADCASTSD b0+72(FP), Y4     // s += bias, after the full dot like
+	VBROADCASTSD b1+80(FP), Y5     // the layered per-row epilogue
+	VBROADCASTSD b2+88(FP), Y6
+	VBROADCASTSD b3+96(FP), Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	MOVQ relu+104(FP), DI
+	TESTQ DI, DI
 	JZ   store
-	VCMPPD $0x1e, Y15, Y0, Y1 // lanes where s > +0 (GT_OQ: NaN -> false)
-	VANDPD Y1, Y0, Y0        // keep those lanes, others become +0
+	VXORPD Y4, Y4, Y4              // +0.0 lanes for the rectifier compare
+	VCMPPD $0x1e, Y4, Y0, Y8       // lanes where s > +0 (GT_OQ: NaN -> false)
+	VCMPPD $0x1e, Y4, Y1, Y9
+	VCMPPD $0x1e, Y4, Y2, Y10
+	VCMPPD $0x1e, Y4, Y3, Y11
+	VANDPD Y8, Y0, Y0              // keep those lanes, others become +0
+	VANDPD Y9, Y1, Y1
+	VANDPD Y10, Y2, Y2
+	VANDPD Y11, Y3, Y3
 
 store:
-	VMOVUPD Y0, (DI)(CX*8)
+	MOVQ d+0(FP), DI
+	LEAQ (DI)(CX*8), DI            // &d[j], then one row (width) apart
+	VMOVUPD Y0, (DI)
+	LEAQ (DI)(R13*8), DI
+	VMOVUPD Y1, (DI)
+	LEAQ (DI)(R13*8), DI
+	VMOVUPD Y2, (DI)
+	LEAQ (DI)(R13*8), DI
+	VMOVUPD Y3, (DI)
 	ADDQ $4, CX
+	ADDQ $32, SI
 	JMP  loopj
 
 done:

@@ -182,7 +182,9 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 // (prec < 0 renders the value as an integer), creating it on first use.
 func (r *Registry) Gauge(name string, prec int, labels ...Label) *Gauge {
 	s := r.get(name, labels, kindGauge)
+	r.mu.Lock()
 	s.gaugeFmt = prec
+	r.mu.Unlock()
 	return s.gauge
 }
 
@@ -191,7 +193,9 @@ func (r *Registry) Gauge(name string, prec int, labels ...Label) *Gauge {
 // Calling it again for the same series replaces the function.
 func (r *Registry) GaugeFunc(name string, prec int, fn func() float64, labels ...Label) {
 	s := r.get(name, labels, kindGauge)
+	r.mu.Lock()
 	s.gaugeFmt = prec
+	r.mu.Unlock()
 	s.gauge.setFunc(fn)
 }
 
@@ -199,7 +203,9 @@ func (r *Registry) GaugeFunc(name string, prec int, fn func() float64, labels ..
 // as labelKey="<value>" entries, creating it on first use.
 func (r *Registry) IntHist(name, labelKey string, labels ...Label) *IntHist {
 	s := r.get(name, labels, kindIntHist)
+	r.mu.Lock()
 	s.histKey = labelKey
+	r.mu.Unlock()
 	return s.hist
 }
 
@@ -314,10 +320,17 @@ func (h *IntHist) Counts() map[int]int64 {
 //	name{labels,q="p50"} seconds              summaries: window quantiles
 //	name{labels,q="p99"} seconds
 func (r *Registry) Text() string {
+	// Render settings are rewritten by every getter call, so they are
+	// copied under the lock; the shallower fields shadow the series'.
+	type row struct {
+		*series
+		histKey  string
+		gaugeFmt int
+	}
 	r.mu.Lock()
-	all := make([]*series, 0, len(r.series))
+	all := make([]row, 0, len(r.series))
 	for _, s := range r.series {
-		all = append(all, s)
+		all = append(all, row{s, s.histKey, s.gaugeFmt})
 	}
 	r.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {

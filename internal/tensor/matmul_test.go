@@ -87,6 +87,57 @@ func TestMatMulBiasIntoShapeErrors(t *testing.T) {
 	}
 }
 
+// TestSparseGateMatchesFullCount pins the early-exit gate to the full
+// zero count it replaced (zeros > 0.6·n in floating point) for every length
+// 0–200, at densities on both sides of the 60% threshold, at exactly the
+// threshold count and one either side, and with the zeros placed first,
+// last and scattered (so the early exit fires at every position).
+func TestSparseGateMatchesFullCount(t *testing.T) {
+	fullCount := func(a []float64) bool {
+		zeros := 0
+		for _, v := range a {
+			if v == 0 {
+				zeros++
+			}
+		}
+		return float64(zeros) > sparseSkipThreshold*float64(len(a))
+	}
+	rng := rand.New(rand.NewSource(17))
+	a := make([]float64, 200)
+	for n := 0; n <= 200; n++ {
+		at := int(sparseSkipThreshold * float64(n))
+		counts := []int{0, n, at, at + 1, at - 1, n / 2, n * 7 / 10, n * 9 / 10}
+		for _, zeros := range counts {
+			if zeros < 0 || zeros > n {
+				continue
+			}
+			for layout := 0; layout < 3; layout++ {
+				x := a[:n]
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				switch layout {
+				case 0: // zeros first
+					for i := 0; i < zeros; i++ {
+						x[i] = 0
+					}
+				case 1: // zeros last
+					for i := n - zeros; i < n; i++ {
+						x[i] = 0
+					}
+				default: // scattered
+					for _, i := range rng.Perm(n)[:zeros] {
+						x[i] = 0
+					}
+				}
+				if got, want := sparseWorthwhile(x), fullCount(x); got != want {
+					t.Fatalf("n=%d zeros=%d layout=%d: gate %v, full count %v", n, zeros, layout, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSparseSkipMatchesKernelGate pins the exported gate to the internal
 // heuristic the kernels use.
 func TestSparseSkipMatchesKernelGate(t *testing.T) {

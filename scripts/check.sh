@@ -3,7 +3,11 @@
 #
 # Runs the legs every change must pass before merging:
 #   1. go build ./...        the tree compiles
-#   2. go vet ./...          stock toolchain analysis
+#   2. go vet ./...          stock toolchain analysis, then an arm64
+#                            cross-build and vet of internal/nn/fused: the
+#                            kernels_noasm.go stubs must keep matching the
+#                            amd64 assembly declarations, which asmdecl
+#                            checks only on amd64
 #   3. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
@@ -37,9 +41,10 @@
 #
 # Usage: scripts/check.sh [-short|-lint-only]
 #   -short      pass -short to go test (skips the slow experiment suites)
-#   -lint-only  run legs 1-3 only (build, vet, hsd-vet) — the fast
-#               pre-commit loop; the analyzers alone catch contract
-#               breaches without waiting for the race suite
+#   -lint-only  run legs 1-3 only (build, vet + arm64 cross-build,
+#               hsd-vet) — the fast pre-commit loop; the analyzers
+#               alone catch contract breaches without waiting for the
+#               race suite
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +60,9 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> GOARCH=arm64 go build ./... && go vet ./internal/nn/fused/"
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn/fused/
 
 echo "==> hsd-vet ./..."
 go run ./cmd/hsd-vet ./...
