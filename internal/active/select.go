@@ -190,6 +190,7 @@ func (s *selector) selectHybrid(xs []*tensor.Tensor, probs []float64, unlabeled 
 // hop through Pool.For hides it from callers' reachability walks — so it
 // is a hot-path root in its own right: one call per (candidate, center)
 // pair, the inner loop of every selection round.
+//
 //hsd:hotpath
 func (s *selector) updateMinDist(i int, center []float64) error {
 	c := &s.cand[i]

@@ -190,6 +190,7 @@ func ForwardTruncated2DInto(dst, tmp, src []float64, h, w, kh, kw int) error {
 // rows are transformed against the first kw basis rows into tmp, then
 // columns against the first kh, with the exact per-element summation order
 // of the original ForwardTruncated2D loops.
+//
 //hsd:noalloc
 func forwardTruncatedInto(dst, tmp, src, ch, cw []float64, h, w, kh, kw int) {
 	// tmp[y][v] for v < kw

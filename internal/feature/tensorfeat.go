@@ -145,6 +145,7 @@ func (e *BlockEncoder) K() int { return e.k }
 
 // EncodeInto writes the block's K scaled zig-zag coefficients into dst.
 // block must hold blockPx² row-major pixels and dst at least K values.
+//
 //hsd:noalloc
 func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 	b := e.blockPx

@@ -6,6 +6,7 @@ package a
 var Sink []float64
 
 // Escaping allocates a buffer that escapes to the heap — a finding.
+//
 //hsd:noalloc
 func Escaping(n int) {
 	buf := make([]float64, n) // want "heap allocation in //hsd:noalloc .*a\\.Escaping"
@@ -13,6 +14,7 @@ func Escaping(n int) {
 }
 
 // Clean writes in place; stack-only work is not a finding.
+//
 //hsd:noalloc
 func Clean(dst []float64, v float64) float64 {
 	s := 0.0
@@ -24,6 +26,7 @@ func Clean(dst []float64, v float64) float64 {
 }
 
 // Waived escapes too, but the justified waiver suppresses the finding.
+//
 //hsd:noalloc
 func Waived(n int) {
 	Sink = make([]float64, n) //hsd:allow alloclint fixture: deliberate waived escape

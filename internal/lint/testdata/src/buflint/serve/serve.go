@@ -8,8 +8,8 @@ type batcher struct {
 }
 
 func (b *batcher) run(n int) []int {
-	xs := make([]int, 0, n)  // want "per-call make of a slice in hot path serve.run"
-	ss := make([]string, n)  // want "per-call make of a slice in hot path serve.run"
+	xs := make([]int, 0, n) // want "per-call make of a slice in hot path serve.run"
+	ss := make([]string, n) // want "per-call make of a slice in hot path serve.run"
 	_ = ss
 	if cap(b.scratch) < n {
 		b.scratch = make([]int, 0, n) // grow-once behind a cap guard: clean

@@ -17,6 +17,7 @@ type impl struct{ n int }
 func (i *impl) Add(v int) int { return i.n + v }
 
 // Root is a hot-path root; everything below is checked transitively.
+//
 //hsd:hotpath
 func Root(m map[int]int, ch chan int, xs []int, f func() int, a adder) int {
 	s := 0
@@ -45,6 +46,7 @@ var tick = make(chan int, 1)
 // Clean exercises every exempt idiom: evidenced appends, the exact-size
 // nil-conversion clone, the cap-guard grow, and error-construction cold
 // paths. None of it is a finding.
+//
 //hsd:hotpath
 func Clean(xs []int) ([]int, error) {
 	out := make([]int, 0, len(xs))
@@ -60,6 +62,7 @@ func Clean(xs []int) ([]int, error) {
 }
 
 // Waived carries a deliberate breach silenced by a justified waiver.
+//
 //hsd:hotpath
 func Waived() {
 	fmt.Println("once") //hsd:allow hotlint fixture: deliberate waived breach
@@ -67,6 +70,7 @@ func Waived() {
 
 // ColdCaller declares its call edge cold; the walk must not enter
 // initTables, so the breach inside it is not a finding.
+//
 //hsd:hotpath
 func ColdCaller() {
 	initTables() //hsd:cold fixture: once-per-process table build

@@ -12,6 +12,11 @@ import (
 // im2col + matrix multiply. Work buffers are reused across samples, which
 // matters on the single-sample training path: convolution dominates the
 // paper network's cost.
+//
+// All three products run on tensor's tile kernels, bit-identical to the
+// reference matmuls: the forward W·cols + b and the input gradient Wᵀ·g on
+// tensor.MatMulTiles, the weight gradient g·colsᵀ on
+// tensor.MatMulBTAddTiles.
 type Conv2D struct {
 	name                string
 	inC, outC           int
@@ -19,10 +24,17 @@ type Conv2D struct {
 	weight, bias        *Param
 	inH, inW            int
 	// Reused buffers (allocated lazily for the first input geometry).
-	cols  *tensor.Tensor // (inC*kh*kw, oh*ow)
-	out   *tensor.Tensor // (outC, oh*ow)
-	dCols *tensor.Tensor // (inC*kh*kw, oh*ow)
-	dx    *tensor.Tensor // (inC, inH, inW)
+	cols    *tensor.Tensor // (inC*kh*kw, oh*ow), a view of colsBuf
+	colsBuf []float64      // cols plus the tile kernel's read slack
+	out     *tensor.Tensor // (outC, oh*ow)
+	dCols   *tensor.Tensor // (inC*kh*kw, oh*ow)
+	dx      *tensor.Tensor // (inC, inH, inW)
+	// Tile-product scratch, sized with the buffers above.
+	off  []int     // off[p] = p·oh·ow: row p of cols, or of g
+	wT   []float64 // Wᵀ (inC*kh*kw, outC), refreshed per input gradient
+	gT   []float64 // gᵀ (oh*ow, TileWidth(outC)), filled per weight gradient
+	gPad []float64 // g plus read slack; only when oh·ow % 4 ≠ 0
+	tile []float64 // TileRows × TileWidth(oh*ow) kernel output
 }
 
 // NewConv2D builds a convolution layer. Weights are He-initialized from
@@ -73,18 +85,33 @@ func (c *Conv2D) OutputShape(in []int) ([]int, error) {
 	return []int{c.outC, oh, ow}, nil
 }
 
-// ensureBuffers sizes the reusable work tensors for the input geometry.
-func (c *Conv2D) ensureBuffers(h, w int) (oh, ow int) {
-	oh = tensor.ConvOutputSize(h, c.kh, c.stride, c.pad)
-	ow = tensor.ConvOutputSize(w, c.kw, c.stride, c.pad)
-	if c.inH != h || c.inW != w || c.cols == nil {
-		c.inH, c.inW = h, w
-		c.cols = tensor.New(c.inC*c.kh*c.kw, oh*ow)
-		c.out = tensor.New(c.outC, oh*ow)
-		c.dCols = tensor.New(c.inC*c.kh*c.kw, oh*ow)
-		c.dx = tensor.New(c.inC, h, w)
+// ensureBuffers sizes the reusable work tensors and tile scratch for the
+// input geometry, whose output (oh, ow) must not collapse.
+func (c *Conv2D) ensureBuffers(h, w, oh, ow int) {
+	if c.inH == h && c.inW == w && c.cols != nil {
+		return
 	}
-	return oh, ow
+	c.inH, c.inW = h, w
+	kk, n := c.inC*c.kh*c.kw, oh*ow
+	// The tile kernel reads each row of its B operand in whole 4-column
+	// steps, so the last row of cols (and of g) needs slack to round into.
+	slack := tensor.TileWidth(n) - n
+	c.colsBuf = make([]float64, kk*n+slack)
+	c.cols = tensor.MustFromSlice(c.colsBuf[:kk*n], kk, n)
+	c.out = tensor.New(c.outC, n)
+	c.dCols = tensor.New(kk, n)
+	c.dx = tensor.New(c.inC, h, w)
+	c.off = make([]int, max(kk, c.outC))
+	for p := range c.off {
+		c.off[p] = p * n
+	}
+	c.wT = make([]float64, kk*c.outC)
+	c.gT = make([]float64, n*tensor.TileWidth(c.outC))
+	c.gPad = nil
+	if slack > 0 {
+		c.gPad = make([]float64, c.outC*n+slack)
+	}
+	c.tile = make([]float64, tensor.TileRows*tensor.TileWidth(n))
 }
 
 // Forward implements Layer. The returned tensor aliases an internal buffer
@@ -95,54 +122,75 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 3 || x.Dim(0) != c.inC {
 		return nil, fmt.Errorf("nn: conv %q expects (%d, H, W) input, got %v", c.name, c.inC, x.Shape())
 	}
-	oh, ow := c.ensureBuffers(x.Dim(1), x.Dim(2))
+	oh := tensor.ConvOutputSize(x.Dim(1), c.kh, c.stride, c.pad)
+	ow := tensor.ConvOutputSize(x.Dim(2), c.kw, c.stride, c.pad)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: conv %q output collapses for input %v", c.name, x.Shape())
 	}
+	c.ensureBuffers(x.Dim(1), x.Dim(2), oh, ow)
 	if err := tensor.Im2ColInto(c.cols, x, c.kh, c.kw, c.stride, c.pad); err != nil {
 		return nil, err
 	}
-	// Bias rides the matmul's per-row epilogue instead of a second pass
-	// over the output; values are bit-identical to the two-pass form.
-	if err := tensor.MatMulBiasInto(c.out, c.weight.W, c.cols, c.bias.W); err != nil {
-		return nil, err
-	}
+	// Bias rides the tile epilogue; ReLU stays a separate layer, which
+	// records the mask its backward pass needs.
+	tensor.MatMulTiles(c.out.Data(), c.weight.W.Data(), c.colsBuf, c.bias.W.Data(),
+		c.off, c.tile, c.outC, c.inC*c.kh*c.kw, oh*ow)
 	return c.out.Reshape(c.outC, oh, ow)
 }
 
 // Backward implements Layer. The returned gradient aliases an internal
 // buffer overwritten by the next Backward call.
 func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.cols == nil {
-		return nil, fmt.Errorf("nn: conv %q backward before forward", c.name)
-	}
-	oh := tensor.ConvOutputSize(c.inH, c.kh, c.stride, c.pad)
-	ow := tensor.ConvOutputSize(c.inW, c.kw, c.stride, c.pad)
-	g, err := grad.Reshape(c.outC, oh*ow)
+	g, err := c.backwardParams(grad)
 	if err != nil {
-		return nil, fmt.Errorf("nn: conv %q gradient shape %v: %w", c.name, grad.Shape(), err)
-	}
-	// dW += g · colsᵀ
-	if err := tensor.MatMulBTAddInto(c.weight.Grad.MustReshape(c.outC, c.inC*c.kh*c.kw), g, c.cols); err != nil {
 		return nil, err
 	}
-	// db += row sums of g.
-	gd := g.Data()
-	for oc := 0; oc < c.outC; oc++ {
-		s := 0.0
-		for _, v := range gd[oc*oh*ow : (oc+1)*oh*ow] {
-			s += v
+	// dx = Col2Im(Wᵀ · g), on a transposed copy of W. A bias-free tile
+	// product over Wᵀ equals MatMulATInto over W bit for bit: the same
+	// per-element order on either kernel variant, and the density gate
+	// counts the same zeros.
+	kk, n := c.inC*c.kh*c.kw, len(g)/c.outC
+	w := c.weight.W.Data()
+	for i := 0; i < c.outC; i++ {
+		for p, v := range w[i*kk : i*kk+kk] {
+			c.wT[p*c.outC+i] = v
 		}
-		c.bias.Grad.Data()[oc] += s
 	}
-	// dx = Col2Im(Wᵀ · g)
-	if err := tensor.MatMulATInto(c.dCols, c.weight.W, g); err != nil {
-		return nil, err
+	if c.gPad != nil {
+		copy(c.gPad, g)
+		g = c.gPad
 	}
+	tensor.MatMulTiles(c.dCols.Data(), c.wT, g, nil, c.off, c.tile, kk, c.outC, n)
 	if err := tensor.Col2ImInto(c.dx, c.dCols, c.kh, c.kw, c.stride, c.pad); err != nil {
 		return nil, err
 	}
 	return c.dx, nil
+}
+
+// backwardParams is Backward without the input gradient: it accumulates
+// dW and db from grad and returns grad's data. Network.Backward calls it
+// alone on a first layer, whose input gradient nobody reads.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) ([]float64, error) {
+	if c.cols == nil {
+		return nil, fmt.Errorf("nn: conv %q backward before forward", c.name)
+	}
+	kk, n := c.cols.Dim(0), c.cols.Dim(1)
+	if grad.Len() != c.outC*n {
+		return nil, fmt.Errorf("nn: conv %q gradient shape %v, want %d×%d elements", c.name, grad.Shape(), c.outC, n)
+	}
+	g := grad.Data()
+	// dW += g · colsᵀ
+	tensor.MatMulBTAddTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.outC, n, kk)
+	// db += row sums of g.
+	bg := c.bias.Grad.Data()
+	for oc := 0; oc < c.outC; oc++ {
+		s := 0.0
+		for _, v := range g[oc*n : (oc+1)*n] {
+			s += v
+		}
+		bg[oc] += s
+	}
+	return g, nil
 }
 
 // heInit fills w with He-normal values: N(0, sqrt(2/fanIn)), the standard

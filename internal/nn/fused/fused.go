@@ -11,13 +11,14 @@
 // intermediate buffers are planned at compile time into one arena slab;
 // Forward never allocates and never touches a layer object.
 //
-// The convolution product runs on register-blocked tile kernels: four
-// output channels advance together through the coefficient rows of the
-// im2col product, so every loaded coefficient element feeds four
-// accumulators. Stride-1 convs (every Table 1 conv) never build that
-// matrix: each reads a zero-bordered copy of its input in place through an
-// offset table (implicit im2col). Strided convs stage the explicit matrix
-// and run the same kernels over it.
+// The convolution product runs on tensor's register-blocked tile kernel,
+// the one the layered Conv2D also runs: four output channels advance
+// together through the coefficient rows of the im2col product, so every
+// loaded coefficient element feeds four accumulators. Stride-1 convs
+// (every Table 1 conv) never build that matrix: each reads a zero-bordered
+// copy of its input in place through an offset table (implicit im2col).
+// Strided convs stage the explicit matrix and run the same kernels over
+// it.
 //
 // Bit-for-bit contract: every kernel here accumulates each output element
 // in exactly the per-element order and grouping of the layer-by-layer path
@@ -87,7 +88,7 @@ type op struct {
 	off   []int
 	width int
 	vw    int
-	tile  []float64      // blockRows×width kernel output (shared region)
+	tile  []float64      // TileRows×width kernel output (shared region)
 	inT   *tensor.Tensor // strided: rank-3 view of in; nil = caller's input
 	colsT *tensor.Tensor // strided: rank-2 view of base for Im2ColInto
 }
@@ -228,7 +229,7 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		o := &ops[idx]
 		if o.kind == opConv {
 			baseLen[idx] = planConv(o)
-			tileMax = max(tileMax, blockRows*o.width)
+			tileMax = max(tileMax, tensor.TileRows*o.width)
 			if o.stride == 1 {
 				planes += baseLen[idx]
 			} else {
@@ -255,7 +256,7 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		o.out = arena[cur : cur+o.outLen]
 		cur += o.outLen
 		if o.kind == opConv {
-			o.tile = tileRegion[:blockRows*o.width]
+			o.tile = tileRegion[:tensor.TileRows*o.width]
 			if o.stride == 1 {
 				o.base = arena[cur : cur+baseLen[idx]]
 				cur += baseLen[idx]
@@ -312,7 +313,7 @@ func planConv(o *op) int {
 			o.off[p] = p * n
 		}
 		o.vw = o.ow
-		o.width = roundUp4(n)
+		o.width = tensor.TileWidth(n)
 		return o.off[kk-1] + o.width
 	}
 	hp, wp := o.inH+2*o.pad, o.inW+2*o.pad
@@ -321,24 +322,16 @@ func planConv(o *op) int {
 		o.off[p] = ch*hp*wp + ky*wp + kx
 	}
 	o.vw = wp
-	o.width = roundUp4((o.oh-1)*wp + o.ow)
+	o.width = tensor.TileWidth((o.oh-1)*wp + o.ow)
 	return max(o.inC*hp*wp, o.off[kk-1]+o.width)
 }
 
-// roundUp4 rounds n up to a multiple of 4, the tile kernel's column step.
-func roundUp4(n int) int { return (n + 3) &^ 3 }
-
-// Vectorized names the conv kernel the engine runs on this host:
-// "avx2-4x4" for the assembly tile kernel (4 channels × 4 columns), and
-// "generic" for the pure-Go blocked kernels. Both produce bit-identical
-// outputs; the name is recorded by benchmark reports so numbers are
-// attributable to a kernel.
-func Vectorized() string {
-	if useAVX2 {
-		return "avx2-4x4"
-	}
-	return "generic"
-}
+// Vectorized names the conv kernel the engine runs on this host, as
+// tensor.TileKernel does: "avx2-4x4" for the assembly tile kernel (4
+// channels × 4 columns), and "generic" for the pure-Go blocked kernels.
+// Both produce bit-identical outputs; the name is recorded by benchmark
+// reports so numbers are attributable to a kernel.
+func Vectorized() string { return tensor.TileKernel() }
 
 // prod returns the element count of a shape.
 func prod(shape []int) int {

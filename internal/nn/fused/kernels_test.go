@@ -85,10 +85,24 @@ func TestTable1ArenaPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := blockRows * 168
+	tile := tensor.TileRows * 168
 	planes := (32*14*14 + 2) + (16*14*14 + 2) + (16*8*8 + 2) + (32*8*8 + 2)
 	outs := 16*12*12 + 16*6*6 + 32*6*6 + 32*3*3 + 250 + 2
 	if got, want := eng.ArenaLen(), tile+planes+outs; got != want {
 		t.Fatalf("arena holds %d float64, want %d (tile %d + planes %d + outputs %d)", got, want, tile, planes, outs)
 	}
+}
+
+// TestGenericKernelParity runs the parity suites through the pure-Go tile
+// body, which an AVX2 host would otherwise never execute.
+func TestGenericKernelParity(t *testing.T) {
+	if tensor.TileKernel() == "generic" {
+		t.Skip("the parity tests already run the generic kernels on this host")
+	}
+	tensor.WithGenericKernels(func() {
+		t.Run("Table1Stages", TestParityTable1Stages)
+		t.Run("PaperNet", TestParityPaperNet)
+		t.Run("OddGeometries", TestParityOddGeometries)
+		t.Run("SparseWeights", TestParitySparseWeights)
+	})
 }

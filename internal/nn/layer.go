@@ -68,11 +68,18 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 	return x, nil
 }
 
-// Backward propagates the output gradient back through all layers.
+// Backward propagates the output gradient back through all layers,
+// accumulating every parameter gradient. Nobody reads the gradient with
+// respect to the network input, so a first Conv2D layer accumulates its
+// parameter gradients without forming it.
 func (n *Network) Backward(grad *tensor.Tensor) error {
 	var err error
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad, err = n.layers[i].Backward(grad) //hsd:allow hotlint layer polymorphism is the training path's design; backprop has no fused counterpart
+		if c, ok := n.layers[i].(*Conv2D); ok && i == 0 {
+			_, err = c.backwardParams(grad)
+		} else {
+			grad, err = n.layers[i].Backward(grad) //hsd:allow hotlint layer polymorphism is the training path's design; backprop has no fused counterpart
+		}
 		if err != nil {
 			return fmt.Errorf("nn: backward through %s: %w", n.layers[i].Name(), err)
 		}

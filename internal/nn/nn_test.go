@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -450,6 +451,127 @@ func TestCloneIndependent(t *testing.T) {
 	c.Params()[0].W.Fill(0)
 	if net.Params()[0].W.Norm2() == 0 {
 		t.Fatal("clone shares weights with original")
+	}
+}
+
+// TestCloneMatchesSaveLoad pins Clone to a Save/Load round trip bit for
+// bit: layer kinds, names and geometry, every weight, zero gradients, and
+// dropout rate and stream state, on the paper net and on an odd geometry
+// (strided, unpadded, non-multiple-of-4 channels), each cloned after a
+// training step has advanced its dropout stream. Training-mode forwards
+// of the two copies must then agree too.
+func TestCloneMatchesSaveLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	paper, err := NewPaperNet(PaperNetConfig{InChannels: 4, SpatialSize: 8, Conv1Maps: 4, Conv2Maps: 6, FC1: 10, DropoutRate: 0.5, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := NewConv2D("odd-conv", 3, 5, 3, 2, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, err := NewDropout("odd-drop", 0.3, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := NewDense("odd-fc", 5*3*3, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := NewNetwork(conv, NewReLU("odd-relu"), drop, fc)
+	for _, tc := range []struct {
+		name    string
+		net     *Network
+		inShape []int
+	}{
+		{"papernet", paper, []int{4, 8, 8}},
+		{"odd", odd, []int{3, 7, 7}},
+	} {
+		x := tensor.New(tc.inShape...)
+		for i := range x.Data() {
+			x.Data()[i] = rng.NormFloat64()
+		}
+		out, err := tc.net.Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := tensor.New(out.Len())
+		target.Data()[0] = 1
+		_, g, err := SoftmaxCrossEntropy(out, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.net.Backward(g); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tc.net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cloned, err := tc.net.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ll, cl := loaded.Layers(), cloned.Layers()
+		if len(ll) != len(cl) {
+			t.Fatalf("%s: %d layers loaded, %d cloned", tc.name, len(ll), len(cl))
+		}
+		for i := range ll {
+			if reflect.TypeOf(ll[i]) != reflect.TypeOf(cl[i]) || ll[i].Name() != cl[i].Name() {
+				t.Fatalf("%s layer %d: loaded %T %q, cloned %T %q", tc.name, i, ll[i], ll[i].Name(), cl[i], cl[i].Name())
+			}
+			switch l := ll[i].(type) {
+			case *Conv2D:
+				c := cl[i].(*Conv2D)
+				if l.inC != c.inC || l.outC != c.outC || l.kh != c.kh || l.kw != c.kw || l.stride != c.stride || l.pad != c.pad {
+					t.Fatalf("%s layer %d: conv geometry differs: %+v vs %+v", tc.name, i, l, c)
+				}
+			case *Dense:
+				c := cl[i].(*Dense)
+				if l.in != c.in || l.out != c.out {
+					t.Fatalf("%s layer %d: dense %dx%d vs %dx%d", tc.name, i, l.in, l.out, c.in, c.out)
+				}
+			case *Dropout:
+				c := cl[i].(*Dropout)
+				if math.Float64bits(l.rate) != math.Float64bits(c.rate) || l.state != c.state {
+					t.Fatalf("%s layer %d: dropout rate/state %v/%d vs %v/%d", tc.name, i, l.rate, l.state, c.rate, c.state)
+				}
+			}
+		}
+		lp, cp := loaded.Params(), cloned.Params()
+		if len(lp) != len(cp) {
+			t.Fatalf("%s: %d params loaded, %d cloned", tc.name, len(lp), len(cp))
+		}
+		for i := range lp {
+			if lp[i].Name != cp[i].Name || !tensor.SameShape(lp[i].W, cp[i].W) || !tensor.SameShape(lp[i].Grad, cp[i].Grad) {
+				t.Fatalf("%s param %d: %s %v vs %s %v", tc.name, i, lp[i].Name, lp[i].W.Shape(), cp[i].Name, cp[i].W.Shape())
+			}
+			for j, v := range lp[i].W.Data() {
+				if math.Float64bits(v) != math.Float64bits(cp[i].W.Data()[j]) {
+					t.Fatalf("%s param %s[%d]: loaded %v, cloned %v", tc.name, lp[i].Name, j, v, cp[i].W.Data()[j])
+				}
+			}
+			if cp[i].Grad.Norm2() != 0 {
+				t.Fatalf("%s param %s: clone carries a gradient", tc.name, cp[i].Name)
+			}
+		}
+		lo, err := loaded.Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co, err := cloned.Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range lo.Data() {
+			if math.Float64bits(v) != math.Float64bits(co.Data()[i]) {
+				t.Fatalf("%s: training forward output %d: loaded %v, cloned %v", tc.name, i, v, co.Data()[i])
+			}
+		}
 	}
 }
 

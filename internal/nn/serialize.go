@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -45,6 +44,11 @@ const (
 	headerLen         = len(checkpointMagic) + 2
 )
 
+// savedDropoutSeed is the mask-stream seed every dropout layer of a
+// checkpoint (and of a Clone) starts from; training reseeds the streams
+// per sample anyway.
+const savedDropoutSeed = 1
+
 // Save serializes the network (architecture and weights): the versioned
 // checkpoint header followed by an encoding/gob payload.
 func (n *Network) Save(w io.Writer) error {
@@ -73,7 +77,7 @@ func (n *Network) Save(w io.Writer) error {
 		case *Dropout:
 			s.Kind = "dropout"
 			s.Rate = t.rate
-			s.Seed = 1
+			s.Seed = savedDropoutSeed
 		default:
 			return fmt.Errorf("nn: cannot serialize layer %T (%s)", l, l.Name())
 		}
@@ -152,12 +156,36 @@ func Load(r io.Reader) (*Network, error) {
 	return NewNetwork(layers...), nil
 }
 
-// Clone deep-copies the network via a serialize/deserialize round trip.
-// Layer caches and dropout RNG streams reset; weights are preserved.
+// Clone deep-copies the network's architecture and weights, with the
+// result of a Save/Load round trip: layer caches and gradients start
+// empty, and every dropout stream restarts at the seed a checkpoint
+// carries. It copies the layers directly rather than encoding, decoding
+// and re-initializing every weight.
 func (n *Network) Clone() (*Network, error) {
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		return nil, err
+	layers := make([]Layer, len(n.layers))
+	for i, l := range n.layers {
+		switch t := l.(type) {
+		case *Conv2D:
+			layers[i] = &Conv2D{
+				name: t.name, inC: t.inC, outC: t.outC, kh: t.kh, kw: t.kw, stride: t.stride, pad: t.pad,
+				weight: t.weight.clone(), bias: t.bias.clone(),
+			}
+		case *ReLU:
+			layers[i] = NewReLU(t.name)
+		case *MaxPool2:
+			layers[i] = NewMaxPool2(t.name)
+		case *Dense:
+			layers[i] = &Dense{name: t.name, in: t.in, out: t.out, weight: t.weight.clone(), bias: t.bias.clone()}
+		case *Dropout:
+			layers[i] = &Dropout{name: t.name, rate: t.rate, state: savedDropoutSeed}
+		default:
+			return nil, fmt.Errorf("nn: cannot clone layer %T (%s)", l, l.Name())
+		}
 	}
-	return Load(&buf)
+	return NewNetwork(layers...), nil
+}
+
+// clone copies the parameter's name and weights, with a zero gradient.
+func (p *Param) clone() *Param {
+	return &Param{Name: p.Name, W: p.W.Clone(), Grad: tensor.New(p.W.Shape()...)}
 }

@@ -116,6 +116,7 @@ func (p *Pool) Size() int { return p.workers }
 // one from the lowest item index, so error reporting is deterministic
 // under any worker count. With one worker (or one item) everything runs
 // inline on the calling goroutine — no goroutines, no synchronization.
+//
 //hsd:hotpath
 func (p *Pool) For(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
@@ -243,6 +244,7 @@ func (p *Pool) Session() *Session {
 // For runs fn(worker, i) for every i in [0, n) on the session's persistent
 // workers, with the same semantics as Pool.For: all items attempted,
 // lowest-index error returned, inline execution for one worker.
+//
 //hsd:hotpath
 func (s *Session) For(n int, fn func(worker, i int) error) error {
 	if n <= 0 {

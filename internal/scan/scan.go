@@ -142,9 +142,9 @@ type workerState struct {
 // map, which is what makes incremental re-scan possible. Not safe for
 // concurrent use; build with New.
 type Scanner struct {
-	cfg Config
-	die geom.Clip
-	ev  *train.Evaluator
+	cfg  Config
+	die  geom.Clip
+	ev   *train.Evaluator
 	pool *parallel.Pool
 
 	blockPx, blockNM int
@@ -153,8 +153,8 @@ type Scanner struct {
 	wnx, wny         int // window grid
 	tileBlocks       int
 
-	planes []float64 // [nby][nbx][k] cached block coefficient vectors
-	probs  []float64 // [wny][wnx] last heat map
+	planes  []float64 // [nby][nbx][k] cached block coefficient vectors
+	probs   []float64 // [wny][wnx] last heat map
 	scanned bool
 
 	workers []*workerState
@@ -311,6 +311,7 @@ func (s *Scanner) fail(tr *trace.Trace, err error) error {
 // slot writes never overlap; pixel values are independent of the region
 // bounds (area-accurate rasterization is per-pixel local), so the cached
 // vectors are independent of tiling and worker count.
+//
 //hsd:hotpath
 func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 	ws := s.workers[worker]
@@ -342,6 +343,7 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 
 // scoreRow assembles and scores windows (wx0..wx1) of window row wy on
 // one worker's replica, writing into the row's probability slots.
+//
 //hsd:hotpath
 func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {
 	ws := s.workers[worker]
@@ -361,6 +363,7 @@ func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {
 // blocks under window (wx, wy) into a channels-first (K, n, n) tensor
 // buffer — the exact layout feature.ExtractTensor produces, with the
 // exact values the BlockEncoder cached.
+//
 //hsd:noalloc
 func (s *Scanner) assembleWindow(dst []float64, wx, wy int) {
 	n, k, nbx := s.n, s.k, s.nbx

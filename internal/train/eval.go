@@ -220,6 +220,7 @@ func (e *Evaluator) Prepare(inShape []int) error {
 // one goroutine at a time, and Prepare must have run since the wrapped
 // network's weights last changed. Probabilities are bit-identical to
 // PredictProbs over the same inputs.
+//
 //hsd:hotpath
 func (e *Evaluator) PredictOn(worker int, x *tensor.Tensor) (float64, error) {
 	return e.predictOn(worker, x)
@@ -233,6 +234,7 @@ func (e *Evaluator) PredictOn(worker int, x *tensor.Tensor) (float64, error) {
 // It is a hot-path root in its own right because it runs as a parallel
 // worker body: the func-value hop through parallel.Map hides it from the
 // callers' reachability walks.
+//
 //hsd:hotpath
 func (e *Evaluator) predictOn(worker int, x *tensor.Tensor) (float64, error) {
 	if e.engines != nil {

@@ -192,3 +192,69 @@ func TestEvaluatorMatchesEvalSet(t *testing.T) {
 		}
 	}
 }
+
+// TestMGDGenericKernelParity trains on the pure-Go tile bodies, which an
+// AVX2 host would otherwise never run, with one and with two workers: both
+// must reproduce the host kernels' trained weights bit for bit. The net's
+// odd geometry (3- and 5-channel convs over 5×5 maps, so neither the
+// channel counts nor oh·ow are multiples of 4) takes every aliased and
+// padded tile path, including the second conv's input gradient.
+func TestMGDGenericKernelParity(t *testing.T) {
+	if tensor.TileKernel() == "generic" {
+		t.Skip("every MGD test already runs the generic kernels on this host")
+	}
+	rng := rand.New(rand.NewSource(41))
+	samples := make([]Sample, 24)
+	for i := range samples {
+		x := tensor.New(2, 5, 5)
+		for j := range x.Data() {
+			x.Data()[j] = rng.NormFloat64()
+		}
+		samples[i] = Sample{X: x, Hotspot: i%3 == 0}
+	}
+	train := func(workers int) []float64 {
+		r := rand.New(rand.NewSource(43))
+		conv1, err := nn.NewConv2D("c1", 2, 3, 3, 1, 1, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv2, err := nn.NewConv2D("c2", 3, 5, 3, 1, 1, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc1, err := nn.NewDense("f1", 5*2*2, 6, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drop, err := nn.NewDropout("d", 0.5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc2, err := nn.NewDense("f2", 6, 2, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := nn.NewNetwork(conv1, nn.NewReLU("r1"), conv2, nn.NewReLU("r2"), nn.NewMaxPool2("p"),
+			fc1, nn.NewReLU("r3"), drop, fc2)
+		cfg := quickCfg()
+		cfg.MaxIters, cfg.ValEvery, cfg.BatchSize, cfg.Workers = 12, 0, 5, workers
+		if _, err := MGD(net, samples, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var w []float64
+		for _, p := range net.Params() {
+			w = append(w, p.W.Data()...)
+		}
+		return w
+	}
+	want := train(1)
+	tensor.WithGenericKernels(func() {
+		for _, workers := range []int{1, 2} {
+			for i, v := range train(workers) {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("generic kernels, %d workers: weight %d = %v, host kernels %v", workers, i, v, want[i])
+				}
+			}
+		}
+	})
+}

@@ -177,6 +177,7 @@ func sampleSeed(seed, counter int64) int64 {
 // sampleGrad runs one training sample through net (forward, loss, backward)
 // with its dropout stream reseeded from the sample's global counter.
 // Gradients accumulate into net's current Param.Grad tensors.
+//
 //hsd:hotpath
 func sampleGrad(net *nn.Network, s Sample, yn, yh *tensor.Tensor, seed int64) (float64, error) {
 	target := yn
@@ -247,7 +248,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	var (
 		replicas  []*nn.Network // worker-owned clones; master stays on this goroutine
 		repParams [][]*nn.Param
-		slots     [][]*tensor.Tensor // per-batch-position gradient buffers
+		slots     [][]*tensor.Tensor // per-wave-position gradient buffers
 		losses    []float64
 	)
 	if nW > 1 {
@@ -259,14 +260,16 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 			}
 			repParams[i] = replicas[i].Params()
 		}
-		slots = make([][]*tensor.Tensor, cfg.BatchSize)
+		// The batch runs in waves of nW positions, so nW gradient slots
+		// serve the whole batch.
+		slots = make([][]*tensor.Tensor, nW)
 		for b := range slots {
 			slots[b] = make([]*tensor.Tensor, len(masterParams))
 			for i, p := range masterParams {
 				slots[b][i] = tensor.New(p.Grad.Shape()...)
 			}
 		}
-		losses = make([]float64, cfg.BatchSize)
+		losses = make([]float64, nW)
 	}
 	// Weight sync over the cached param slices: copyWeights would rebuild
 	// both Params() slices on every iteration.
@@ -284,17 +287,19 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	sess := pool.Session()
 	defer sess.Close()
 	var counterBase int64
-	gradTask := func(worker, b int) error {
-		// Point the replica's gradient accumulators at this batch
+	var wave int // first batch position of the running wave
+	gradTask := func(worker, s int) error {
+		// Point the replica's gradient accumulators at this wave
 		// position's slot so Backward writes the sample's contribution
 		// there directly — no copy.
 		rp := repParams[worker]
 		for i := range rp {
-			slots[b][i].Zero()
-			rp[i].Grad = slots[b][i]
+			slots[s][i].Zero()
+			rp[i].Grad = slots[s][i]
 		}
+		b := wave + s
 		loss, err := sampleGrad(replicas[worker], trainSet[batchIdx[b]], yn, yh, sampleSeed(cfg.Seed, counterBase+int64(b)))
-		losses[b] = loss
+		losses[s] = loss
 		return err
 	}
 
@@ -346,16 +351,20 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 			}
 		} else {
 			syncReplicas()
-			if err := sess.For(cfg.BatchSize, gradTask); err != nil {
-				return nil, err
-			}
-			// Reduce in batch-position order: fold-left addition per
-			// element is exactly the serial loop's in-place accumulation.
-			for b := range slots {
-				batchLoss += losses[b]
-				for i, p := range masterParams {
-					if err := p.Grad.Add(slots[b][i]); err != nil {
-						return nil, err
+			for wave = 0; wave < cfg.BatchSize; wave += nW {
+				n := min(nW, cfg.BatchSize-wave)
+				if err := sess.For(n, gradTask); err != nil {
+					return nil, err
+				}
+				// Fold each wave in before the next, in batch-position
+				// order: fold-left addition per element is exactly the
+				// serial loop's in-place accumulation.
+				for s := 0; s < n; s++ {
+					batchLoss += losses[s]
+					for i, p := range masterParams {
+						if err := p.Grad.Add(slots[s][i]); err != nil {
+							return nil, err
+						}
 					}
 				}
 			}

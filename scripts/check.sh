@@ -3,36 +3,38 @@
 #
 # Runs the legs every change must pass before merging:
 #   1. go build ./...        the tree compiles
-#   2. go vet ./...          stock toolchain analysis, then an arm64
-#                            cross-build and vet of internal/nn/fused: the
-#                            kernels_noasm.go stubs must keep matching the
-#                            amd64 assembly declarations, which asmdecl
-#                            checks only on amd64
-#   3. hsd-vet ./...         project contracts: determinism, numerics,
+#   2. gofmt -l              every tracked .go file is gofmt-clean
+#   3. go vet ./...          stock toolchain analysis, then an arm64
+#                            cross-build and vet of internal/tensor and
+#                            internal/nn/fused: the tile_noasm.go stubs
+#                            must keep matching the amd64 assembly
+#                            declarations, which asmdecl checks only on
+#                            amd64
+#   4. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
 #                            (see DESIGN.md "Determinism & numerics rules")
-#   4. go test -race ./...   unit + parity tests under the race detector
-#   5. bench smoke           hsd-bench -exp infer with a few fixed reps:
+#   5. go test -race ./...   unit + parity tests under the race detector
+#   6. bench smoke           hsd-bench -exp infer with a few fixed reps:
 #                            gates fused-vs-layered bit parity on every
 #                            Table 1 geometry before timing anything, so a
 #                            kernel change that alters numbers fails here
-#   6. scripts/smoke         hsd-serve end-to-end smoke: boot on an
+#   7. scripts/smoke         hsd-serve end-to-end smoke: boot on an
 #                            ephemeral port, predict, healthz, metrics,
 #                            -pprof debug surface, SIGINT drain, zero exit
-#   7. scripts/trainsmoke    hsd-train observability smoke: tiny suite,
+#   8. scripts/trainsmoke    hsd-train observability smoke: tiny suite,
 #                            -telemetry JSONL (manifest/epoch/result) and
 #                            -metrics-out stage summaries parse and assert
-#   8. scripts/scansmoke     hsd-scan full-layout smoke: tiny die, shifted
+#   9. scripts/scansmoke     hsd-scan full-layout smoke: tiny die, shifted
 #                            boundary, asserts region merge, one-DCT-per-
 #                            block accounting, the exact cache hit rate,
 #                            incremental re-scan dirty counts and the
 #                            hsd_scan_* metrics series
-#   9. scripts/activesmoke   hsd-active smoke: tiny pool, budget sized to
+#  10. scripts/activesmoke   hsd-active smoke: tiny pool, budget sized to
 #                            exhaust mid-batch, asserts exact ODST-seconds
 #                            accounting, truncation, the JSONL manifest and
 #                            the hsd_litho_*/hsd_active_* metrics series
-#  10. scripts/tracesmoke    hsd-serve trace smoke: /debug/trace dark by
+#  11. scripts/tracesmoke    hsd-serve trace smoke: /debug/trace dark by
 #                            default (404), then -trace with mixed
 #                            fast/slow/429 traffic asserting tail-keep
 #                            retention, request/batch stage trees with
@@ -41,7 +43,7 @@
 #
 # Usage: scripts/check.sh [-short|-lint-only]
 #   -short      pass -short to go test (skips the slow experiment suites)
-#   -lint-only  run legs 1-3 only (build, vet + arm64 cross-build,
+#   -lint-only  run legs 1-4 only (build, gofmt, vet + arm64 cross-build,
 #               hsd-vet) — the fast pre-commit loop; the analyzers
 #               alone catch contract breaches without waiting for the
 #               race suite
@@ -58,11 +60,19 @@ esac
 echo "==> go build ./..."
 go build ./...
 
+echo "==> gofmt -l"
+unformatted="$(git ls-files '*.go' | xargs gofmt -l)"
+if [[ -n "${unformatted}" ]]; then
+    echo "gofmt: unformatted files:" >&2
+    echo "${unformatted}" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> GOARCH=arm64 go build ./... && go vet ./internal/nn/fused/"
-GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn/fused/
+echo "==> GOARCH=arm64 go build ./... && go vet ./internal/tensor/ ./internal/nn/fused/"
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/fused/
 
 echo "==> hsd-vet ./..."
 go run ./cmd/hsd-vet ./...
