@@ -23,30 +23,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hsd-bench: ")
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1, table2, fig1, fig2, fig3, fig4, infer, scan, active, activecurve, all")
+		exp     = flag.String("exp", "all", "experiment: table1, table2, fig1, fig2, fig3, fig4, activecurve, all")
 		scale   = flag.Float64("scale", 0.008, "fraction of the paper's sample counts")
 		seed    = flag.Int64("seed", 1, "generation/training seed")
 		iters   = flag.Int("iters", 800, "initial-round MGD iterations")
 		cache   = flag.String("cache", "", "suite cache directory (strongly recommended)")
 		benchs  = flag.String("benchmarks", "", "comma-separated Table 2 benchmarks (default: all four)")
 		workers = flag.Int("workers", 0, "worker goroutines for generation, training and evaluation (0 = GOMAXPROCS); results are identical for any value")
-
-		inferOut  = flag.String("infer-out", "BENCH_infer.json", "JSON report path for -exp infer")
-		inferReps = flag.Int("infer-reps", 0, "fixed repetitions per -exp infer measurement (0 = auto-calibrate; small fixed values make a fast CI smoke run)")
-
-		scanOut   = flag.String("scan-out", "BENCH_scan.json", "JSON report path for -exp scan")
-		scanCells = flag.Int("scan-cells", 6, "die side in clip-sized cells for -exp scan")
-		scanReps  = flag.Int("scan-reps", 1, "timed repetitions per -exp scan arm (the incremental arm runs 5x this)")
-		scanDirty = flag.Int("scan-dirty", 0, "edit region side in nm for the incremental arm (0 = die/10, i.e. a 1%-dirty die)")
-
-		activeOut    = flag.String("active-out", "BENCH_active.json", "JSON report path for -exp active")
-		activePool   = flag.Int("active-pool", 64, "unlabeled pool size for -exp active")
-		activeEval   = flag.Int("active-eval", 32, "held-out eval size for -exp active")
-		activeBatch  = flag.Int("active-batch", 8, "clips selected per round for -exp active")
-		activeRounds = flag.Int("active-rounds", 4, "loop rounds for -exp active")
-		activeIters  = flag.Int("active-iters", 150, "fine-tune MGD iterations per round for -exp active")
-		activeReps   = flag.Int("active-reps", 3, "timed repetitions per -exp active selection arm")
-		activeTarget = flag.Float64("active-target", 0.7, "target held-out accuracy for the rounds-to-target comparison")
 	)
 	flag.Parse()
 	parallel.SetDefault(*workers)
@@ -94,19 +77,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Println(s)
-		case "infer":
-			if err := runInfer(*inferOut, *inferReps); err != nil {
-				log.Fatal(err)
-			}
-		case "scan":
-			if err := runScan(*scanOut, *scanCells, *scanReps, *scanDirty, *seed, *workers); err != nil {
-				log.Fatal(err)
-			}
-		case "active":
-			if err := runActive(*activeOut, *activePool, *activeEval, *activeBatch, *activeRounds,
-				*activeIters, *activeReps, *activeTarget, *seed, *workers); err != nil {
-				log.Fatal(err)
-			}
 		case "activecurve":
 			_, table, err := experiments.ActiveCurve(experiments.ActiveCurveConfig{
 				Seed:    *seed,

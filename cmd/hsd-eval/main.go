@@ -29,7 +29,6 @@ func main() {
 		model      = flag.String("model", "", "model file written by hsd-train (required)")
 		shift      = flag.Float64("shift", 0, "decision-boundary shift λ (Equation (11))")
 		workers    = flag.Int("workers", 0, "worker goroutines for extraction and inference (0 = GOMAXPROCS); metrics are identical for any value")
-		fusedOn    = flag.Bool("fused", true, "run inference on the compiled fused engine (bit-identical to the layer-by-layer path; disable to pin the layered path)")
 		metricsOut = flag.String("metrics-out", "", "dump the metrics registry as scrape text to this file at exit")
 	)
 	flag.Parse()
@@ -72,7 +71,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev.SetFused(*fusedOn)
 	m, err := ev.EvalSet(testT, *shift)
 	if err != nil {
 		log.Fatal(err)

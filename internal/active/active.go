@@ -11,7 +11,7 @@
 //
 // Determinism contract: for a fixed (seed, pool, budget), the selected
 // clip sequences and the final trained weights are bit-identical under
-// any worker count. Scoring fans over per-worker replicas into
+// any worker count. Scoring fans over per-worker fused engines into
 // index-addressed slots; selection ties break by round-keyed splitmix64
 // tokens and then pool index; labeling charges the budget in selection
 // order on the orchestrating goroutine; and the fine-tune inherits MGD's

@@ -165,89 +165,3 @@ func TestICCAD16Errors(t *testing.T) {
 		t.Fatal("expected CCS config error")
 	}
 }
-
-func TestPatternMatcherLearnsSeenPatterns(t *testing.T) {
-	samples := syntheticSamples(40, 8)
-	pm, err := TrainPatternMatcher(samples[:30], testCore, DefaultPatternMatchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.LibrarySize() == 0 {
-		t.Fatal("empty library")
-	}
-	// Unseen clips from the same two pattern families: the dense family
-	// fuzzy-matches the library, the sparse family does not.
-	res, err := pm.Evaluate(samples[30:], "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pattern matching catches repeats of library patterns but generalizes
-	// imperfectly to shifted variants — the weakness the paper's intro
-	// cites; recall well above chance with near-zero FA is the expected
-	// operating point.
-	if res.Accuracy < 0.7 {
-		t.Fatalf("pattern matcher recall %.2f on repeated patterns", res.Accuracy)
-	}
-	if res.FalseAlarms > 1 {
-		t.Fatalf("pattern matcher FA %d", res.FalseAlarms)
-	}
-}
-
-func TestPatternMatcherSymmetryInvariance(t *testing.T) {
-	samples := syntheticSamples(20, 9)
-	pm, err := TrainPatternMatcher(samples, testCore, DefaultPatternMatchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Transpose a known hotspot clip: vertical wires become horizontal;
-	// the symmetry-aware matcher must still flag it.
-	hot := samples[0].Clip
-	var rects []geom.Rect
-	for _, r := range hot.Rects {
-		rects = append(rects, geom.R(r.Y0, r.X0, r.Y1, r.X1))
-	}
-	flipped := geom.NewClip(hot.Frame, rects)
-	match, err := pm.Predict(flipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !match {
-		t.Fatal("matcher missed the transposed pattern")
-	}
-}
-
-func TestPatternMatcherLibraryThinning(t *testing.T) {
-	samples := syntheticSamples(60, 10)
-	cfg := DefaultPatternMatchConfig()
-	cfg.MaxLibrary = 5
-	pm, err := TrainPatternMatcher(samples, testCore, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.LibrarySize() != 5 {
-		t.Fatalf("library size %d, want 5", pm.LibrarySize())
-	}
-}
-
-func TestPatternMatcherErrors(t *testing.T) {
-	samples := syntheticSamples(10, 11)
-	var coldOnly []layout.Sample
-	for _, s := range samples {
-		if !s.Hotspot {
-			coldOnly = append(coldOnly, s)
-		}
-	}
-	if _, err := TrainPatternMatcher(coldOnly, testCore, DefaultPatternMatchConfig()); err == nil {
-		t.Fatal("expected empty-library error")
-	}
-	bad := DefaultPatternMatchConfig()
-	bad.Threshold = 0
-	if _, err := TrainPatternMatcher(samples, testCore, bad); err == nil {
-		t.Fatal("expected threshold error")
-	}
-	bad = DefaultPatternMatchConfig()
-	bad.Density.Grid = 0
-	if _, err := TrainPatternMatcher(samples, testCore, bad); err == nil {
-		t.Fatal("expected density config error")
-	}
-}

@@ -8,7 +8,7 @@ import (
 // Timing enforces the observability clock policy from DESIGN.md: outside
 // internal/obs, production code must not read the wall clock directly.
 // All timing flows through the obs stopwatches and stage summaries
-// (obs.NewStopwatch, Span, Summary.ObserveDuration), which keeps every
+// (obs.NewStopwatch, Summary.ObserveDuration), which keeps every
 // clock read on the instrumentation side of the determinism boundary — a
 // raw time.Now() invites feeding elapsed time back into computation,
 // and scattered ad-hoc timers bypass the metrics registry entirely.

@@ -30,11 +30,11 @@
 // geometry and on stride/pad edge cases.
 //
 // An Engine aliases the source network's parameter tensors rather than
-// copying them: weight updates (optimizer steps, train.Evaluator weight
-// syncs, checkpoint reloads that copy in place) are visible immediately.
-// An Engine is not safe for concurrent use — it owns one arena — so keep
-// one engine per worker, exactly like the per-worker network replicas of
-// train.Evaluator.
+// copying them: weight updates (optimizer steps, checkpoint reloads that
+// copy in place) are visible immediately. It only reads them, so any
+// number of engines may be compiled from one network and run at once. An
+// Engine is not safe for concurrent use — it owns one arena — so keep one
+// engine per worker, as train.Evaluator does.
 package fused
 
 import (
@@ -105,8 +105,7 @@ type Engine struct {
 
 // Compile builds an engine executing net's inference forward pass for
 // inputs of exactly inShape. It returns an error for layer types it cannot
-// fuse (callers fall back to the layer-by-layer path) and for geometries
-// the network itself would reject.
+// fuse and for geometries the network itself would reject.
 func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 	layers := net.Layers()
 	if len(layers) == 0 {

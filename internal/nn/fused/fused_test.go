@@ -349,8 +349,9 @@ func TestCompileErrors(t *testing.T) {
 }
 
 // BenchmarkFusedPaperNetInference is the fused counterpart of
-// nn.BenchmarkPaperNetInference for quick go-test comparisons; the
-// authoritative numbers live in BENCH_infer.json via hsd-bench -infer.
+// nn.BenchmarkPaperNetInference for quick go-test comparisons; end-to-end
+// numbers come from the repository benchmark in perfbench/ (a traced run
+// reports the fused forward per Table 1 stage).
 func BenchmarkFusedPaperNetInference(b *testing.B) {
 	net, err := nn.NewPaperNet(nn.DefaultPaperNetConfig())
 	if err != nil {

@@ -168,9 +168,6 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Gauge("g", 3).Set(float64(i))
 				r.IntHist("h_total", "v").Observe(i % 7)
 				r.Stage("loop/step").Observe(float64(i))
-				sp := r.StartSpan("outer")
-				sp.Child("inner").End()
-				sp.End()
 			}
 		}(w)
 	}
@@ -198,30 +195,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if total != 4*500 {
 		t.Fatalf("counter total = %d, want %d", total, 4*500)
-	}
-}
-
-func TestSpanNesting(t *testing.T) {
-	r := NewRegistry()
-	outer := r.StartSpan("train")
-	step := outer.Child("step")
-	if step.Name() != "train/step" {
-		t.Fatalf("child span name = %q, want train/step", step.Name())
-	}
-	inner := step.Child("grad")
-	if inner.Name() != "train/step/grad" {
-		t.Fatalf("grandchild span name = %q, want train/step/grad", inner.Name())
-	}
-	if d := inner.End(); d < 0 {
-		t.Fatalf("negative span duration %v", d)
-	}
-	step.End()
-	outer.End()
-
-	for _, stage := range []string{"train", "train/step", "train/step/grad"} {
-		if got := r.Stage(stage).Count(); got != 1 {
-			t.Errorf("stage %q count = %d, want 1", stage, got)
-		}
 	}
 }
 

@@ -16,8 +16,8 @@
 // The two passes run on the shared worker-pool substrate under its
 // standing determinism contract: the extract pass shards the die into
 // tiles whose blocks land in disjoint, index-addressed cache slots; the
-// score pass fans window rows across evaluator replicas into
-// index-addressed probability slots. Windows near tile boundaries gather
+// score pass fans window rows across the evaluator's per-worker engines
+// into index-addressed probability slots. Windows near tile boundaries gather
 // blocks owned by neighbouring tiles — halo reads into the shared cache,
 // never halo recomputation, which is what keeps "exactly once" true.
 // Results are bit-identical under any worker count, and bit-identical to
@@ -130,7 +130,7 @@ func (r *Result) HotWindows() int {
 
 // workerState is one worker's scratch: a block encoder with its pixel
 // buffer and the assembled feature tensor fed to that worker's inference
-// replica. Every field is fully overwritten per item, so reuse across
+// engine. Every field is fully overwritten per item, so reuse across
 // items cannot leak state between them.
 type workerState struct {
 	enc   *feature.BlockEncoder
@@ -342,7 +342,7 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 }
 
 // scoreRow assembles and scores windows (wx0..wx1) of window row wy on
-// one worker's replica, writing into the row's probability slots.
+// one worker's engine, writing into the row's probability slots.
 //
 //hsd:hotpath
 func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {

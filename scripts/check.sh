@@ -4,7 +4,9 @@
 # Runs the legs every change must pass before merging:
 #   1. go build ./...        the tree compiles
 #   2. gofmt -l              every tracked .go file is gofmt-clean
-#   3. go vet ./...          stock toolchain analysis, then an arm64
+#   3. go vet ./...          stock toolchain analysis of the root module
+#                            and of the perfbench module (its own go.mod,
+#                            so the root ./... skips it), then an arm64
 #                            cross-build and vet of internal/tensor and
 #                            internal/nn/fused: the tile_noasm.go stubs
 #                            must keep matching the amd64 assembly
@@ -15,10 +17,9 @@
 #                            observability clock policy
 #                            (see DESIGN.md "Determinism & numerics rules")
 #   5. go test -race ./...   unit + parity tests under the race detector
-#   6. bench smoke           hsd-bench -exp infer with a few fixed reps:
-#                            gates fused-vs-layered bit parity on every
-#                            Table 1 geometry before timing anything, so a
-#                            kernel change that alters numbers fails here
+#   6. perfbench go test     the repository benchmark's own tests, so an
+#                            API change it depends on fails here and not
+#                            only when the benchmark next runs
 #   7. scripts/smoke         hsd-serve end-to-end smoke: boot on an
 #                            ephemeral port, predict, healthz, metrics,
 #                            -pprof debug surface, SIGINT drain, zero exit
@@ -70,6 +71,7 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+(cd perfbench && go vet ./...)
 
 echo "==> GOARCH=arm64 go build ./... && go vet ./internal/tensor/ ./internal/nn/fused/"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/fused/
@@ -85,10 +87,8 @@ fi
 echo "==> go test -race ${short} ./..."
 go test -race ${short} ./...
 
-echo "==> infer bench smoke (fused/layered parity gate)"
-infer_tmp="$(mktemp)"
-go run ./cmd/hsd-bench -exp infer -infer-reps 3 -infer-out "${infer_tmp}" > /dev/null
-rm -f "${infer_tmp}"
+echo "==> perfbench go test ./..."
+(cd perfbench && go test ./...)
 
 echo "==> hsd-serve smoke"
 go run ./scripts/smoke
