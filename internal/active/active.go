@@ -232,6 +232,8 @@ type Loop struct {
 	rounds   *obs.Counter
 	selected *obs.Counter
 	labeledC *obs.Counter
+
+	scoreSum, selectSum, labelSum, tuneSum *obs.Summary // round stage summaries
 }
 
 // NewLoop validates the configuration and stages a run: net is fine-tuned
@@ -274,6 +276,10 @@ func NewLoop(cfg Config, net *nn.Network, pool *Pool, label Labeler, evalSet []t
 		rounds:    reg.Counter("hsd_active_rounds_total"),
 		selected:  reg.Counter("hsd_active_selected_total"),
 		labeledC:  reg.Counter("hsd_active_labeled_total"),
+		scoreSum:  reg.Stage("active/score"),
+		selectSum: reg.Stage("active/select"),
+		labelSum:  reg.Stage("active/label"),
+		tuneSum:   reg.Stage("active/tune"),
 	}, nil
 }
 
@@ -298,7 +304,6 @@ func (l *Loop) remainingForReport() float64 {
 // The returned reports carry one entry per round run.
 func (l *Loop) Run() ([]RoundReport, error) {
 	cost := l.cfg.labelSeconds()
-	reg := obs.Default()
 	l.emit("manifest", map[string]any{
 		"tool":           "active",
 		"pool":           len(l.pool.Clips),
@@ -314,7 +319,7 @@ func (l *Loop) Run() ([]RoundReport, error) {
 	})
 	reports := make([]RoundReport, 0, l.cfg.Rounds)
 	for r := 0; r < l.cfg.Rounds; r++ {
-		rep, err := l.round(r, cost, reg)
+		rep, err := l.round(r, cost)
 		if err != nil {
 			return nil, err
 		}
@@ -350,24 +355,25 @@ func (l *Loop) Run() ([]RoundReport, error) {
 // round wraps one runRound call in a per-round trace: the round trace is
 // closed on every exit path, errored rounds keep the error message, and
 // the accounting attributes mirror the RoundReport.
-func (l *Loop) round(r int, cost float64, reg *obs.Registry) (RoundReport, error) {
-	rtr := l.cfg.Tracer.Start("active/round")
-	rtr.SetInt("round", int64(r))
-	rep, err := l.runRound(r, cost, reg, rtr)
-	rtr.SetInt("scored", int64(rep.Scored))
-	rtr.SetInt("selected", int64(len(rep.Selected)))
-	rtr.SetInt("labeled", int64(rep.Labeled))
-	rtr.SetBool("truncated", rep.Truncated)
-	rtr.SetFloat("budget_spent", rep.BudgetSpent)
+func (l *Loop) round(r int, cost float64) (RoundReport, error) {
+	st := l.cfg.Tracer.Stage("active/round", nil)
+	sp := st.Span()
+	sp.SetInt("round", int64(r))
+	rep, err := l.runRound(r, cost, sp)
+	sp.SetInt("scored", int64(rep.Scored))
+	sp.SetInt("selected", int64(len(rep.Selected)))
+	sp.SetInt("labeled", int64(rep.Labeled))
+	sp.SetBool("truncated", rep.Truncated)
+	sp.SetFloat("budget_spent", rep.BudgetSpent)
 	if err != nil {
-		rtr.SetError(err.Error())
+		st.Trace().SetError(err.Error())
 	}
-	rtr.Finish()
-	return rep, err
+	return rep, st.Done(err)
 }
 
-// runRound runs one score→select→label→tune round.
-func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace) (RoundReport, error) {
+// runRound runs one score→select→label→tune round, timing each stage
+// under the round's span rsp.
+func (l *Loop) runRound(r int, cost float64, rsp *trace.Span) (RoundReport, error) {
 	rep := RoundReport{Round: r, Scored: len(l.unlabeled)}
 
 	// Score the unlabeled pool on the fused evaluator. StrategyRandom
@@ -376,35 +382,26 @@ func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace
 	roundKey := mix64(uint64(l.cfg.Seed), uint64(r))
 	var sel []int
 	if l.cfg.strategy() == StrategyRandom {
-		watch := obs.NewStopwatch()
+		st := rsp.Stage("select", l.selectSum)
 		sel = SelectRandom(l.unlabeled, l.cfg.Batch, roundKey)
-		d := watch.Elapsed()
-		reg.Stage("active/select").ObserveDuration(d)
-		rtr.StartSpan("select").EndWith(d)
+		st.End()
 	} else {
-		watch := obs.NewStopwatch()
+		st := rsp.Stage("score", l.scoreSum)
 		xs := make([]*tensor.Tensor, len(l.unlabeled))
 		for j, pi := range l.unlabeled {
 			xs[j] = l.pool.Tensors[pi]
 		}
 		probs, err := l.ev.PredictProbs(xs)
-		if err != nil {
+		st.Span().SetInt("pool", int64(len(xs)))
+		if st.Done(err) != nil {
 			return rep, err
 		}
-		d := watch.Elapsed()
-		reg.Stage("active/score").ObserveDuration(d)
-		ssp := rtr.StartSpan("score")
-		ssp.SetInt("pool", int64(len(xs)))
-		ssp.EndWith(d)
 
-		watch = obs.NewStopwatch()
+		st = rsp.Stage("select", l.selectSum)
 		sel, err = l.sel.selectHybrid(l.pool.Tensors, probs, l.unlabeled, l.cfg.Batch, l.cfg.Candidates, roundKey)
-		if err != nil {
+		if st.Done(err) != nil {
 			return rep, err
 		}
-		d = watch.Elapsed()
-		reg.Stage("active/select").ObserveDuration(d)
-		rtr.StartSpan("select").EndWith(d)
 	}
 	rep.Selected = sel
 	l.selected.Add(int64(len(sel)))
@@ -412,7 +409,7 @@ func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace
 	// Label in selection order, charging the budget per clip; stop at the
 	// first clip the budget cannot cover. The charge-then-label order is
 	// the accounting contract: an unaffordable clip costs nothing.
-	watch := obs.NewStopwatch()
+	st := rsp.Stage("label", l.labelSum)
 	labeledNow := 0
 	for _, pi := range sel {
 		if !l.budget.TryCharge(cost) {
@@ -421,6 +418,7 @@ func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace
 		}
 		hot, err := l.label(pi, l.pool.Clips[pi])
 		if err != nil {
+			st.Abort()
 			return rep, fmt.Errorf("active: labeling pool clip %d: %w", pi, err)
 		}
 		l.labeled = append(l.labeled, train.Sample{X: l.pool.Tensors[pi], Hotspot: hot})
@@ -429,11 +427,8 @@ func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace
 		}
 		labeledNow++
 	}
-	d := watch.Elapsed()
-	reg.Stage("active/label").ObserveDuration(d)
-	lsp := rtr.StartSpan("label")
-	lsp.SetInt("clips", int64(labeledNow))
-	lsp.EndWith(d)
+	st.Span().SetInt("clips", int64(labeledNow))
+	st.End()
 	rep.Labeled = labeledNow
 	rep.Hotspots = l.hotspots
 	rep.BudgetSpent = l.budget.Spent()
@@ -464,7 +459,7 @@ func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace
 	// offset per loop round so each round draws fresh batches; balanced
 	// sampling degrades deterministically to uniform until both classes
 	// have been observed.
-	watch = obs.NewStopwatch()
+	st = rsp.Stage("tune", l.tuneSum)
 	tune := l.cfg.tune()
 	tune.Initial.Seed += int64(r)
 	tune.FineTune.Seed += int64(r)
@@ -476,14 +471,11 @@ func (l *Loop) runRound(r int, cost float64, reg *obs.Registry, rtr *trace.Trace
 		tune.Initial.BalanceClasses = false
 		tune.FineTune.BalanceClasses = false
 	}
-	if _, err := train.BiasedLearning(l.net, l.labeled, nil, tune); err != nil {
+	_, err := train.BiasedLearning(l.net, l.labeled, nil, tune)
+	st.Span().SetInt("samples", int64(len(l.labeled)))
+	if st.Done(err) != nil {
 		return rep, err
 	}
-	d = watch.Elapsed()
-	reg.Stage("active/tune").ObserveDuration(d)
-	tsp := rtr.StartSpan("tune")
-	tsp.SetInt("samples", int64(len(l.labeled)))
-	tsp.EndWith(d)
 
 	if len(l.evalSet) > 0 {
 		m, err := l.ev.EvalSet(l.evalSet, 0)

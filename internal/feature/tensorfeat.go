@@ -8,14 +8,22 @@ package feature
 
 import (
 	"fmt"
-	"time"
 
 	"hotspot/internal/dct"
 	"hotspot/internal/geom"
 	"hotspot/internal/obs"
+	"hotspot/internal/obs/trace"
 	"hotspot/internal/parallel"
 	"hotspot/internal/raster"
 	"hotspot/internal/tensor"
+)
+
+// The extraction stage summaries in the process registry, one observation
+// per clip each: rasterization, and the block loop (DCT, zig-zag
+// truncation and the scatter into the tensor).
+var (
+	rasterSum = obs.Default().Stage("feature/raster")
+	dctSum    = obs.Default().Stage("feature/dct")
 )
 
 // TensorConfig parameterizes feature tensor extraction.
@@ -194,10 +202,9 @@ func ExtractTensor(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*tensor.Te
 // the pixels for clip deduplication, and hand the same image to
 // ExtractTensorFromImage without re-rasterizing.
 func ExtractCoreImage(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
-	watch := obs.NewStopwatch()
+	st := trace.Time(rasterSum)
 	im, err := raster.Rasterize(clip, cfg.ResNM)
-	obs.Default().Stage("feature/raster").ObserveDuration(watch.Elapsed())
-	if err != nil {
+	if st.Done(err) != nil {
 		return nil, err
 	}
 	// Rasterize normalizes the clip to the origin, so core offsets are
@@ -223,9 +230,8 @@ func ExtractTensors(clips []geom.Clip, core geom.Rect, cfg TensorConfig, workers
 // extractFromImage runs block-DCT encoding over an already-rasterized core
 // through the shared BlockEncoder — the same kernel the scan engine's
 // block cache runs, which is what makes scan-vs-per-clip bit parity
-// structural rather than coincidental. The transform and scatter phases
-// accumulate into the feature/dct and feature/zigzag stage summaries, one
-// observation per clip (aggregated across its blocks).
+// structural rather than coincidental. The block loop is timed once per
+// clip as the feature/dct stage.
 func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor, error) {
 	n := cfg.Blocks
 	enc, err := cfg.NewBlockEncoder(b)
@@ -235,27 +241,23 @@ func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor
 	out := tensor.New(cfg.K, n, n)
 	block := make([]float64, b*b)
 	vec := make([]float64, cfg.K)
-	var dctTime, zigTime time.Duration
+	st := trace.Time(dctSum)
 	for by := 0; by < n; by++ {
 		for bx := 0; bx < n; bx++ {
 			for y := 0; y < b; y++ {
 				srcRow := (by*b + y) * im.W
 				copy(block[y*b:(y+1)*b], im.Pix[srcRow+bx*b:srcRow+bx*b+b])
 			}
-			dctWatch := obs.NewStopwatch()
 			if err := enc.EncodeInto(vec, block); err != nil {
+				st.Abort()
 				return nil, err
 			}
-			dctTime += dctWatch.Elapsed()
-			zigWatch := obs.NewStopwatch()
 			for i := 0; i < cfg.K; i++ {
 				out.Set(vec[i], i, by, bx)
 			}
-			zigTime += zigWatch.Elapsed()
 		}
 	}
-	obs.Default().Stage("feature/dct").ObserveDuration(dctTime)
-	obs.Default().Stage("feature/zigzag").ObserveDuration(zigTime)
+	st.End()
 	return out, nil
 }
 

@@ -52,7 +52,7 @@ func runGoroutinelint(pass *Pass) error {
 				if serving {
 					pass.Reportf(g.Pos(), "raw goroutine in the serving layer; a service loop must carry //hsd:allow goroutinelint naming the shutdown path that joins it (batch fan-out still belongs on internal/parallel)")
 				} else {
-					pass.Reportf(g.Pos(), "raw goroutine outside internal/parallel; use parallel.Map or a parallel.Session so fan-out stays bounded and reduction stays index-ordered")
+					pass.Reportf(g.Pos(), "raw goroutine outside internal/parallel; use parallel.Map or Pool.For so fan-out stays bounded and reduction stays index-ordered")
 				}
 			}
 			return true

@@ -1,9 +1,8 @@
 // Package trace models internal/obs/trace for the timing policy: its
 // path ends in internal/obs/trace, which does NOT suffix-match the
 // internal/obs exemption — the trace layer is held to the same clock
-// discipline as the rest of the tree. Its durations arrive externally
-// measured (obs.Stopwatch readings threaded through EndWith/FinishWith),
-// never from a wall-clock read of its own.
+// discipline as the rest of the tree. Its stages read obs.Stopwatch,
+// never the wall clock directly.
 package trace
 
 import "time"

@@ -7,14 +7,18 @@ import (
 
 // Timing enforces the observability clock policy from DESIGN.md: outside
 // internal/obs, production code must not read the wall clock directly.
-// All timing flows through the obs stopwatches and stage summaries
-// (obs.NewStopwatch, Summary.ObserveDuration), which keeps every
-// clock read on the instrumentation side of the determinism boundary — a
-// raw time.Now() invites feeding elapsed time back into computation,
-// and scattered ad-hoc timers bypass the metrics registry entirely.
+// All timing flows through obs.Stopwatch. A pipeline stage is timed by a
+// trace.Stage, whose one stopwatch reading feeds both the stage summary
+// and its trace span; the few timers that are not stages (worker-pool
+// wake and busy times, run clocks) read a Stopwatch directly. This keeps
+// every clock read on the instrumentation side of the determinism
+// boundary — a raw time.Now() invites feeding elapsed time back into
+// computation, and scattered ad-hoc timers bypass the metrics registry
+// entirely.
 //
 // internal/obs itself (suffix-matched, so fixtures can model it) is the
-// one place allowed to call time.Now: the Stopwatch wraps it. _test.go
+// one place allowed to call time.Now: the Stopwatch wraps it. The trace
+// package is not exempt; its stages start obs stopwatches too. _test.go
 // files are skipped, and a genuinely exceptional site — a deadline
 // computation for net.Conn, say — can carry `//hsd:allow timing` with a
 // reason naming why the read cannot go through an obs timer.

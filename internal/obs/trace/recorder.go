@@ -70,14 +70,14 @@ func (r *recorder) keepSlow(name string, tr *Trace, d time.Duration) {
 		b = r.newBucket()
 	}
 	if len(b) == r.slowN {
-		if d <= b[0].dur {
+		if d <= b[0].root.dur {
 			return // faster than everything kept; drop
 		}
 		copy(b, b[1:]) // evict the fastest
 		b = b[:len(b)-1]
 	}
 	b = append(b, tr) // within the bucket's cap
-	for i := len(b) - 1; i > 0 && b[i-1].dur > d; i-- {
+	for i := len(b) - 1; i > 0 && b[i-1].root.dur > d; i-- {
 		b[i], b[i-1] = b[i-1], b[i]
 	}
 	r.slow[name] = b
@@ -228,7 +228,7 @@ func (tr *Trace) render(kept []string) TraceJSON {
 		Name:            tr.root.name,
 		Status:          tr.status,
 		Error:           tr.errMsg,
-		DurationSeconds: tr.dur.Seconds(),
+		DurationSeconds: tr.root.dur.Seconds(),
 		Kept:            kept,
 		Attrs:           attrMap(tr.root.attrs),
 		Spans:           spansJSON(tr.root.children),

@@ -7,6 +7,11 @@
 // batch it rode in, how long it queued, where its time went — rather than
 // to process-level histograms alone.
 //
+// Spans are timed only through a Stage, the one timing call per pipeline
+// stage: it reads the clock once when it ends and hands that reading to
+// the stage's /metrics summary and to its span, so the scrape and the
+// flight recorder show one measurement two ways.
+//
 // Contracts, all machine-enforced by hsd-vet:
 //
 //   - No wall clock, no math/rand. Trace IDs come from a splitmix64
@@ -17,13 +22,14 @@
 //     "internal/obs", so the obs clock exemption does not extend here).
 //
 //   - Dark tracing is free. Every method on a nil *Tracer, *Trace, or
-//     *Span is a no-op that allocates nothing, so instrumented hot paths
-//     (the serve batcher is hotlint-rooted) pay only a nil check per call
-//     when the operator has not lit tracing. Callers must keep argument
-//     expressions allocation-free too: constant keys, pre-existing
-//     strings, and integer conversions — never fmt or string concat on the
-//     dark path. Guard any loop that builds label strings with a nil check
-//     on the trace. TestDarkTracingZeroAlloc pins the contract.
+//     *Span, and on a Stage without a span, is a no-op on the trace side
+//     that allocates nothing, so instrumented hot paths (the serve batcher
+//     is hotlint-rooted) pay only a nil check per call when the operator
+//     has not lit tracing. Callers must keep argument expressions
+//     allocation-free too: constant keys, pre-existing strings, and
+//     integer conversions — never fmt or string concat on the dark path.
+//     Guard any loop that builds label strings with a nil check on the
+//     trace. TestDarkTracingZeroAlloc pins the contract.
 //
 //   - Observation only. Recording a trace never feeds back into training
 //     or inference; parity tests (TestMGDTraceParity, serve's trace parity
@@ -33,7 +39,7 @@
 // Internally every mutation of a Trace or its spans locks the owning
 // Trace's mutex: spans are ended by whichever goroutine measured them (a
 // request handler may time out and finish its trace while the batcher
-// flush loop later ends the request's queue span), and the JSON dump
+// flush loop later ends the request's queue stage), and the JSON dump
 // renders under the same lock. The locking is legal on hot paths because
 // hotlint never traverses into this package (the lock is only ever taken
 // when tracing is lit) — mirrored by the hotlint fixture at
@@ -84,8 +90,8 @@ type Config struct {
 }
 
 // Tracer mints Trace trees and owns the flight recorder they are filed
-// into when finished. A nil *Tracer is the dark tracer: Start returns a
-// nil *Trace and the entire downstream API no-ops.
+// into when finished. A nil *Tracer is the dark tracer: its stages carry
+// no span and the entire downstream trace API no-ops.
 type Tracer struct {
 	key uint64
 	seq atomic.Uint64
@@ -109,17 +115,20 @@ func New(cfg Config) *Tracer {
 	}
 }
 
-// Start begins a new trace whose root span is named name. On a nil tracer
-// it returns nil, which every Trace and Span method accepts.
-func (t *Tracer) Start(name string) *Trace {
-	if t == nil {
-		return nil
+// Stage starts a root stage, which opens a new trace and times its root
+// span, named name; ending the stage files the trace. sum is the stage's
+// summary (nil for a trace-only root). On a nil tracer the stage has no
+// span and records into sum alone.
+func (t *Tracer) Stage(name string, sum *obs.Summary) Stage {
+	st := Stage{sum: sum}
+	if t != nil {
+		seq := t.seq.Add(1) - 1
+		id := mix64(t.key, seq)
+		tr := &Trace{tracer: t, id: id, idStr: hex16(id), seq: seq}
+		tr.root = newSpan(tr, name)
+		st.sp = tr.root
 	}
-	seq := t.seq.Add(1) - 1
-	id := mix64(t.key, seq)
-	tr := &Trace{tracer: t, id: id, idStr: hex16(id), seq: seq}
-	tr.root = newSpan(tr, name)
-	return tr
+	return st.started()
 }
 
 // hex16 renders v as 16 lowercase hex digits without fmt.
@@ -185,8 +194,6 @@ type Trace struct {
 	root   *Span
 	status int
 	errMsg string
-	dur    time.Duration
-	done   bool
 }
 
 // ID returns the trace's 16-hex-digit ID, or "" on a nil trace.
@@ -197,63 +204,6 @@ func (tr *Trace) ID() string {
 		return ""
 	}
 	return tr.idStr
-}
-
-// Root returns the trace's root span (nil on a nil trace), for callers
-// that parent work under it via Span.Child.
-func (tr *Trace) Root() *Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.root
-}
-
-// StartSpan begins a child span of the root.
-func (tr *Trace) StartSpan(name string) *Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.root.Child(name)
-}
-
-// SetInt sets an integer attribute on the root span.
-//
-//hsd:noalloc
-func (tr *Trace) SetInt(key string, v int64) {
-	if tr == nil {
-		return
-	}
-	tr.root.SetInt(key, v)
-}
-
-// SetFloat sets a float attribute on the root span.
-//
-//hsd:noalloc
-func (tr *Trace) SetFloat(key string, v float64) {
-	if tr == nil {
-		return
-	}
-	tr.root.SetFloat(key, v)
-}
-
-// SetStr sets a string attribute on the root span.
-//
-//hsd:noalloc
-func (tr *Trace) SetStr(key, v string) {
-	if tr == nil {
-		return
-	}
-	tr.root.SetStr(key, v)
-}
-
-// SetBool sets a boolean attribute on the root span.
-//
-//hsd:noalloc
-func (tr *Trace) SetBool(key string, v bool) {
-	if tr == nil {
-		return
-	}
-	tr.root.SetBool(key, v)
 }
 
 // SetStatus records the trace's response status code. Codes >= 400 make
@@ -282,52 +232,12 @@ func (tr *Trace) SetError(msg string) {
 	tr.mu.Unlock()
 }
 
-// Finish ends the trace with the root span's own stopwatch reading and
-// files it into the flight recorder. Idempotent.
-func (tr *Trace) Finish() {
-	if tr == nil {
-		return
-	}
-	tr.finish(tr.root.watch.Elapsed())
-}
-
-// FinishWith ends the trace with an externally measured duration — the
-// instrumented pipelines time stages once with obs.Stopwatch and feed the
-// same reading to both the stage summary and the trace, keeping obs the
-// single clock authority. Idempotent.
-//
-//hsd:noalloc
-func (tr *Trace) FinishWith(d time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.finish(d)
-}
-
-func (tr *Trace) finish(d time.Duration) {
-	tr.mu.Lock()
-	if tr.done {
-		tr.mu.Unlock()
-		return
-	}
-	tr.done = true
-	tr.dur = d
-	if !tr.root.ended {
-		tr.root.ended = true
-		tr.root.dur = d
-	}
-	name := tr.root.name
-	isErr := tr.status >= 400 || tr.errMsg != ""
-	tr.mu.Unlock()
-	tr.tracer.rec.record(tr, name, d, isErr)
-}
-
-// Span is one timed stage inside a trace. All methods are safe on a nil
-// receiver; mutations lock the owning trace's mutex.
+// Span is one timed stage inside a trace. A Stage creates and ends it;
+// attribute setters are safe on a nil receiver and lock the owning
+// trace's mutex.
 type Span struct {
 	tr       *Trace
 	name     string
-	watch    obs.Stopwatch
 	dur      time.Duration
 	ended    bool
 	attrs    []Attr
@@ -335,57 +245,46 @@ type Span struct {
 }
 
 func newSpan(tr *Trace, name string) *Span {
-	return &Span{tr: tr, name: name, watch: obs.NewStopwatch(), attrs: make([]Attr, 0, attrCap)}
+	return &Span{tr: tr, name: name, attrs: make([]Attr, 0, attrCap)}
 }
 
-// TraceID returns the ID of the span's owning trace, "" on a nil span.
-//
-//hsd:noalloc
-func (sp *Span) TraceID() string {
-	if sp == nil {
-		return ""
+// Stage starts a stage under sp, timing a child span named name. sum is
+// the stage's summary (nil for a span-only stage). Under a nil span —
+// tracing dark, or a parent stage without a span — the stage has no span
+// and records into sum alone.
+func (sp *Span) Stage(name string, sum *obs.Summary) Stage {
+	st := Stage{sum: sum}
+	if sp != nil {
+		c := newSpan(sp.tr, name)
+		sp.tr.mu.Lock()
+		sp.children = append(sp.children, c)
+		sp.tr.mu.Unlock()
+		st.sp = c
 	}
-	return sp.tr.idStr
+	return st.started()
 }
 
-// Child begins a nested span under sp.
-func (sp *Span) Child(name string) *Span {
-	if sp == nil {
-		return nil
-	}
-	c := newSpan(sp.tr, name)
-	sp.tr.mu.Lock()
-	sp.children = append(sp.children, c)
-	sp.tr.mu.Unlock()
-	return c
-}
-
-// End ends the span with its own stopwatch reading and returns the
-// elapsed duration (0 on a nil span). First end wins.
-func (sp *Span) End() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	d := sp.watch.Elapsed()
-	sp.EndWith(d)
-	return d
-}
-
-// EndWith ends the span with an externally measured duration, letting
-// instrumented code share one obs.Stopwatch reading between a stage
-// summary observation and the trace. First end wins.
-//
-//hsd:noalloc
-func (sp *Span) EndWith(d time.Duration) {
+// end closes the span with d; first end wins. Ending the root span files
+// the trace into the flight recorder.
+func (sp *Span) end(d time.Duration) {
 	if sp == nil {
 		return
 	}
-	sp.tr.mu.Lock()
-	if !sp.ended {
-		sp.ended = true
-		sp.dur = d
+	tr := sp.tr
+	tr.mu.Lock()
+	if sp.ended {
+		tr.mu.Unlock()
+		return
 	}
-	sp.tr.mu.Unlock()
+	sp.ended = true
+	sp.dur = d
+	if sp != tr.root {
+		tr.mu.Unlock()
+		return
+	}
+	isErr := tr.status >= 400 || tr.errMsg != ""
+	tr.mu.Unlock()
+	tr.tracer.rec.record(tr, sp.name, d, isErr)
 }
 
 // SetInt sets an integer attribute.

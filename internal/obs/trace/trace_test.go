@@ -3,10 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hotspot/internal/obs"
 )
 
 // TestTraceIDsDeterministic: same seed, same ID sequence; different
@@ -18,9 +22,9 @@ func TestTraceIDsDeterministic(t *testing.T) {
 		tr := New(Config{Seed: seed})
 		out := make([]string, n)
 		for i := range out {
-			x := tr.Start("req")
-			out[i] = x.ID()
-			x.FinishWith(time.Millisecond)
+			x := tr.Stage("req", nil)
+			out[i] = x.Trace().ID()
+			x.end(time.Millisecond)
 		}
 		return out
 	}
@@ -51,27 +55,80 @@ func TestTraceIDsDeterministic(t *testing.T) {
 func TestDarkTracingZeroAlloc(t *testing.T) {
 	var tracer *Tracer
 	allocs := testing.AllocsPerRun(200, func() {
-		tr := tracer.Start("predict")
-		tr.SetInt("size", 4)
-		tr.SetBool("cache_hit", false)
-		tr.SetFloat("rate", 0.5)
-		tr.SetStr("key", "k")
-		sp := tr.StartSpan("queue")
-		sp.SetStr("batch_id", tr.ID())
-		sp.EndWith(time.Millisecond)
-		c := sp.Child("inner")
-		c.SetInt("i", 1)
+		st := tracer.Stage("predict", nil)
+		root := st.Span()
+		tr := st.Trace()
+		root.SetInt("size", 4)
+		root.SetBool("cache_hit", false)
+		root.SetFloat("rate", 0.5)
+		root.SetStr("key", "k")
+		q := root.Stage("queue", nil)
+		q.Span().SetStr("batch_id", tr.ID())
+		q.end(time.Millisecond)
+		c := q.Span().Stage("inner", nil)
+		c.Span().SetInt("i", 1)
 		c.End()
+		c.Abort()
 		tr.SetStatus(200)
 		tr.SetError("boom")
-		tr.FinishWith(time.Millisecond)
-		tr.Finish()
+		st.end(time.Millisecond)
+		st.End()
 		if got := tr.ID(); got != "" {
 			t.Fatalf("nil trace ID = %q, want empty", got)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("dark tracing allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestStageOneReading: a stage's one clock reading reaches its summary
+// (tagged with the trace ID when lit) and its span bit for bit, an
+// aborted stage files its trace without touching the summary, and a dark
+// stage still records into its summary.
+func TestStageOneReading(t *testing.T) {
+	reg := obs.NewRegistry()
+	sum := reg.Stage("request")
+	tracer := New(Config{Seed: 2})
+
+	st := tracer.Stage("predict", sum)
+	id := st.Trace().ID()
+	d := st.End()
+	v, ex, ok := sum.Exemplar()
+	if !ok || ex != id || math.Float64bits(v) != math.Float64bits(d.Seconds()) {
+		t.Fatalf("exemplar (%v, %q, %v), want (%v, %q)", v, ex, ok, d.Seconds(), id)
+	}
+	snap := tracer.Snapshot()
+	if len(snap) != 1 || math.Float64bits(snap[0].DurationSeconds) != math.Float64bits(d.Seconds()) {
+		t.Fatalf("filed trace %+v, want one trace lasting %v", snap, d.Seconds())
+	}
+
+	failed := tracer.Stage("predict", sum)
+	failed.Trace().SetStatus(400)
+	if err := failed.Done(errors.New("bad clip")); err == nil {
+		t.Fatal("Done swallowed the error")
+	}
+	if got := sum.Count(); got != 1 {
+		t.Fatalf("aborted stage observed its summary: count %d, want 1", got)
+	}
+	if n := len(tracer.Snapshot()); n != 2 {
+		t.Fatalf("aborted root filed %d traces in total, want 2", n)
+	}
+
+	var dark *Tracer
+	ds := dark.Stage("predict", sum)
+	if ds.Span() != nil || ds.Trace() != nil {
+		t.Fatal("dark stage carries a span")
+	}
+	if err := ds.Done(nil); err != nil || sum.Count() != 2 {
+		t.Fatalf("dark stage: err %v, count %d, want nil, 2", err, sum.Count())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		dark.Stage("predict", sum).End()
+		Time(sum).Abort()
+	})
+	if allocs != 0 {
+		t.Fatalf("dark stages allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -84,22 +141,22 @@ func TestRecorderTailKeep(t *testing.T) {
 
 	// One early error and one early very-slow request, then a flood of
 	// boring fast traffic that evicts both from the recent ring.
-	e := tr.Start("predict")
-	e.SetStatus(429)
-	e.SetError("queue full")
-	errID := e.ID()
-	e.FinishWith(1 * time.Millisecond)
+	e := tr.Stage("predict", nil)
+	e.Trace().SetStatus(429)
+	e.Trace().SetError("queue full")
+	errID := e.Trace().ID()
+	e.end(1 * time.Millisecond)
 
-	s := tr.Start("predict")
-	slowID := s.ID()
-	s.FinishWith(900 * time.Millisecond)
+	s := tr.Stage("predict", nil)
+	slowID := s.Trace().ID()
+	s.end(900 * time.Millisecond)
 
 	var lastBoringID string
 	for i := 0; i < 10; i++ {
-		b := tr.Start("predict")
-		b.SetStatus(200)
-		lastBoringID = b.ID()
-		b.FinishWith(time.Duration(i+2) * time.Millisecond)
+		b := tr.Stage("predict", nil)
+		b.Trace().SetStatus(200)
+		lastBoringID = b.Trace().ID()
+		b.end(time.Duration(i+2) * time.Millisecond)
 	}
 
 	dump := tr.Dump()
@@ -157,19 +214,20 @@ func TestRecorderTailKeep(t *testing.T) {
 // valid JSON object per retained trace.
 func TestTraceJSONShape(t *testing.T) {
 	tracer := New(Config{Seed: 3})
-	tr := tracer.Start("predict")
-	tr.SetInt("clips", 2)
-	q := tr.StartSpan("queue")
-	q.SetStr("batch_id", "b1")
-	q.EndWith(5 * time.Millisecond)
-	ex := tr.StartSpan("extract")
-	inner := ex.Child("tile")
-	inner.SetInt("tx", 1)
-	inner.EndWith(time.Millisecond)
-	ex.EndWith(2 * time.Millisecond)
-	tr.SetStatus(504)
-	tr.SetError("deadline")
-	tr.FinishWith(10 * time.Millisecond)
+	st := tracer.Stage("predict", nil)
+	root := st.Span()
+	root.SetInt("clips", 2)
+	q := root.Stage("queue", nil)
+	q.Span().SetStr("batch_id", "b1")
+	q.end(5 * time.Millisecond)
+	ex := root.Stage("extract", nil)
+	inner := ex.Span().Stage("tile", nil)
+	inner.Span().SetInt("tx", 1)
+	inner.end(time.Millisecond)
+	ex.end(2 * time.Millisecond)
+	st.Trace().SetStatus(504)
+	st.Trace().SetError("deadline")
+	st.end(10 * time.Millisecond)
 
 	snap := tracer.Snapshot()
 	if len(snap) != 1 {
@@ -230,16 +288,16 @@ func TestTraceJSONShape(t *testing.T) {
 // per-trace lock must keep this race-clean (run under -race via check.sh).
 func TestTraceConcurrentMutation(t *testing.T) {
 	tracer := New(Config{Seed: 5})
-	tr := tracer.Start("batch")
+	st := tracer.Stage("batch", nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sp := tr.StartSpan("member")
-				sp.SetInt("i", int64(i))
-				sp.EndWith(time.Microsecond)
+				m := st.Span().Stage("member", nil)
+				m.Span().SetInt("i", int64(i))
+				m.end(time.Microsecond)
 			}
 		}()
 	}
@@ -251,7 +309,7 @@ func TestTraceConcurrentMutation(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	tr.FinishWith(time.Millisecond)
+	st.end(time.Millisecond)
 	<-done
 	snap := tracer.Snapshot()
 	if len(snap) != 1 || len(snap[0].Spans) != 400 {
@@ -265,13 +323,7 @@ func BenchmarkDarkTrace(b *testing.B) {
 	var tracer *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr := tracer.Start("predict")
-		tr.SetInt("size", 4)
-		sp := tr.StartSpan("queue")
-		sp.SetStr("batch_id", tr.ID())
-		sp.EndWith(time.Millisecond)
-		tr.SetStatus(200)
-		tr.FinishWith(time.Millisecond)
+		benchTraceSequence(tracer)
 	}
 }
 
@@ -281,12 +333,18 @@ func BenchmarkLitTrace(b *testing.B) {
 	tracer := New(Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr := tracer.Start("predict")
-		tr.SetInt("size", 4)
-		sp := tr.StartSpan("queue")
-		sp.SetStr("batch_id", tr.ID())
-		sp.EndWith(time.Millisecond)
-		tr.SetStatus(200)
-		tr.FinishWith(time.Millisecond)
+		benchTraceSequence(tracer)
 	}
+}
+
+// benchTraceSequence is one request's trace calls: a root stage with an
+// attribute, a queue stage naming a batch, a status and the filing end.
+func benchTraceSequence(tracer *Tracer) {
+	st := tracer.Stage("predict", nil)
+	st.Span().SetInt("size", 4)
+	q := st.Span().Stage("queue", nil)
+	q.Span().SetStr("batch_id", st.Trace().ID())
+	q.end(time.Millisecond)
+	st.Trace().SetStatus(200)
+	st.end(time.Millisecond)
 }

@@ -172,116 +172,6 @@ func (p *Pool) For(n int, fn func(worker, i int) error) error {
 	return firstErr
 }
 
-// Session pins a pool's workers as persistent goroutines for repeated
-// synchronized passes over index ranges. A hot loop that fans out once per
-// iteration (train.MGD runs one pass per optimization step) would pay
-// goroutine startup on every Pool.For call; a Session starts its workers
-// once and reuses them, so a steady-state pass allocates nothing. Close
-// must be called when done. A Session is not safe for concurrent use; the
-// determinism contract of Pool.For applies unchanged.
-type Session struct {
-	workers int
-	pool    *Pool
-	jobs    []chan struct{}
-	done    sync.WaitGroup
-
-	// Per-pass state, owned by For between kickoff and join. Kept on the
-	// struct (rather than in a per-pass job value) so a pass performs no
-	// heap allocation; the channel send/receive orders these writes before
-	// the workers read them. wake and busy are each worker's own slot
-	// (written by the worker, read after the join); watch is the pass
-	// stopwatch, set before kickoff.
-	n        int
-	fn       func(worker, i int) error
-	next     atomic.Int64
-	mu       sync.Mutex
-	firstIdx int
-	firstErr error
-	watch    obs.Stopwatch
-	wake     []time.Duration
-	busy     []time.Duration
-}
-
-// Session pins the pool's workers for repeated passes. With a one-worker
-// pool no goroutines are started and For runs inline.
-func (p *Pool) Session() *Session {
-	s := &Session{workers: p.workers, pool: p}
-	if s.workers <= 1 {
-		return s
-	}
-	s.jobs = make([]chan struct{}, s.workers)
-	s.wake = make([]time.Duration, s.workers)
-	s.busy = make([]time.Duration, s.workers)
-	for w := range s.jobs {
-		s.jobs[w] = make(chan struct{}, 1)
-	}
-	for w := range s.jobs {
-		go func(worker int) {
-			for range s.jobs[worker] {
-				s.wake[worker] = s.watch.Elapsed()
-				workerWatch := obs.NewStopwatch()
-				for {
-					i := int(s.next.Add(1)) - 1
-					if i >= s.n {
-						break
-					}
-					if err := s.fn(worker, i); err != nil {
-						s.mu.Lock()
-						if i < s.firstIdx {
-							s.firstIdx, s.firstErr = i, err
-						}
-						s.mu.Unlock()
-					}
-				}
-				s.busy[worker] = workerWatch.Elapsed()
-				s.done.Done()
-			}
-		}(w)
-	}
-	return s
-}
-
-// For runs fn(worker, i) for every i in [0, n) on the session's persistent
-// workers, with the same semantics as Pool.For: all items attempted,
-// lowest-index error returned, inline execution for one worker.
-//
-//hsd:hotpath
-func (s *Session) For(n int, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if s.workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	s.n, s.fn = n, fn
-	s.next.Store(0)
-	s.firstIdx, s.firstErr = n, nil
-	s.watch = obs.NewStopwatch()
-	s.done.Add(s.workers)
-	for _, ch := range s.jobs {
-		ch <- struct{}{}
-	}
-	s.done.Wait()
-	s.fn = nil
-	s.pool.observePass(s.watch.Elapsed(), s.wake, s.busy)
-	return s.firstErr
-}
-
-// Close releases the session's workers. The session must not be used after
-// Close; Close is idempotent.
-func (s *Session) Close() {
-	for _, ch := range s.jobs {
-		close(ch)
-	}
-	s.jobs = nil
-}
-
 // Map runs fn(worker, i) for every i in [0, n) on the pool and returns the
 // results in index order, giving callers a deterministic reduction order
 // for free. On error the first (lowest-index) error is returned and the

@@ -82,72 +82,6 @@ func TestForReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestSessionCoversEveryIndexAcrossPasses(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		s := New(workers).Session()
-		const n, passes = 97, 5
-		hits := make([]atomic.Int64, n)
-		for p := 0; p < passes; p++ {
-			err := s.For(n, func(worker, i int) error {
-				if worker < 0 || worker >= workers {
-					return fmt.Errorf("worker id %d out of range", worker)
-				}
-				hits[i].Add(1)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Close()
-		for i := range hits {
-			if hits[i].Load() != passes {
-				t.Fatalf("workers=%d: index %d hit %d times, want %d", workers, i, hits[i].Load(), passes)
-			}
-		}
-	}
-}
-
-func TestSessionReturnsLowestIndexError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := New(workers).Session()
-		err := s.For(64, func(worker, i int) error {
-			if i%10 == 7 {
-				return fmt.Errorf("fail-%d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "fail-7" {
-			t.Fatalf("workers=%d: err = %v, want fail-7", workers, err)
-		}
-		// Error state must reset between passes.
-		if err := s.For(8, func(worker, i int) error { return nil }); err != nil {
-			t.Fatalf("workers=%d: clean pass after failing pass: %v", workers, err)
-		}
-		s.Close()
-	}
-}
-
-func TestSessionSteadyStateAllocFree(t *testing.T) {
-	s := New(4).Session()
-	defer s.Close()
-	fn := func(worker, i int) error { return nil }
-	// Warm up, then measure: a pass on persistent workers must not allocate.
-	for i := 0; i < 3; i++ {
-		if err := s.For(16, fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := s.For(16, fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("Session.For allocated %.1f per pass, want 0", allocs)
-	}
-}
-
 func TestMapOrderedAndDeterministic(t *testing.T) {
 	want := make([]int, 200)
 	for i := range want {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hotspot/internal/layout"
-	"hotspot/internal/obs"
 )
 
 // Rescan applies a localized layout edit and incrementally refreshes the
@@ -28,9 +27,6 @@ func (s *Scanner) Rescan(e layout.Edit) (*Result, error) {
 		return nil, err
 	}
 	s.die = die
-	if err := s.ev.Prepare([]int{s.k, s.n, s.n}); err != nil {
-		return nil, err
-	}
 
 	// Dirty block range [bx0, bx1)×[by0, by1): every block the edit region
 	// overlaps. Geometry outside the region is untouched, so all other
@@ -41,61 +37,5 @@ func (s *Scanner) Rescan(e layout.Edit) (*Result, error) {
 	bx1 := minInt(s.nbx, (dirty.X1-f.X0+s.blockNM-1)/s.blockNM)
 	by1 := minInt(s.nby, (dirty.Y1-f.Y0+s.blockNM-1)/s.blockNM)
 
-	str := s.cfg.Tracer.Start("rescan")
-	watch := obs.NewStopwatch()
-	ex := str.StartSpan("extract")
-	tilesX := (bx1 - bx0 + s.tileBlocks - 1) / s.tileBlocks
-	tilesY := (by1 - by0 + s.tileBlocks - 1) / s.tileBlocks
-	err = s.pool.For(tilesX*tilesY, func(worker, t int) error {
-		tx, ty := t%tilesX, t/tilesX
-		tbx0, tby0 := bx0+tx*s.tileBlocks, by0+ty*s.tileBlocks
-		tbx1, tby1 := minInt(tbx0+s.tileBlocks, bx1), minInt(tby0+s.tileBlocks, by1)
-		tsp := ex.Child("tile")
-		tsp.SetInt("tx", int64(tx))
-		tsp.SetInt("ty", int64(ty))
-		tsp.SetInt("blocks", int64((tbx1-tbx0)*(tby1-tby0)))
-		encErr := s.encodeRegion(worker, tbx0, tby0, tbx1, tby1)
-		tsp.End()
-		return encErr
-	})
-	d := watch.Elapsed()
-	obs.Default().Stage("scan/extract").ObserveDuration(d)
-	ex.EndWith(d)
-	if err != nil {
-		return nil, s.fail(str, err)
-	}
-
-	// Affected windows: window (wx, wy) gathers blocks [wx, wx+n)×[wy,
-	// wy+n), so it needs re-scoring iff that range meets the dirty range.
-	wx0 := maxInt(0, bx0-s.n+1)
-	wy0 := maxInt(0, by0-s.n+1)
-	wx1 := minInt(s.wnx, bx1)
-	wy1 := minInt(s.wny, by1)
-
-	watch = obs.NewStopwatch()
-	in := str.StartSpan("infer")
-	err = s.pool.For(wy1-wy0, func(worker, j int) error {
-		rsp := in.Child("row")
-		rsp.SetInt("wy", int64(wy0+j))
-		rsp.SetInt("windows", int64(wx1-wx0))
-		rowErr := s.scoreRow(worker, wy0+j, wx0, wx1)
-		rsp.End()
-		return rowErr
-	})
-	d = watch.Elapsed()
-	obs.Default().Stage("scan/infer").ObserveDuration(d)
-	in.EndWith(d)
-	if err != nil {
-		return nil, s.fail(str, err)
-	}
-
-	dirtyBlocks := (bx1 - bx0) * (by1 - by0)
-	windows := (wx1 - wx0) * (wy1 - wy0)
-	st := Stats{
-		BlockDCTs:    dirtyBlocks,
-		DirtyBlocks:  dirtyBlocks,
-		Windows:      windows,
-		BlockGathers: int64(windows) * int64(s.n*s.n),
-	}
-	return s.finish(st, str), nil
+	return s.pass(true, bx0, by0, bx1, by1)
 }

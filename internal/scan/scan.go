@@ -241,68 +241,90 @@ func (s *Scanner) blockRect(bx, by int) geom.Rect {
 	return geom.R(x0, y0, x0+s.blockNM, y0+s.blockNM)
 }
 
+// The pass stage summaries in the process registry.
+var (
+	extractSum = obs.Default().Stage("scan/extract")
+	inferSum   = obs.Default().Stage("scan/infer")
+	regionsSum = obs.Default().Stage("scan/regions")
+)
+
 // Scan runs a cold full scan: every block transformed once, every window
 // assembled from the cache and scored.
 func (s *Scanner) Scan() (*Result, error) {
+	return s.pass(false, 0, 0, s.nbx, s.nby)
+}
+
+// pass re-encodes the block range [bx0,bx1)×[by0,by1) into the cache and
+// rescores every window that gathers one of those blocks, under one
+// trace: "scan" for a cold pass over the whole die (where the window
+// range below is the full window grid), "rescan" when dirty marks the
+// range as an edit's invalidated blocks.
+func (s *Scanner) pass(dirty bool, bx0, by0, bx1, by1 int) (*Result, error) {
 	if err := s.ev.Prepare([]int{s.k, s.n, s.n}); err != nil {
 		return nil, err
 	}
-	str := s.cfg.Tracer.Start("scan")
-	tilesX := (s.nbx + s.tileBlocks - 1) / s.tileBlocks
-	tilesY := (s.nby + s.tileBlocks - 1) / s.tileBlocks
-	watch := obs.NewStopwatch()
-	ex := str.StartSpan("extract")
-	// Per-tile spans live in this closure, not in encodeRegion: the
+	name := "scan"
+	if dirty {
+		name = "rescan"
+	}
+	root := s.cfg.Tracer.Stage(name, nil)
+	ex := root.Span().Stage("extract", extractSum)
+	tilesX := (bx1 - bx0 + s.tileBlocks - 1) / s.tileBlocks
+	tilesY := (by1 - by0 + s.tileBlocks - 1) / s.tileBlocks
+	// Per-tile stages live in this closure, not in encodeRegion: the
 	// hotpath kernel stays span-free and the spans no-op when dark.
 	err := s.pool.For(tilesX*tilesY, func(worker, t int) error {
 		tx, ty := t%tilesX, t/tilesX
-		bx0, by0 := tx*s.tileBlocks, ty*s.tileBlocks
-		bx1, by1 := minInt(bx0+s.tileBlocks, s.nbx), minInt(by0+s.tileBlocks, s.nby)
-		tsp := ex.Child("tile")
+		tbx0, tby0 := bx0+tx*s.tileBlocks, by0+ty*s.tileBlocks
+		tbx1, tby1 := minInt(tbx0+s.tileBlocks, bx1), minInt(tby0+s.tileBlocks, by1)
+		tile := ex.Span().Stage("tile", nil)
+		tsp := tile.Span()
 		tsp.SetInt("tx", int64(tx))
 		tsp.SetInt("ty", int64(ty))
-		tsp.SetInt("blocks", int64((bx1-bx0)*(by1-by0)))
-		encErr := s.encodeRegion(worker, bx0, by0, bx1, by1)
-		tsp.End()
-		return encErr
+		tsp.SetInt("blocks", int64((tbx1-tbx0)*(tby1-tby0)))
+		return tile.Done(s.encodeRegion(worker, tbx0, tby0, tbx1, tby1))
 	})
-	d := watch.Elapsed()
-	obs.Default().Stage("scan/extract").ObserveDuration(d)
-	ex.EndWith(d)
-	if err != nil {
-		return nil, s.fail(str, err)
+	if ex.Done(err) != nil {
+		return nil, s.fail(root, err)
 	}
-	watch = obs.NewStopwatch()
-	in := str.StartSpan("infer")
-	err = s.pool.For(s.wny, func(worker, wy int) error {
-		rsp := in.Child("row")
-		rsp.SetInt("wy", int64(wy))
-		rsp.SetInt("windows", int64(s.wnx))
-		rowErr := s.scoreRow(worker, wy, 0, s.wnx)
-		rsp.End()
-		return rowErr
+
+	// Affected windows: window (wx, wy) gathers blocks [wx, wx+n)×[wy,
+	// wy+n), so it needs re-scoring iff that range meets the block range.
+	wx0 := maxInt(0, bx0-s.n+1)
+	wy0 := maxInt(0, by0-s.n+1)
+	wx1 := minInt(s.wnx, bx1)
+	wy1 := minInt(s.wny, by1)
+	in := root.Span().Stage("infer", inferSum)
+	err = s.pool.For(wy1-wy0, func(worker, j int) error {
+		row := in.Span().Stage("row", nil)
+		row.Span().SetInt("wy", int64(wy0+j))
+		row.Span().SetInt("windows", int64(wx1-wx0))
+		return row.Done(s.scoreRow(worker, wy0+j, wx0, wx1))
 	})
-	d = watch.Elapsed()
-	obs.Default().Stage("scan/infer").ObserveDuration(d)
-	in.EndWith(d)
-	if err != nil {
-		return nil, s.fail(str, err)
+	if in.Done(err) != nil {
+		return nil, s.fail(root, err)
 	}
 	s.scanned = true
+
+	blocks := (bx1 - bx0) * (by1 - by0)
+	windows := (wx1 - wx0) * (wy1 - wy0)
 	st := Stats{
-		BlockDCTs:    s.nbx * s.nby,
-		Windows:      s.wnx * s.wny,
-		BlockGathers: int64(s.wnx*s.wny) * int64(s.n*s.n),
+		BlockDCTs:    blocks,
+		Windows:      windows,
+		BlockGathers: int64(windows) * int64(s.n*s.n),
 	}
-	return s.finish(st, str), nil
+	if dirty {
+		st.DirtyBlocks = blocks
+	}
+	return s.finish(st, root), nil
 }
 
 // fail closes a pass trace on an error path and passes the error through.
-func (s *Scanner) fail(tr *trace.Trace, err error) error {
-	if tr != nil {
+func (s *Scanner) fail(root trace.Stage, err error) error {
+	if tr := root.Trace(); tr != nil {
 		tr.SetError(err.Error())
-		tr.Finish()
 	}
+	root.Abort()
 	return err
 }
 
@@ -381,9 +403,9 @@ func (s *Scanner) assembleWindow(dst []float64, wx, wy int) {
 }
 
 // finish derives the thresholded heat map and region proposals from the
-// current probability grid, publishes pass metrics, and closes the pass
-// trace (tr is nil when tracing is dark).
-func (s *Scanner) finish(st Stats, tr *trace.Trace) *Result {
+// current probability grid, publishes pass metrics, and ends the pass's
+// root stage, filing its trace when tracing is lit.
+func (s *Scanner) finish(st Stats, root trace.Stage) *Result {
 	res := &Result{
 		WindowsX: s.wnx, WindowsY: s.wny,
 		Probs: append([]float64(nil), s.probs...),
@@ -392,11 +414,9 @@ func (s *Scanner) finish(st Stats, tr *trace.Trace) *Result {
 	for i, p := range s.probs {
 		res.Hot[i] = train.Decide(p, s.cfg.Shift)
 	}
-	watch := obs.NewStopwatch()
+	rg := root.Span().Stage("regions", regionsSum)
 	res.Regions = mergeRegions(res.Hot, res.Probs, s.wnx, s.wny, s)
-	d := watch.Elapsed()
-	obs.Default().Stage("scan/regions").ObserveDuration(d)
-	tr.StartSpan("regions").EndWith(d)
+	rg.End()
 
 	demand := st.BlockGathers + int64(st.BlockDCTs)
 	if demand > 0 {
@@ -409,13 +429,14 @@ func (s *Scanner) finish(st Stats, tr *trace.Trace) *Result {
 	reg.Counter("hsd_scan_windows_total").Add(int64(st.Windows))
 	reg.Counter("hsd_scan_dirty_blocks_total").Add(int64(st.DirtyBlocks))
 	reg.Gauge("hsd_scan_block_cache_hit_rate", 4).Set(st.CacheHitRate)
-	tr.SetInt("block_dcts", int64(st.BlockDCTs))
-	tr.SetInt("block_gathers", st.BlockGathers)
-	tr.SetInt("windows", int64(st.Windows))
-	tr.SetInt("dirty_blocks", int64(st.DirtyBlocks))
-	tr.SetInt("regions", int64(len(res.Regions)))
-	tr.SetFloat("cache_hit_rate", st.CacheHitRate)
-	tr.Finish()
+	sp := root.Span()
+	sp.SetInt("block_dcts", int64(st.BlockDCTs))
+	sp.SetInt("block_gathers", st.BlockGathers)
+	sp.SetInt("windows", int64(st.Windows))
+	sp.SetInt("dirty_blocks", int64(st.DirtyBlocks))
+	sp.SetInt("regions", int64(len(res.Regions)))
+	sp.SetFloat("cache_hit_rate", st.CacheHitRate)
+	root.End()
 	return res
 }
 

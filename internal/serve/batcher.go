@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hotspot/internal/feature"
-	"hotspot/internal/obs"
 	"hotspot/internal/obs/trace"
 	"hotspot/internal/parallel"
 	"hotspot/internal/raster"
@@ -34,11 +33,10 @@ type request struct {
 	im   *raster.Image
 	key  uint64
 	resp chan result
-	enq  obs.Stopwatch // started at enqueue; read when the batch starts (queue stage)
-	// qspan is the request trace's queue-wait span, set by the handler
-	// before enqueue and ended by the flush loop when the batch picks the
-	// request up. Nil when tracing is dark; all span methods no-op then.
-	qspan *trace.Span
+	// queue is the request's queue-wait stage, started by the handler
+	// just before enqueue and ended by the flush loop when a batch picks
+	// the request up.
+	queue trace.Stage
 }
 
 // result is the outcome delivered back to the waiting handler.
@@ -110,7 +108,6 @@ func (b *batcher) enqueue(r *request) error {
 	if b.closed {
 		return ErrShuttingDown
 	}
-	r.enq = obs.NewStopwatch()
 	select {
 	case b.queue <- r:
 		return nil
@@ -205,48 +202,45 @@ type extraction struct {
 //
 //hsd:hotpath
 func (b *batcher) run(batch []*request) {
-	watch := obs.NewStopwatch()
-	btr := b.srv.tracer.Start("batch")
+	met := b.srv.metrics
+	bst := b.srv.tracer.Stage(stageBatch, met.batchSum)
+	bsp, btr := bst.Span(), bst.Trace()
 	m := b.srv.model.Load() //hsd:allow hotlint one atomic pointer read per micro-batch pins the model across the batch
 	if m == nil {
 		for _, r := range batch {
-			r.qspan.End()
+			r.queue.Abort()
 			r.resp <- result{err: ErrNoModel} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
 		}
 		btr.SetStatus(503)
 		btr.SetError("no model loaded")
-		btr.FinishWith(watch.Elapsed())
+		bst.Abort()
 		return
 	}
 	n := len(batch)
-	b.srv.metrics.batch(n)
-	btr.SetInt("size", int64(n))
-	btr.SetInt("model_generation", int64(m.generation))
+	met.batch(n)
+	bsp.SetInt("size", int64(n))
+	bsp.SetInt("model_generation", int64(m.generation))
 	for _, r := range batch {
-		dq := r.enq.Elapsed()
-		b.srv.metrics.stage(stageQueue, dq)
-		r.qspan.EndWith(dq)
-		r.qspan.SetStr("batch_id", btr.ID())
+		r.queue.End()
+		r.queue.Span().SetStr("batch_id", btr.ID())
 	}
 	// Batch linkage, the reverse direction: the batch trace names the
 	// request traces that rode in it. Guarded by a nil check because the
 	// indexed keys are built with strconv — never on the dark path.
 	if btr != nil {
 		for i, r := range batch {
-			if r.qspan != nil {
-				btr.SetStr("member_"+strconv.Itoa(i), r.qspan.TraceID())
+			if rtr := r.queue.Trace(); rtr != nil {
+				bsp.SetStr("member_"+strconv.Itoa(i), rtr.ID())
 			}
 		}
 	}
 
-	extractWatch := obs.NewStopwatch()
+	ex := bsp.Stage(stageExtract, met.extractSum)
 	exts, _ := parallel.Map(b.pool, n, func(_, i int) (extraction, error) {
 		x, err := feature.ExtractTensorFromImage(batch[i].im, b.srv.cfg.Feature)
 		return extraction{x: x, err: err}, nil
 	})
-	de := extractWatch.Elapsed()
-	b.srv.metrics.stage(stageExtract, de)
-	btr.StartSpan("extract").EndWith(de)
+	ex.End()
 
 	xs := b.xs[:0]
 	idx := b.idx[:0]
@@ -259,11 +253,9 @@ func (b *batcher) run(batch []*request) {
 		idx = append(idx, i)
 	}
 	if len(xs) > 0 {
-		inferWatch := obs.NewStopwatch()
+		in := bsp.Stage(stageInfer, met.inferSum)
 		probs, err := m.ev.PredictProbs(xs)
-		di := inferWatch.Elapsed()
-		b.srv.metrics.stage(stageInfer, di)
-		btr.StartSpan("infer").EndWith(di)
+		_ = in.Done(err) // err is answered per request below
 		for j, i := range idx {
 			if err != nil {
 				batch[i].resp <- result{err: err} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
@@ -273,7 +265,5 @@ func (b *batcher) run(batch []*request) {
 			batch[i].resp <- result{prob: probs[j]} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
 		}
 	}
-	db := watch.Elapsed()
-	b.srv.metrics.stage(stageBatch, db)
-	btr.FinishWith(db)
+	bst.End()
 }

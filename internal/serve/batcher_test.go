@@ -200,42 +200,60 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// darkTraceSequence replays exactly the trace calls the batcher and the
-// predict path make per request when tracing is dark (nil tracer): the
-// zero-allocations-when-dark contract, measured where it matters.
-func darkTraceSequence(tracer *trace.Tracer, req *request) {
-	btr := tracer.Start("batch")
-	btr.SetInt("size", 1)
-	btr.SetInt("model_generation", 1)
-	req.qspan.EndWith(0)
-	req.qspan.SetStr("batch_id", btr.ID())
-	if btr != nil {
-		btr.SetStr("member_0", req.qspan.TraceID())
+// darkTraceSequence replays exactly the stage and trace calls the predict
+// handler and the batcher make per single-clip request, stage-summary
+// observations included: the zero-allocations-when-dark contract,
+// measured where it matters.
+func darkTraceSequence(tracer *trace.Tracer, m *metrics) {
+	st := tracer.Stage("predict", m.requestSum)
+	root := st.Span()
+	for _, name := range []string{"decode", "raster", "hash"} {
+		root.Stage(name, nil).End()
 	}
-	btr.StartSpan("extract").EndWith(0)
-	btr.StartSpan("infer").EndWith(0)
-	btr.FinishWith(0)
+	m.cache(false)
+	root.SetBool("cache_hit", false)
+	req := request{queue: root.Stage(stageQueue, m.queueSum)}
+
+	bst := tracer.Stage(stageBatch, m.batchSum)
+	bsp, btr := bst.Span(), bst.Trace()
+	m.batch(1)
+	bsp.SetInt("size", 1)
+	bsp.SetInt("model_generation", 1)
+	req.queue.End()
+	req.queue.Span().SetStr("batch_id", btr.ID())
+	if btr != nil {
+		bsp.SetStr("member_0", req.queue.Trace().ID())
+	}
+	bsp.Stage(stageExtract, m.extractSum).End()
+	_ = bsp.Stage(stageInfer, m.inferSum).Done(nil)
+	bst.End()
+
+	st.Trace().SetStatus(200)
+	st.End()
 }
 
 // TestBatcherDarkTraceZeroAlloc pins the hot-path contract directly:
-// with tracing disabled the full per-batch instrumentation sequence
-// allocates nothing.
+// with tracing disabled the full per-request instrumentation sequence,
+// every stage-summary observation included, allocates nothing.
 func TestBatcherDarkTraceZeroAlloc(t *testing.T) {
-	req := &request{} // dark server: no trace, no qspan
+	m := newMetrics(func() int { return 0 })
 	allocs := testing.AllocsPerRun(200, func() {
-		darkTraceSequence(nil, req)
+		darkTraceSequence(nil, m)
 	})
 	if allocs != 0 {
 		t.Fatalf("dark batcher tracing allocated %.1f times per run, want 0", allocs)
+	}
+	if got := m.requestSum.Count(); got != 201 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("request summary counted %d observations, want 201", got)
 	}
 }
 
 // BenchmarkBatcherDarkTrace is the 0 B/op acceptance benchmark for the
 // serving hot path with tracing disabled.
 func BenchmarkBatcherDarkTrace(b *testing.B) {
-	req := &request{}
+	m := newMetrics(func() int { return 0 })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		darkTraceSequence(nil, req)
+		darkTraceSequence(nil, m)
 	}
 }

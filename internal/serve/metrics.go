@@ -2,7 +2,6 @@ package serve
 
 import (
 	"strconv"
-	"time"
 
 	"hotspot/internal/obs"
 )
@@ -11,7 +10,8 @@ import (
 // the two compute stages of a flushed batch, "batch" is a whole flush
 // (dequeue to replies), "queue" is a request's wait between enqueue and
 // its batch starting, and "request" is a predict request's wall time
-// inside the handler (queue wait included, JSON codec excluded).
+// inside the handler (body decoding and queue wait included, response
+// encoding excluded).
 const (
 	stageExtract = "extract"
 	stageInfer   = "infer"
@@ -33,6 +33,10 @@ type metrics struct {
 	misses   *obs.Counter
 	batches  *obs.IntHist
 	cacheLen func() int
+
+	// The stage summaries, resolved once here so the request path never
+	// looks a series up by name.
+	extractSum, inferSum, batchSum, queueSum, requestSum *obs.Summary
 
 	// buildLabels remembers the label set of the current hsd_build_info
 	// series so a model swap can zero the superseded generation's series
@@ -57,11 +61,13 @@ func newMetrics(cacheLen func() int) *metrics {
 	reg.GaugeFunc("serve_cache_entries", -1, func() float64 {
 		return float64(cacheLen())
 	})
-	// Pre-create the stage series so every scrape lists the full stage
-	// taxonomy, observed or not (as the old fixed ring set did).
-	for _, s := range []string{stageExtract, stageInfer, stageBatch, stageQueue, stageRequest} {
-		reg.Stage(s)
-	}
+	// Resolving every stage here also makes each scrape list the full
+	// stage taxonomy, observed or not.
+	m.extractSum = reg.Stage(stageExtract)
+	m.inferSum = reg.Stage(stageInfer)
+	m.batchSum = reg.Stage(stageBatch)
+	m.queueSum = reg.Stage(stageQueue)
+	m.requestSum = reg.Stage(stageRequest)
 	return m
 }
 
@@ -87,23 +93,6 @@ func (m *metrics) cache(hit bool) {
 }
 
 func (m *metrics) batch(size int) { m.batches.Observe(size) }
-
-func (m *metrics) stage(name string, d time.Duration) {
-	m.reg.Stage(name).ObserveDuration(d)
-}
-
-// stageExemplar records a stage latency tagged with the request's trace
-// ID, so the scrape's q="max" exemplar line links the slowest windowed
-// request into GET /debug/trace. An empty ID (tracing dark) records a
-// plain observation.
-func (m *metrics) stageExemplar(name string, d time.Duration, traceID string) {
-	s := m.reg.Stage(name)
-	if traceID == "" {
-		s.ObserveDuration(d)
-		return
-	}
-	s.ObserveExemplar(d.Seconds(), traceID)
-}
 
 // buildInfo (re)registers the hsd_build_info gauge for a freshly
 // installed model generation: binary identity labels plus the model

@@ -253,6 +253,12 @@ type errorResponse struct {
 // well under 8 MB.
 const maxBodyBytes = 8 << 20
 
+// maxImageSide bounds the side, in pixels, of any image a request makes
+// the server allocate. 2048² pixels is the largest bitmap a maxBodyBytes
+// body can carry (each JSON pixel takes at least two bytes), and a frame
+// is held to the same bound before it is rasterized.
+const maxImageSide = 2048
+
 // maxBatchClips bounds one /v1/predict/batch request.
 const maxBatchClips = 1024
 
@@ -261,7 +267,8 @@ const maxBatchClips = 1024
 // coreImage turns a request clip into the rasterized core window the
 // pipeline operates on, mirroring feature.ExtractTensor's geometry exactly
 // (rasterize the full clip, crop the core) so served predictions are
-// bit-identical to offline ones.
+// bit-identical to offline ones. Image sides are checked against
+// maxImageSide before anything is multiplied or allocated.
 func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	cfg := s.cfg.Feature
 	if cr.Bitmap != nil {
@@ -269,7 +276,10 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		if cr.Frame != nil || len(cr.Rects) > 0 || cr.Core != nil {
 			return nil, fmt.Errorf("clip has both bitmap and geometry; send one")
 		}
-		if bm.W <= 0 || bm.W != bm.H {
+		if bm.W < 1 || bm.W > maxImageSide || bm.H < 1 || bm.H > maxImageSide {
+			return nil, fmt.Errorf("bitmap %dx%d px: each side must be 1..%d px", bm.W, bm.H, maxImageSide)
+		}
+		if bm.W != bm.H {
 			return nil, fmt.Errorf("bitmap %dx%d must be square and non-empty", bm.W, bm.H)
 		}
 		if len(bm.Pix) != bm.W*bm.H {
@@ -288,6 +298,11 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	frame := cr.Frame.rect()
 	if frame.Empty() {
 		return nil, fmt.Errorf("frame %+v is empty", *cr.Frame)
+	}
+	// A side past int range wraps negative in Rect.W/H; the lower bound
+	// rejects it.
+	if maxNM := maxImageSide * cfg.ResNM; frame.W() < 1 || frame.W() > maxNM || frame.H() < 1 || frame.H() > maxNM {
+		return nil, fmt.Errorf("frame %+v at %d nm/px: each side must be 1..%d px (%d nm)", *cr.Frame, cfg.ResNM, maxImageSide, maxNM)
 	}
 	rects := make([]geom.Rect, len(cr.Rects))
 	for i, r := range cr.Rects {
@@ -310,23 +325,22 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	return feature.ExtractCoreImage(clip, core, cfg)
 }
 
-// predictOne resolves one core image to a verdict: cache lookup, then
-// enqueue and wait for the micro-batcher. qparent, when tracing is lit,
-// is the span the request's queue wait is recorded under (the trace root
-// for single predicts, the per-clip span for batch requests); nil spans
-// no-op.
-func (s *Server) predictOne(ctx context.Context, im *raster.Image, qparent *trace.Span) (PredictResponse, error) {
-	key := hashImage(im)
+// predictOne resolves one hashed core image to a verdict: cache lookup,
+// then enqueue and wait for the micro-batcher. parent, when tracing is
+// lit, is the span the request's queue stage is recorded under (the trace
+// root for single predicts, the per-clip span for batch requests); nil
+// spans no-op.
+func (s *Server) predictOne(ctx context.Context, im *raster.Image, key uint64, parent *trace.Span) (PredictResponse, error) {
 	if p, ok := s.cache.get(key); ok {
 		s.metrics.cache(true)
-		qparent.SetBool("cache_hit", true)
+		parent.SetBool("cache_hit", true)
 		return PredictResponse{Prob: p, Hotspot: train.Decide(p, s.cfg.Shift), Cached: true}, nil
 	}
 	s.metrics.cache(false)
-	qparent.SetBool("cache_hit", false)
-	req := &request{im: im, key: key, resp: make(chan result, 1), qspan: qparent.Child("queue")}
+	parent.SetBool("cache_hit", false)
+	req := &request{im: im, key: key, resp: make(chan result, 1), queue: parent.Stage(stageQueue, s.metrics.queueSum)}
 	if err := s.batcher.enqueue(req); err != nil {
-		req.qspan.EndWith(0) // never reached the queue
+		req.queue.Abort() // never reached the queue
 		return PredictResponse{}, err
 	}
 	select {
@@ -358,85 +372,93 @@ func statusOf(err error) int {
 
 // --- handlers ---
 
-// failTrace closes a request trace on an error path: outcome recorded,
-// duration from the handler's own stopwatch. Nil-safe (dark tracing).
-func failTrace(tr *trace.Trace, watch obs.Stopwatch, status int, msg string) {
-	if tr == nil {
-		return
-	}
+// fail answers a failed predict request. Its trace records the outcome
+// and is filed, kept as an error; the request stage is aborted, so the
+// request summary counts answered requests only.
+func fail(w http.ResponseWriter, st trace.Stage, status int, msg string) {
+	tr := st.Trace()
 	tr.SetStatus(status)
 	tr.SetError(msg)
-	tr.FinishWith(watch.Elapsed())
+	st.Abort()
+	writeJSON(w, status, errorResponse{Error: msg})
 }
 
+// handlePredict scores one clip. Its trace is predict → decode, raster,
+// hash, and queue on a cache miss.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	watch := obs.NewStopwatch()
-	tr := s.tracer.Start("predict")
-	dec := tr.StartSpan("decode")
+	st := s.tracer.Stage("predict", s.metrics.requestSum)
+	root := st.Span()
+	dec := root.Stage("decode", nil)
 	var cr ClipRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&cr); err != nil {
-		msg := "bad request body: " + err.Error()
-		failTrace(tr, watch, http.StatusBadRequest, msg)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
-		return
-	}
-	im, err := s.coreImage(cr)
+	err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&cr)
 	dec.End()
 	if err != nil {
-		failTrace(tr, watch, http.StatusBadRequest, err.Error())
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		fail(w, st, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	ras := root.Stage("raster", nil)
+	im, err := s.coreImage(cr)
+	ras.End()
+	if err != nil {
+		fail(w, st, http.StatusBadRequest, err.Error())
+		return
+	}
+	hs := root.Stage("hash", nil)
+	key := hashImage(im)
+	hs.End()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := s.predictOne(ctx, im, tr.Root())
+	resp, err := s.predictOne(ctx, im, key, root)
 	if err != nil {
-		failTrace(tr, watch, statusOf(err), err.Error())
-		writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
+		fail(w, st, statusOf(err), err.Error())
 		return
 	}
-	d := watch.Elapsed()
-	s.metrics.stageExemplar(stageRequest, d, tr.ID())
-	tr.SetStatus(http.StatusOK)
-	tr.FinishWith(d)
+	st.Trace().SetStatus(http.StatusOK)
+	st.End()
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handlePredictBatch scores several clips. Its trace is predict_batch →
+// decode, raster, hash (all clips), and one clip → queue pair per cache
+// miss.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	watch := obs.NewStopwatch()
-	tr := s.tracer.Start("predict_batch")
-	dec := tr.StartSpan("decode")
+	st := s.tracer.Stage("predict_batch", s.metrics.requestSum)
+	root := st.Span()
+	dec := root.Stage("decode", nil)
 	var br BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&br); err != nil {
-		msg := "bad request body: " + err.Error()
-		failTrace(tr, watch, http.StatusBadRequest, msg)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
+	err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&br)
+	dec.End()
+	if err != nil {
+		fail(w, st, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if len(br.Clips) == 0 {
-		failTrace(tr, watch, http.StatusBadRequest, "no clips")
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "no clips"})
+		fail(w, st, http.StatusBadRequest, "no clips")
 		return
 	}
 	if len(br.Clips) > maxBatchClips {
-		msg := fmt.Sprintf("%d clips exceeds the %d-clip limit", len(br.Clips), maxBatchClips)
-		failTrace(tr, watch, http.StatusBadRequest, msg)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
+		fail(w, st, http.StatusBadRequest, fmt.Sprintf("%d clips exceeds the %d-clip limit", len(br.Clips), maxBatchClips))
 		return
 	}
-	tr.SetInt("clips", int64(len(br.Clips)))
+	root.SetInt("clips", int64(len(br.Clips)))
+	ras := root.Stage("raster", nil)
 	ims := make([]*raster.Image, len(br.Clips))
 	for i, cr := range br.Clips {
 		im, err := s.coreImage(cr)
 		if err != nil {
-			msg := fmt.Sprintf("clip %d: %v", i, err)
-			failTrace(tr, watch, http.StatusBadRequest, msg)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
+			ras.End()
+			fail(w, st, http.StatusBadRequest, fmt.Sprintf("clip %d: %v", i, err))
 			return
 		}
 		ims[i] = im
 	}
-	dec.End()
+	ras.End()
+	hs := root.Stage("hash", nil)
+	keys := make([]uint64, len(ims))
+	for i, im := range ims {
+		keys[i] = hashImage(im)
+	}
+	hs.End()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	// Resolve cache hits and enqueue the misses before waiting on any of
@@ -445,56 +467,48 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	type pending struct {
 		i    int
 		req  *request
-		span *trace.Span
+		clip trace.Stage
 	}
 	var waits []pending
 	hits := 0
 	for i, im := range ims {
-		key := hashImage(im)
-		if p, ok := s.cache.get(key); ok {
+		if p, ok := s.cache.get(keys[i]); ok {
 			s.metrics.cache(true)
 			hits++
 			results[i] = PredictResponse{Prob: p, Hotspot: train.Decide(p, s.cfg.Shift), Cached: true}
 			continue
 		}
 		s.metrics.cache(false)
-		csp := tr.StartSpan("clip")
+		clip := root.Stage("clip", nil)
+		csp := clip.Span()
 		csp.SetInt("index", int64(i))
 		csp.SetBool("cache_hit", false)
-		req := &request{im: im, key: key, resp: make(chan result, 1), qspan: csp.Child("queue")}
+		req := &request{im: im, key: keys[i], resp: make(chan result, 1), queue: csp.Stage(stageQueue, s.metrics.queueSum)}
 		if err := s.batcher.enqueue(req); err != nil {
-			req.qspan.EndWith(0) // never reached the queue
-			csp.End()
-			msg := fmt.Sprintf("clip %d: %v", i, err)
-			failTrace(tr, watch, statusOf(err), msg)
-			writeJSON(w, statusOf(err), errorResponse{Error: msg})
+			req.queue.Abort() // never reached the queue
+			clip.Abort()
+			fail(w, st, statusOf(err), fmt.Sprintf("clip %d: %v", i, err))
 			return
 		}
-		waits = append(waits, pending{i: i, req: req, span: csp})
+		waits = append(waits, pending{i: i, req: req, clip: clip})
 	}
-	tr.SetInt("cache_hits", int64(hits))
+	root.SetInt("cache_hits", int64(hits))
 	for _, p := range waits {
 		select {
 		case res := <-p.req.resp:
-			p.span.End()
-			if res.err != nil {
-				msg := fmt.Sprintf("clip %d: %v", p.i, res.err)
-				failTrace(tr, watch, statusOf(res.err), msg)
-				writeJSON(w, statusOf(res.err), errorResponse{Error: msg})
+			if p.clip.Done(res.err) != nil {
+				fail(w, st, statusOf(res.err), fmt.Sprintf("clip %d: %v", p.i, res.err))
 				return
 			}
 			results[p.i] = PredictResponse{Prob: res.prob, Hotspot: train.Decide(res.prob, s.cfg.Shift)}
 		case <-ctx.Done():
-			p.span.End()
-			failTrace(tr, watch, statusOf(ctx.Err()), ctx.Err().Error())
-			writeJSON(w, statusOf(ctx.Err()), errorResponse{Error: ctx.Err().Error()})
+			p.clip.Abort()
+			fail(w, st, statusOf(ctx.Err()), ctx.Err().Error())
 			return
 		}
 	}
-	d := watch.Elapsed()
-	s.metrics.stageExemplar(stageRequest, d, tr.ID())
-	tr.SetStatus(http.StatusOK)
-	tr.FinishWith(d)
+	st.Trace().SetStatus(http.StatusOK)
+	st.End()
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 

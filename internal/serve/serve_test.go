@@ -662,3 +662,52 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestImageSideBounds: on the paper-shaped default service, a request
+// whose image side in pixels falls outside 1..2048 is refused with a 400
+// naming the bound before anything is allocated. A 1,000,000 nm frame
+// would otherwise rasterize into a 500 GB image, and a 12884901888-pixel
+// bitmap side overflows W*H to 0, passes ValidateCore and panics a
+// batcher worker; either one would kill the process.
+func TestImageSideBounds(t *testing.T) {
+	srv, err := serve.New(serve.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nn.NewPaperNet(nn.DefaultPaperNetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.LoadNetwork(net, "test"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"huge frame", `{"frame":{"x0":0,"y0":0,"x1":1000000,"y1":1000000},"rects":[]}`, http.StatusBadRequest},
+		{"overflowing bitmap", `{"bitmap":{"w":12884901888,"h":12884901888,"pix":[]}}`, http.StatusBadRequest},
+		{"long thin frame", `{"frame":{"x0":0,"y0":0,"x1":1200,"y1":400000000}}`, http.StatusBadRequest},
+		{"1600 nm frame", `{"frame":{"x0":0,"y0":0,"x1":1600,"y1":1600},"rects":[{"x0":700,"y0":0,"x1":760,"y1":1600}]}`, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			if _, err := b.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			_ = resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, b.String(), tc.want)
+			}
+			if tc.want == http.StatusBadRequest && !strings.Contains(b.String(), "each side must be 1..2048 px") {
+				t.Fatalf("error %s does not name the side bound", b.String())
+			}
+		})
+	}
+}

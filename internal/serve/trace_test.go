@@ -40,6 +40,83 @@ func TestServeTraceParity(t *testing.T) {
 	}
 }
 
+// TestStageCountsLitDark: lighting tracing changes no stage count. The
+// same requests — misses, cache hits, a batch request and a 400 — leave
+// every stage summary of a lit server and a dark one with equal counts.
+// One-clip micro-batches keep the batch count independent of timing.
+func TestStageCountsLitDark(t *testing.T) {
+	darkCfg, litCfg := testConfig(), traceConfig()
+	darkCfg.MaxBatch, litCfg.MaxBatch = 1, 1
+	dark, darkTS := newTestServer(t, darkCfg, 41)
+	lit, litTS := newTestServer(t, litCfg, 41)
+	clips := testClips(6, 23)
+	var batch serve.BatchRequest
+	for _, c := range clips {
+		batch.Clips = append(batch.Clips, clipRequest(c))
+	}
+	for _, ts := range []*httptest.Server{darkTS, litTS} {
+		for pass := 0; pass < 2; pass++ { // the second pass answers from the cache
+			for _, c := range clips[:3] {
+				if resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict", clipRequest(c)); resp.StatusCode != http.StatusOK {
+					t.Fatalf("predict: %d (%s)", resp.StatusCode, raw)
+				}
+			}
+		}
+		if resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict/batch", batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch predict: %d (%s)", resp.StatusCode, raw)
+		}
+		if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", serve.ClipRequest{Frame: &serve.RectJSON{}}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("empty frame: status %d, want 400", resp.StatusCode)
+		}
+	}
+	// The flush loop observes a batch after its replies go out; Close
+	// waits for it.
+	dark.Close()
+	lit.Close()
+	dm := dark.Metrics()
+	ds, ls := dm.Stages, lit.Metrics().Stages
+	if len(ds) != 5 || len(ls) != 5 {
+		t.Fatalf("stage sets: dark %v, lit %v; want 5 stages each", ds, ls)
+	}
+	for name, d := range ds {
+		if l := ls[name]; l.Count != d.Count {
+			t.Fatalf("stage %s: lit count %d, dark count %d", name, l.Count, d.Count)
+		}
+	}
+	// 7 answered requests (the 400 is not counted); every cache miss
+	// queues once and rides in its own batch.
+	if m := dm.CacheMisses; ds["request"].Count != 7 || ds["queue"].Count != m || ds["batch"].Count != m {
+		t.Fatalf("dark counts request/queue/batch = %d/%d/%d, want 7/%d/%d",
+			ds["request"].Count, ds["queue"].Count, ds["batch"].Count, m, m)
+	}
+}
+
+// TestRequestExemplarIsTraceDuration: the request summary's exemplar is
+// the very reading its trace was filed with — the q="max" value and the
+// named trace's duration are bit-identical.
+func TestRequestExemplarIsTraceDuration(t *testing.T) {
+	srv, ts := newTestServer(t, traceConfig(), 41)
+	for _, c := range testClips(4, 29) {
+		if resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict", clipRequest(c)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict: %d (%s)", resp.StatusCode, raw)
+		}
+	}
+	v, id, ok := srv.Registry().Stage("request").Exemplar()
+	if !ok {
+		t.Fatal("request summary carries no exemplar with tracing lit")
+	}
+	for _, tr := range srv.Tracer().Snapshot() {
+		if tr.TraceID != id {
+			continue
+		}
+		if math.Float64bits(tr.DurationSeconds) != math.Float64bits(v) {
+			t.Fatalf("trace %s lasted %v s, exemplar says %v s", id, tr.DurationSeconds, v)
+		}
+		return
+	}
+	t.Fatalf("exemplar names trace %s, which the recorder does not hold", id)
+}
+
 // TestRequestTraceTree drives one miss and one hit through a traced
 // server and checks the recorded shapes: the predict trace carries
 // decode and queue spans, the queue span names its batch, the batch

@@ -17,6 +17,13 @@ import (
 	"hotspot/internal/tensor"
 )
 
+// The MGD stage summaries in the process registry: one observation per
+// optimization step and one per validation epoch.
+var (
+	stepSum  = obs.Default().Stage("train/step")
+	epochSum = obs.Default().Stage("train/epoch")
+)
+
 // Sample is one training instance: a feature tensor and its label.
 type Sample struct {
 	X       *tensor.Tensor
@@ -104,9 +111,10 @@ type MGDConfig struct {
 	// TestMGDInstrumentationParity holds MGD to that).
 	OnEpoch func(EpochEvent)
 	// Tracer, when non-nil, records one trace per validation checkpoint
-	// ("train/epoch": iter, loss, accuracy and learning-rate attributes
-	// plus a validate span). Observation only, same contract as OnEpoch:
-	// trained weights are bit-identical with tracing lit or dark.
+	// ("train/epoch", spanning the iterations since the previous
+	// checkpoint: iter, loss, accuracy and learning-rate attributes plus a
+	// validate span). Observation only, same contract as OnEpoch: trained
+	// weights are bit-identical with tracing lit or dark.
 	Tracer *trace.Tracer
 }
 
@@ -282,10 +290,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	}
 	batchIdx := make([]int, cfg.BatchSize)
 
-	// Persistent workers plus a single reusable fan-out closure keep the
-	// steady-state parallel iteration allocation-free, matching serial.
-	sess := pool.Session()
-	defer sess.Close()
+	// One fan-out closure, built once, serves every wave's Pool.For pass.
 	var counterBase int64
 	var wave int // first batch position of the running wave
 	gradTask := func(worker, s int) error {
@@ -306,10 +311,9 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	lr := cfg.LearningRate
 	// Timing is observation only: stage summaries and the run stopwatch
 	// are write-only sinks here; nothing the optimizer computes reads them.
+	// An epoch stage still open when MGD returns is never filed.
 	watch := obs.NewStopwatch()
-	stepStage := obs.Default().Stage("train/step")
-	epochStage := obs.Default().Stage("train/epoch")
-	epochWatch := obs.NewStopwatch()
+	epoch := cfg.Tracer.Stage("train/epoch", epochSum)
 	var hist History
 	bestAcc := -1.0
 	var best *nn.Network
@@ -317,7 +321,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	lossAccum, lossCount := 0.0, 0
 
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		stepWatch := obs.NewStopwatch()
+		step := trace.Time(stepSum)
 		// Draw the whole batch up front. The rand call sequence is exactly
 		// the legacy serial one, so sampling is identical under any worker
 		// count (and to earlier versions of this code).
@@ -353,7 +357,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 			syncReplicas()
 			for wave = 0; wave < cfg.BatchSize; wave += nW {
 				n := min(nW, cfg.BatchSize-wave)
-				if err := sess.For(n, gradTask); err != nil {
+				if err := pool.For(n, gradTask); err != nil {
 					return nil, err
 				}
 				// Fold each wave in before the next, in batch-position
@@ -385,10 +389,10 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 		if iter%cfg.DecayStep == 0 {
 			lr *= cfg.DecayFactor
 		}
-		stepStage.ObserveDuration(stepWatch.Elapsed())
+		step.End()
 
 		if cfg.ValEvery > 0 && iter%cfg.ValEvery == 0 {
-			valWatch := obs.NewStopwatch()
+			val := epoch.Span().Stage("validate", nil)
 			var m Metrics
 			if nW > 1 {
 				syncReplicas()
@@ -401,7 +405,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 			if err != nil {
 				return nil, err
 			}
-			valD := valWatch.Elapsed()
+			val.End()
 			cp := Checkpoint{
 				Iter:        iter,
 				Elapsed:     watch.Elapsed(),
@@ -412,24 +416,21 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 			}
 			lossAccum, lossCount = 0, 0
 			hist = append(hist, cp)
-			epochD := epochWatch.Elapsed()
-			epochStage.ObserveDuration(epochD)
-			epochWatch = obs.NewStopwatch()
+			esp := epoch.Span()
+			esp.SetInt("iter", int64(iter))
+			esp.SetFloat("loss", cp.TrainLoss)
+			esp.SetFloat("val_accuracy", cp.ValAccuracy)
+			esp.SetFloat("learning_rate", lr)
+			epoch.End()
+			epoch = cfg.Tracer.Stage("train/epoch", epochSum)
 			if cfg.OnEpoch != nil {
 				cfg.OnEpoch(EpochEvent{
 					Checkpoint:   cp,
 					LearningRate: lr,
-					StepP50:      stepStage.Quantile(0.50),
-					StepP99:      stepStage.Quantile(0.99),
+					StepP50:      stepSum.Quantile(0.50),
+					StepP99:      stepSum.Quantile(0.99),
 				})
 			}
-			etr := cfg.Tracer.Start("train/epoch")
-			etr.SetInt("iter", int64(iter))
-			etr.SetFloat("loss", cp.TrainLoss)
-			etr.SetFloat("val_accuracy", cp.ValAccuracy)
-			etr.SetFloat("learning_rate", lr)
-			etr.StartSpan("validate").EndWith(valD)
-			etr.FinishWith(epochD)
 			if m.Accuracy > bestAcc {
 				bestAcc = m.Accuracy
 				sinceBest = 0

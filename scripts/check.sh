@@ -20,9 +20,15 @@
 #   6. perfbench go test     the repository benchmark's own tests, so an
 #                            API change it depends on fails here and not
 #                            only when the benchmark next runs
-#   7. scripts/smoke         hsd-serve end-to-end smoke: boot on an
-#                            ephemeral port, predict, healthz, metrics,
-#                            -pprof debug surface, SIGINT drain, zero exit
+#   7. scripts/smoke         hsd-serve end-to-end smoke: one build, four
+#                            boots on ephemeral ports — predict, healthz,
+#                            metrics; the -pprof debug surface;
+#                            /debug/trace dark by default (404); -trace
+#                            with mixed fast/slow/429 traffic asserting
+#                            tail-keep retention, request/batch stage trees
+#                            with cross-linkage and the p99 trace-ID
+#                            exemplar on the metrics scrape — each ending in
+#                            a SIGINT drain and zero exit
 #   8. scripts/trainsmoke    hsd-train observability smoke: tiny suite,
 #                            -telemetry JSONL (manifest/epoch/result) and
 #                            -metrics-out stage summaries parse and assert
@@ -35,12 +41,6 @@
 #                            exhaust mid-batch, asserts exact ODST-seconds
 #                            accounting, truncation, the JSONL manifest and
 #                            the hsd_litho_*/hsd_active_* metrics series
-#  11. scripts/tracesmoke    hsd-serve trace smoke: /debug/trace dark by
-#                            default (404), then -trace with mixed
-#                            fast/slow/429 traffic asserting tail-keep
-#                            retention, request/batch stage trees with
-#                            cross-linkage, and the p99 trace-ID exemplar
-#                            on the metrics scrape
 #
 # Usage: scripts/check.sh [-short|-lint-only]
 #   -short      pass -short to go test (skips the slow experiment suites)
@@ -101,8 +101,5 @@ go run ./scripts/scansmoke
 
 echo "==> hsd-active smoke"
 go run ./scripts/activesmoke
-
-echo "==> hsd-serve trace smoke"
-go run ./scripts/tracesmoke
 
 echo "check gate: all legs green"

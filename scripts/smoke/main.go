@@ -1,8 +1,24 @@
 // Command smoke is the hsd-serve end-to-end smoke: it builds the server
-// binary, boots it on an ephemeral port with a random-weight network,
-// exercises the public surface (predict, healthz, metrics, the debug
-// surface gated by -pprof), then sends SIGINT and verifies a clean drain
-// and zero exit. scripts/check.sh runs it as the serving leg of the gate.
+// binary once and boots it four times on an ephemeral port with a
+// random-weight network.
+//
+//   - public: predict, healthz, metrics, and the debug surface dark
+//     without -pprof;
+//   - debug: -pprof serves the profiling and registry dump endpoints;
+//   - trace-dark: without -trace the flight recorder does not exist, so
+//     GET /debug/trace 404s like the pprof surface;
+//   - trace-lit: -trace with mixed traffic — fast cache-less predicts, a
+//     concurrency burst against a 2-slot queue until a 429 lands, and one
+//     final quiescent predict — asserting the recorder's tail-keep
+//     retention and trace shapes: the 429 is kept with reason "error", a
+//     "slow" keep exists, the final predict's trace carries decode,
+//     raster and hash spans and a queue span naming its batch trace, the
+//     batch trace names the member request back and carries extract/infer
+//     stage spans, and the /metrics exposition links the slowest request
+//     via a q="max" trace-ID exemplar.
+//
+// Every boot ends with SIGINT and verifies a clean drain and zero exit.
+// scripts/check.sh runs it as the serving leg of the gate.
 //
 // It is deliberately a Go program rather than shell: the checks (JSON
 // shape, probability range, metrics counters, exit status) are exact,
@@ -22,6 +38,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"hotspot/internal/parallel"
 )
 
 const killAfter = 60 * time.Second
@@ -32,7 +50,7 @@ func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("smoke: hsd-serve predict/healthz/metrics/pprof/shutdown OK")
+	fmt.Println("smoke: hsd-serve predict/healthz/metrics/pprof/trace/shutdown OK")
 }
 
 // server is one booted hsd-serve process with its stdout scanner.
@@ -47,10 +65,7 @@ type server struct {
 // listen banner. The kill guard shoots the process after killAfter so a
 // wedged server fails the gate instead of hanging it.
 func boot(bin string, extra ...string) (*server, error) {
-	args := append([]string{
-		"-untrained", "-addr", "127.0.0.1:0",
-		"-max-batch", "8", "-max-wait", "2ms", "-workers", "2",
-	}, extra...)
+	args := append([]string{"-untrained", "-addr", "127.0.0.1:0", "-workers", "2"}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
@@ -125,17 +140,19 @@ func run() error {
 		return fmt.Errorf("build hsd-serve: %w", err)
 	}
 
-	if err := publicSurface(bin); err != nil {
-		return err
+	for _, step := range []func(string) error{publicSurface, debugSurface, darkTrace, litTrace} {
+		if err := step(bin); err != nil {
+			return err
+		}
 	}
-	return debugSurface(bin)
+	return nil
 }
 
 // publicSurface boots without -pprof and checks predict, healthz, the
 // metrics exposition (including the obs-registry series behind it), and
 // that the debug endpoints are dark by default.
 func publicSurface(bin string) error {
-	srv, err := boot(bin)
+	srv, err := boot(bin, "-max-batch", "8", "-max-wait", "2ms")
 	if err != nil {
 		return err
 	}
@@ -202,7 +219,7 @@ func publicSurface(bin string) error {
 // debugSurface boots with -pprof and checks the profiling and registry
 // dump endpoints actually serve.
 func debugSurface(bin string) error {
-	srv, err := boot(bin, "-pprof")
+	srv, err := boot(bin, "-pprof", "-max-batch", "8", "-max-wait", "2ms")
 	if err != nil {
 		return err
 	}
@@ -232,30 +249,305 @@ func debugSurface(bin string) error {
 	return srv.shutdown()
 }
 
+// dump mirrors trace.DumpJSON; the smoke decodes the wire shape with its
+// own structs so a dump-format regression fails here, not just in unit
+// tests.
+type dump struct {
+	Recorded int64   `json:"recorded"`
+	Kept     int     `json:"kept"`
+	Dropped  int64   `json:"dropped"`
+	Traces   []trace `json:"traces"`
+}
+
+type trace struct {
+	TraceID string         `json:"trace_id"`
+	Seq     uint64         `json:"seq"`
+	Name    string         `json:"name"`
+	Status  int            `json:"status"`
+	Error   string         `json:"error"`
+	Kept    []string       `json:"kept"`
+	Attrs   map[string]any `json:"attrs"`
+	Spans   []span         `json:"spans"`
+}
+
+type span struct {
+	Name     string         `json:"name"`
+	Attrs    map[string]any `json:"attrs"`
+	Children []span         `json:"children"`
+}
+
+// darkTrace boots without -trace: the flight recorder must not exist,
+// so GET /debug/trace 404s like any unknown path, while the service
+// itself answers.
+func darkTrace(bin string) error {
+	srv, err := boot(bin)
+	if err != nil {
+		return err
+	}
+	fail := func(step string, err error) error {
+		srv.kill()
+		return fmt.Errorf("dark %s: %w", step, err)
+	}
+	if code, _, err := post(srv.base+"/v1/predict", clip(0)); err != nil || code != http.StatusOK {
+		return fail("predict", fmt.Errorf("status %d, err %v", code, err))
+	}
+	code, err := getStatus(srv.base + "/debug/trace")
+	if err != nil {
+		return fail("debug-trace", err)
+	}
+	if code != http.StatusNotFound {
+		return fail("debug-trace", fmt.Errorf("status %d, want 404 when tracing is dark", code))
+	}
+	return srv.shutdown()
+}
+
+// litTrace boots with -trace on a deliberately tiny queue, drives mixed
+// traffic, and checks retention, trace shapes, batch linkage, and the
+// metrics exemplar.
+func litTrace(bin string) error {
+	srv, err := boot(bin, "-trace", "-queue", "2", "-max-batch", "4", "-max-wait", "20ms", "-cache", "0")
+	if err != nil {
+		return err
+	}
+	fail := func(step string, err error) error {
+		srv.kill()
+		return fmt.Errorf("lit %s: %w", step, err)
+	}
+
+	// Warm-up predicts: distinct clips (the cache is off anyway), all 200.
+	next := 0
+	for i := 0; i < 3; i++ {
+		code, body, err := post(srv.base+"/v1/predict", clip(next))
+		next++
+		if err != nil || code != http.StatusOK {
+			return fail("warmup", fmt.Errorf("status %d, err %v: %s", code, err, body))
+		}
+	}
+
+	// Concurrency bursts against the 2-slot queue until a 429 lands. Each
+	// attempt fires 16 distinct clips at once over the repo's own bounded
+	// fan-out; with queue 2 + 20ms flush deadline the overflow fails fast.
+	const burst = 16
+	pool := parallel.New(burst)
+	saw429 := false
+	for attempt := 0; attempt < 20 && !saw429; attempt++ {
+		base := next
+		codes, err := parallel.Map(pool, burst, func(_, i int) (int, error) {
+			c, _, err := post(srv.base+"/v1/predict", clip(base+i))
+			return c, err
+		})
+		next += burst
+		if err != nil {
+			return fail("burst", err)
+		}
+		for _, c := range codes {
+			if c == http.StatusTooManyRequests {
+				saw429 = true
+			}
+		}
+	}
+	if !saw429 {
+		return fail("burst", fmt.Errorf("no 429 after 20 bursts against a 2-slot queue"))
+	}
+
+	// One final quiescent predict: with the burst drained, this request
+	// and its batch are the most recent traces — guaranteed in the recent
+	// ring for the linkage assertions.
+	time.Sleep(100 * time.Millisecond)
+	code, body, err := post(srv.base+"/v1/predict", clip(next))
+	if err != nil || code != http.StatusOK {
+		return fail("final predict", fmt.Errorf("status %d, err %v: %s", code, err, body))
+	}
+
+	// The batch trace finishes on the flush loop after replies go out:
+	// poll the dump until the final predict's batch is linked (sleep-count
+	// bounded at ~5s so a wedged flush fails the leg, not the kill guard).
+	var d dump
+	var last, batch *trace
+	for attempt := 0; ; attempt++ {
+		raw, err := get(srv.base + "/debug/trace")
+		if err != nil {
+			return fail("debug-trace", err)
+		}
+		d = dump{}
+		if err := json.Unmarshal([]byte(raw), &d); err != nil {
+			return fail("debug-trace", fmt.Errorf("bad JSON: %w\n%s", err, raw))
+		}
+		last, batch = findLinkedPair(&d)
+		if batch != nil || attempt >= 250 {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// Retention accounting: everything the traffic produced was recorded,
+	// and the kept set matches the trace list.
+	if d.Recorded < 20 {
+		return fail("retention", fmt.Errorf("recorded %d traces, want >= 20", d.Recorded))
+	}
+	if d.Kept != len(d.Traces) || d.Dropped != d.Recorded-int64(d.Kept) {
+		return fail("retention", fmt.Errorf("inconsistent accounting: recorded %d kept %d dropped %d traces %d",
+			d.Recorded, d.Kept, d.Dropped, len(d.Traces)))
+	}
+
+	// The 429 survived the boring traffic that followed: kept as "error".
+	found429 := false
+	sawSlow := false
+	for i := range d.Traces {
+		tr := &d.Traces[i]
+		for _, k := range tr.Kept {
+			if k == "slow" {
+				sawSlow = true
+			}
+		}
+		if tr.Status != http.StatusTooManyRequests {
+			continue
+		}
+		for _, k := range tr.Kept {
+			if k == "error" {
+				found429 = true
+			}
+		}
+		if tr.Error == "" {
+			return fail("429-trace", fmt.Errorf("429 trace %s carries no error message", tr.TraceID))
+		}
+	}
+	if !found429 {
+		return fail("429-trace", fmt.Errorf("no 429 trace kept with reason \"error\" among %d traces", len(d.Traces)))
+	}
+	if !sawSlow {
+		return fail("slow-keep", fmt.Errorf("no trace kept with reason \"slow\""))
+	}
+
+	// Stage tree + batch linkage for the final predict.
+	if last == nil {
+		return fail("linkage", fmt.Errorf("no 200 predict trace with a queue span in the dump"))
+	}
+	if batch == nil {
+		return fail("linkage", fmt.Errorf("predict %s names batch %q but no such batch trace was dumped",
+			last.TraceID, batchID(last)))
+	}
+	for _, name := range []string{"decode", "raster", "hash"} {
+		if !hasSpan(last.Spans, name) {
+			return fail("linkage", fmt.Errorf("predict trace %s has no %s span", last.TraceID, name))
+		}
+	}
+	if !hasSpan(batch.Spans, "extract") || !hasSpan(batch.Spans, "infer") {
+		return fail("linkage", fmt.Errorf("batch trace %s missing extract/infer spans", batch.TraceID))
+	}
+	member := false
+	for k, v := range batch.Attrs {
+		if strings.HasPrefix(k, "member_") && v == last.TraceID {
+			member = true
+		}
+	}
+	if !member {
+		return fail("linkage", fmt.Errorf("batch %s does not name member %s: %v", batch.TraceID, last.TraceID, batch.Attrs))
+	}
+
+	// The scrape links the slowest windowed request into the recorder, and
+	// carries the build-info gauge.
+	metrics, err := get(srv.base + "/metrics")
+	if err != nil {
+		return fail("metrics", err)
+	}
+	for _, want := range []string{`q="max",trace_id="`, `hsd_build_info{`} {
+		if !strings.Contains(metrics, want) {
+			return fail("metrics", fmt.Errorf("missing %q in:\n%s", want, metrics))
+		}
+	}
+
+	return srv.shutdown()
+}
+
+// findLinkedPair returns the newest 200 predict trace that has a queue
+// span naming a batch, and the batch trace it names (nil until the flush
+// loop has finished that batch's trace).
+func findLinkedPair(d *dump) (last, batch *trace) {
+	for i := range d.Traces {
+		tr := &d.Traces[i]
+		if tr.Name == "predict" && tr.Status == http.StatusOK && batchID(tr) != "" {
+			if last == nil || tr.Seq > last.Seq {
+				last = tr
+			}
+		}
+	}
+	if last == nil {
+		return nil, nil
+	}
+	want := batchID(last)
+	for i := range d.Traces {
+		tr := &d.Traces[i]
+		if tr.Name == "batch" && tr.TraceID == want {
+			return last, tr
+		}
+	}
+	return last, nil
+}
+
+// batchID extracts the batch_id attribute from a predict trace's queue
+// span ("" when absent).
+func batchID(tr *trace) string {
+	for _, sp := range tr.Spans {
+		if sp.Name == "queue" {
+			if id, ok := sp.Attrs["batch_id"].(string); ok {
+				return id
+			}
+		}
+	}
+	return ""
+}
+
+func hasSpan(spans []span, name string) bool {
+	for _, sp := range spans {
+		if sp.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// clip builds a distinct predict request body: a vertical wire whose
+// position varies with i, so every clip hashes differently.
+func clip(i int) []byte {
+	x0 := 40 + (i%20)*55
+	y0 := (i / 20 * 37) % 600
+	return []byte(fmt.Sprintf(`{"frame":{"x0":0,"y0":0,"x1":1200,"y1":1200},`+
+		`"rects":[{"x0":%d,"y0":%d,"x1":%d,"y1":1200}]}`, x0, y0, x0+60))
+}
+
 func postPredict(base string, body []byte) (float64, error) {
-	resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+	code, raw, err := post(base+"/v1/predict", body)
 	if err != nil {
 		return 0, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+	if code != http.StatusOK {
+		return 0, fmt.Errorf("status %d: %s", code, raw)
 	}
 	var pr struct {
 		Prob    *float64 `json:"prob"`
 		Hotspot *bool    `json:"hotspot"`
 	}
-	if err := json.Unmarshal(raw, &pr); err != nil {
+	if err := json.Unmarshal([]byte(raw), &pr); err != nil {
 		return 0, fmt.Errorf("bad JSON %q: %w", raw, err)
 	}
 	if pr.Prob == nil || pr.Hotspot == nil {
 		return 0, fmt.Errorf("response %q missing prob/hotspot", raw)
 	}
 	return *pr.Prob, nil
+}
+
+func post(url string, body []byte) (int, string, error) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, "", err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, "", err
+	}
+	return resp.StatusCode, string(raw), nil
 }
 
 func get(url string) (string, error) {
