@@ -43,7 +43,7 @@ func TestBasisPanicsOnBadSize(t *testing.T) {
 func TestForward1DDC(t *testing.T) {
 	// Constant signal has all energy in the DC coefficient.
 	src := []float64{3, 3, 3, 3}
-	out := Forward1D(src)
+	out := forward1D(src)
 	if !almostEqual(out[0], 6, 1e-12) { // sqrt(1/4)*12 = 6
 		t.Fatalf("DC = %v, want 6", out[0])
 	}
@@ -61,7 +61,7 @@ func TestRoundTrip1D(t *testing.T) {
 		for i := range src {
 			src[i] = rng.NormFloat64()
 		}
-		back := Inverse1D(Forward1D(src))
+		back := inverse1D(forward1D(src))
 		for i := range src {
 			if !almostEqual(back[i], src[i], 1e-10) {
 				t.Fatalf("n=%d roundtrip failed at %d", n, i)
@@ -81,7 +81,7 @@ func TestParseval1D(t *testing.T) {
 			src[i] = r.NormFloat64()
 			e1 += src[i] * src[i]
 		}
-		out := Forward1D(src)
+		out := forward1D(src)
 		e2 := 0.0
 		for _, v := range out {
 			e2 += v * v
@@ -101,7 +101,7 @@ func TestRoundTrip2D(t *testing.T) {
 		for i := range src {
 			src[i] = rng.Float64()
 		}
-		coef, err := Forward2D(src, h, w)
+		coef, err := forward2D(src, h, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestParseval2D(t *testing.T) {
 			src[i] = r.NormFloat64()
 			e1 += src[i] * src[i]
 		}
-		coef, err := Forward2D(src, h, w)
+		coef, err := forward2D(src, h, w)
 		if err != nil {
 			return false
 		}
@@ -160,12 +160,12 @@ func TestForward2DSeparability(t *testing.T) {
 			src[y*w+x] = fy[y] * fx[x]
 		}
 	}
-	coef, err := Forward2D(src, h, w)
+	coef, err := forward2D(src, h, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cy := Forward1D(fy)
-	cx := Forward1D(fx)
+	cy := forward1D(fy)
+	cx := forward1D(fx)
 	for u := 0; u < h; u++ {
 		for v := 0; v < w; v++ {
 			if !almostEqual(coef[u*w+v], cy[u]*cx[v], 1e-10) {
@@ -176,10 +176,10 @@ func TestForward2DSeparability(t *testing.T) {
 }
 
 func TestForward2DErrors(t *testing.T) {
-	if _, err := Forward2D(make([]float64, 5), 2, 2); err == nil {
+	if _, err := forward2D(make([]float64, 5), 2, 2); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
-	if _, err := Forward2D(nil, 0, 0); err == nil {
+	if _, err := forward2D(nil, 0, 0); err == nil {
 		t.Fatal("expected dimension error")
 	}
 	if _, err := Inverse2D(make([]float64, 5), 2, 2); err == nil {
@@ -197,12 +197,12 @@ func TestForwardTruncated2DMatchesFull(t *testing.T) {
 	for i := range src {
 		src[i] = rng.Float64()
 	}
-	full, err := Forward2D(src, h, w)
+	full, err := forward2D(src, h, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 6, 10} {
-		trunc, err := ForwardTruncated2D(src, h, w, k, k)
+		trunc, err := forwardTruncated2D(src, h, w, k, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,13 +218,13 @@ func TestForwardTruncated2DMatchesFull(t *testing.T) {
 
 func TestForwardTruncated2DErrors(t *testing.T) {
 	src := make([]float64, 16)
-	if _, err := ForwardTruncated2D(src, 4, 4, 5, 2); err == nil {
+	if _, err := forwardTruncated2D(src, 4, 4, 5, 2); err == nil {
 		t.Fatal("expected truncation > block error")
 	}
-	if _, err := ForwardTruncated2D(src, 4, 4, 0, 2); err == nil {
+	if _, err := forwardTruncated2D(src, 4, 4, 0, 2); err == nil {
 		t.Fatal("expected non-positive truncation error")
 	}
-	if _, err := ForwardTruncated2D(src, 5, 4, 2, 2); err == nil {
+	if _, err := forwardTruncated2D(src, 5, 4, 2, 2); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
 }
@@ -385,7 +385,7 @@ func TestTruncationEnergyDominance(t *testing.T) {
 			src[y*w+x] = math.Cos(math.Pi*float64(x)/float64(w)) + 0.5*math.Sin(math.Pi*float64(y)/float64(h))
 		}
 	}
-	coef, err := Forward2D(src, h, w)
+	coef, err := forward2D(src, h, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package feature
 
 import (
 	"testing"
+
+	"hotspot/internal/geom"
+	"hotspot/internal/raster"
 )
 
 // TestBlockEncoderMatchesExtractTensor drives the scan engine's parity
@@ -78,5 +81,84 @@ func TestNewBlockEncoderErrors(t *testing.T) {
 	bad := TensorConfig{Blocks: 0, K: 32, ResNM: 4}
 	if _, err := bad.NewBlockEncoder(10); err == nil {
 		t.Error("expected error for invalid config")
+	}
+}
+
+// servedClip is a serve-shaped clip: a 1600 nm frame whose centered
+// 1200 nm core the default configuration turns into a 300×300 image of
+// 25-pixel blocks, with wires crossing the core's edges.
+func servedClip() (geom.Clip, geom.Rect) {
+	return geom.NewClip(geom.R(0, 0, 1600, 1600), []geom.Rect{
+		geom.R(150, 0, 230, 1600),
+		geom.R(610, 190, 690, 1410),
+		geom.R(0, 700, 1600, 770),
+		geom.R(1010, 1010, 1390, 1090),
+	}), geom.R(200, 200, 1400, 1400)
+}
+
+// TestExtractAllocations pins the per-clip allocation budget of the serve
+// front end: the core image is its header and its pixels, and a tensor
+// extraction is the encoder, the tensor and nothing per block.
+func TestExtractAllocations(t *testing.T) {
+	clip, core := servedClip()
+	cfg := DefaultTensorConfig()
+	im, err := ExtractCoreImage(clip, core, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExtractTensorFromImage(im, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ExtractCoreImage(clip, core, cfg) }); n > 2 {
+		t.Errorf("ExtractCoreImage: %v allocations per clip, want at most 2", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { _, _ = ExtractTensorFromImage(im, cfg) }); n > 10 {
+		t.Errorf("ExtractTensorFromImage: %v allocations per clip, want at most 10", n)
+	}
+	reuse := raster.NewImage(im.W, im.H)
+	if n := testing.AllocsPerRun(5, func() { _, _ = RasterizeCore(reuse, clip, core, cfg) }); n != 0 {
+		t.Errorf("RasterizeCore into a reused image: %v allocations, want 0", n)
+	}
+}
+
+// TestEncodeIntoErrors: EncodeInto validates the block and dst lengths
+// before it reaches the kernel.
+func TestEncodeIntoErrors(t *testing.T) {
+	enc, err := testCfg().NewBlockEncoder(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.EncodeInto(make([]float64, 32), make([]float64, 99)); err == nil {
+		t.Error("expected error for a short block")
+	}
+	if err := enc.EncodeInto(make([]float64, 31), make([]float64, 100)); err == nil {
+		t.Error("expected error for a short dst")
+	}
+}
+
+func BenchmarkExtractCoreImage(b *testing.B) {
+	clip, core := servedClip()
+	cfg := DefaultTensorConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExtractCoreImage(clip, core, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkExtractTensorFromImage(b *testing.B) {
+	clip, core := servedClip()
+	cfg := DefaultTensorConfig()
+	im, err := ExtractCoreImage(clip, core, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExtractTensorFromImage(im, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -99,8 +99,8 @@ func ExtractCCS(clip geom.Clip, core geom.Rect, cfg CCSConfig) ([]float64, error
 		samples := cfg.SamplesBase + cfg.SamplesStep*i
 		for s := 0; s < samples; s++ {
 			theta := 2 * math.Pi * float64(s) / float64(samples)
-			px := cx + radius*math.Cos(theta)
-			py := cy + radius*math.Sin(theta)
+			px := cx + float64(radius*math.Cos(theta))
+			py := cy + float64(radius*math.Sin(theta))
 			out = append(out, probeMean(im, int(px), int(py), probePx))
 		}
 	}

@@ -23,7 +23,7 @@ func SqDist(a, b []float64) (float64, error) {
 	s := 0.0
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s, nil
 }

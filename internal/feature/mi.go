@@ -60,7 +60,7 @@ func MutualInformation(x []float64, y []bool, bins int) (float64, error) {
 			if pbc == 0 {
 				continue
 			}
-			mi += pbc * math.Log(pbc/(pb*py[c]/n))
+			mi += float64(pbc * math.Log(pbc/(pb*py[c]/n)))
 		}
 	}
 	if mi < 0 {

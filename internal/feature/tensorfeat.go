@@ -110,6 +110,7 @@ type BlockEncoder struct {
 	blockPx int
 	k       int
 	scale   float64
+	dct     dct.Truncated
 	zigzag  []int     // zigzag[i] = row-major index into the corner block
 	coef    []float64 // corner×corner truncated-DCT output
 	tmp     []float64 // row-transform scratch
@@ -125,6 +126,10 @@ func (c TensorConfig) NewBlockEncoder(blockPx int) (*BlockEncoder, error) {
 		return nil, fmt.Errorf("feature: block size %d incompatible with K=%d", blockPx, c.K)
 	}
 	corner := dct.CoefficientCorner(blockPx, c.K)
+	tr, err := dct.NewTruncated(blockPx, blockPx, corner, corner)
+	if err != nil {
+		return nil, err
+	}
 	order := dct.ZigZagOrder(blockPx, blockPx)
 	zig := make([]int, c.K)
 	for i := 0; i < c.K; i++ {
@@ -139,9 +144,10 @@ func (c TensorConfig) NewBlockEncoder(blockPx int) (*BlockEncoder, error) {
 		blockPx: blockPx,
 		k:       c.K,
 		scale:   scale,
+		dct:     tr,
 		zigzag:  zig,
 		coef:    make([]float64, corner*corner),
-		tmp:     make([]float64, blockPx*corner),
+		tmp:     make([]float64, tr.TmpLen()),
 	}, nil
 }
 
@@ -153,18 +159,31 @@ func (e *BlockEncoder) K() int { return e.k }
 
 // EncodeInto writes the block's K scaled zig-zag coefficients into dst.
 // block must hold blockPx² row-major pixels and dst at least K values.
-//
-//hsd:noalloc
 func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 	b := e.blockPx
-	corner := len(e.tmp) / b
-	if err := dct.ForwardTruncated2DInto(e.coef, e.tmp, block, b, b, corner, corner); err != nil {
-		return err
+	if len(block) != b*b {
+		return fmt.Errorf("feature: block length %d does not match %dx%d", len(block), b, b)
 	}
-	for i, idx := range e.zigzag {
-		dst[i] = e.coef[idx] * e.scale
+	if len(dst) < e.k {
+		return fmt.Errorf("feature: dst length %d below K=%d", len(dst), e.k)
 	}
+	e.EncodeStrided(dst, 1, block, b)
 	return nil
+}
+
+// EncodeStrided is EncodeInto for a block read in place and coefficients
+// scattered in place: row y of the block is pix[y·stride : y·stride+blockPx],
+// and coefficient i is written to dst[i·dstStride]. The per-clip extractor
+// passes the core image's row stride and the tensor's channel plane, so no
+// block is copied in or out; the scan engine passes its tile's stride and
+// a cache slot. Short slices panic.
+//
+//hsd:noalloc
+func (e *BlockEncoder) EncodeStrided(dst []float64, dstStride int, pix []float64, stride int) {
+	e.dct.Forward(e.coef, e.tmp, pix, stride)
+	for i, idx := range e.zigzag {
+		dst[i*dstStride] = e.coef[idx] * e.scale
+	}
 }
 
 // ExtractTensor computes the feature tensor of the core window of a clip:
@@ -196,23 +215,35 @@ func ExtractTensor(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*tensor.Te
 	return extractFromImage(coreIm, b, cfg)
 }
 
-// ExtractCoreImage rasterizes a clip and crops its core window — the
-// exact pixel grid ExtractTensor feeds into the blocked DCT. It is split
+// ExtractCoreImage rasterizes a clip's core window — the exact pixel grid
+// ExtractTensor feeds into the blocked DCT — into a new image. It is split
 // out so online callers (the inference server) can rasterize once, hash
 // the pixels for clip deduplication, and hand the same image to
 // ExtractTensorFromImage without re-rasterizing.
 func ExtractCoreImage(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
-	st := trace.Time(rasterSum)
-	im, err := raster.Rasterize(clip, cfg.ResNM)
-	if st.Done(err) != nil {
-		return nil, err
+	return RasterizeCore(nil, clip, core, cfg)
+}
+
+// RasterizeCore is ExtractCoreImage drawing into dst's storage when it
+// has room (raster.Reuse), so a caller that recycles core images pays no
+// allocation. Only the core window of the clip's frame is rasterized; its
+// pixels equal a full-frame raster.Rasterize cropped to the core, bit for
+// bit.
+func RasterizeCore(dst *raster.Image, clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
+	if cfg.ResNM <= 0 {
+		return nil, fmt.Errorf("feature: ResNM must be positive, got %d", cfg.ResNM)
 	}
-	// Rasterize normalizes the clip to the origin, so core offsets are
-	// relative to the frame's lower-left corner.
+	// Window offsets are relative to the frame's lower-left corner, the
+	// origin of the frame's pixel grid.
 	x0 := (core.X0 - clip.Frame.X0) / cfg.ResNM
 	y0 := (core.Y0 - clip.Frame.Y0) / cfg.ResNM
 	side := core.W() / cfg.ResNM
-	return im.SubImage(x0, y0, x0+side, y0+side)
+	st := trace.Time(rasterSum)
+	im, err := raster.RasterizeWindow(dst, clip, cfg.ResNM, x0, y0, side, side)
+	if st.Done(err) != nil {
+		return nil, err
+	}
+	return im, nil
 }
 
 // ExtractTensors extracts the feature tensor of every clip's core window,
@@ -230,8 +261,9 @@ func ExtractTensors(clips []geom.Clip, core geom.Rect, cfg TensorConfig, workers
 // extractFromImage runs block-DCT encoding over an already-rasterized core
 // through the shared BlockEncoder — the same kernel the scan engine's
 // block cache runs, which is what makes scan-vs-per-clip bit parity
-// structural rather than coincidental. The block loop is timed once per
-// clip as the feature/dct stage.
+// structural rather than coincidental. Each block is read in place from
+// the image and its coefficients land straight in the tensor's channel
+// planes. The block loop is timed once per clip as the feature/dct stage.
 func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor, error) {
 	n := cfg.Blocks
 	enc, err := cfg.NewBlockEncoder(b)
@@ -239,22 +271,11 @@ func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor
 		return nil, err
 	}
 	out := tensor.New(cfg.K, n, n)
-	block := make([]float64, b*b)
-	vec := make([]float64, cfg.K)
+	data := out.Data()
 	st := trace.Time(dctSum)
 	for by := 0; by < n; by++ {
 		for bx := 0; bx < n; bx++ {
-			for y := 0; y < b; y++ {
-				srcRow := (by*b + y) * im.W
-				copy(block[y*b:(y+1)*b], im.Pix[srcRow+bx*b:srcRow+bx*b+b])
-			}
-			if err := enc.EncodeInto(vec, block); err != nil {
-				st.Abort()
-				return nil, err
-			}
-			for i := 0; i < cfg.K; i++ {
-				out.Set(vec[i], i, by, bx)
-			}
+			enc.EncodeStrided(data[by*n+bx:], n*n, im.Pix[by*b*im.W+bx*b:], im.W)
 		}
 	}
 	st.End()

@@ -79,12 +79,19 @@ var bufSpecs = map[string]bufSpec{
 		},
 		anySlice: true,
 	},
-	// feature's EncodeInto is the shared per-block DCT kernel both the
-	// per-clip extractor and the scan cache drive; its scratch lives on the
-	// BlockEncoder. SqDist is the active selector's pairwise-distance
-	// kernel, called once per (candidate, center) pair per k-center step —
-	// it takes raw slices precisely so it allocates nothing.
-	"feature": {hot: func(name string) bool { return name == "EncodeInto" || name == "SqDist" }},
+	// feature's EncodeStrided is the shared per-block DCT kernel both the
+	// per-clip extractor and the scan cache drive, and EncodeInto its
+	// validating entry; their scratch lives on the BlockEncoder. SqDist is
+	// the active selector's pairwise-distance kernel, called once per
+	// (candidate, center) pair per k-center step — it takes raw slices
+	// precisely so it allocates nothing.
+	"feature": {hot: func(name string) bool {
+		switch name {
+		case "EncodeInto", "EncodeStrided", "SqDist":
+			return true
+		}
+		return false
+	}},
 	// active's updateMinDist is the k-center inner loop, run once per
 	// (candidate, center) pair per selection round as a parallel worker
 	// body; candidate scratch lives on the selector and is reused across

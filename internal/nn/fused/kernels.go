@@ -71,7 +71,7 @@ func convSparse(o *op) {
 			}
 			brow := o.base[o.off[p] : o.off[p]+w]
 			for j, bv := range brow {
-				d[j] += av * bv
+				d[j] += float64(av * bv)
 			}
 		}
 		tensor.BiasReLURow(d, o.bias[i], o.relu)
@@ -124,10 +124,10 @@ func denseRun(o *op, x []float64) {
 		r3 := w[(i+3)*k : (i+3)*k+k]
 		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
 		for j, v := range x {
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
+			s0 += float64(r0[j] * v)
+			s1 += float64(r1[j] * v)
+			s2 += float64(r2[j] * v)
+			s3 += float64(r3[j] * v)
 		}
 		s0 += bias[i]
 		s1 += bias[i+1]
@@ -142,7 +142,7 @@ func denseRun(o *op, x []float64) {
 		row := w[i*k : i*k+k]
 		s := 0.0
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		s += bias[i]
 		if o.relu {

@@ -74,14 +74,34 @@ func (im *Image) Threshold(th float64) *Image {
 // SubImage copies the window [x0,x1)×[y0,y1) into a new image. The window
 // must lie within the image.
 func (im *Image) SubImage(x0, y0, x1, y1 int) (*Image, error) {
-	if x0 < 0 || y0 < 0 || x1 > im.W || y1 > im.H || x0 > x1 || y0 > y1 {
-		return nil, fmt.Errorf("raster: subimage window (%d,%d)-(%d,%d) outside %dx%d", x0, y0, x1, y1, im.W, im.H)
+	if err := checkWindow(x0, y0, x1, y1, im.W, im.H); err != nil {
+		return nil, err
 	}
 	out := NewImage(x1-x0, y1-y0)
 	for y := y0; y < y1; y++ {
 		copy(out.Pix[(y-y0)*out.W:(y-y0+1)*out.W], im.Pix[y*im.W+x0:y*im.W+x1])
 	}
 	return out, nil
+}
+
+// checkWindow rejects a window [x0,x1)×[y0,y1) that does not lie within a
+// w×h pixel grid.
+func checkWindow(x0, y0, x1, y1, w, h int) error {
+	if x0 < 0 || y0 < 0 || x1 > w || y1 > h || x0 > x1 || y0 > y1 {
+		return fmt.Errorf("raster: subimage window (%d,%d)-(%d,%d) outside %dx%d", x0, y0, x1, y1, w, h)
+	}
+	return nil
+}
+
+// Reuse returns a zero-filled w×h image, drawn in dst's storage when dst
+// is non-nil and has room for w·h pixels and freshly allocated otherwise.
+func Reuse(dst *Image, w, h int) *Image {
+	if dst == nil || cap(dst.Pix) < w*h {
+		return NewImage(w, h)
+	}
+	dst.W, dst.H, dst.Pix = w, h, dst.Pix[:w*h]
+	clear(dst.Pix)
+	return dst
 }
 
 // Rasterize renders a clip at the given resolution (nanometres per pixel).
@@ -91,35 +111,85 @@ func Rasterize(c geom.Clip, resNM int) (*Image, error) {
 	if resNM <= 0 {
 		return nil, fmt.Errorf("raster: resolution must be positive, got %d", resNM)
 	}
-	n := c.Normalize()
-	w := (n.Frame.W() + resNM - 1) / resNM
-	h := (n.Frame.H() + resNM - 1) / resNM
-	im := NewImage(w, h)
+	w := (c.Frame.W() + resNM - 1) / resNM
+	h := (c.Frame.H() + resNM - 1) / resNM
+	return RasterizeWindow(nil, c, resNM, 0, 0, w, h)
+}
+
+// fullRow is a run of fully covered pixels for RasterizeWindow to copy.
+var fullRow = func() (r [256]float64) {
+	for i := range r {
+		r[i] = 1
+	}
+	return r
+}()
+
+// cover adds the part of the rectangle [rx0, rx1) × (ovY rows) that falls
+// in each pixel of seg, whose first pixel is column px0, saturating at 1:
+// Rasterize's per-pixel arithmetic.
+func cover(seg []float64, px0, rx0, rx1, resNM int, ovY, area float64) {
+	for i, p := range seg {
+		cellX0 := (px0 + i) * resNM
+		ovX := min(rx1, cellX0+resNM) - max(rx0, cellX0)
+		v := p + float64(ovX)*ovY/area
+		if v > 1 {
+			v = 1
+		}
+		seg[i] = v
+	}
+}
+
+// RasterizeWindow renders pixels [x0,x0+w)×[y0,y0+h) of Rasterize's grid
+// for the clip, drawing into dst's storage as Reuse does, and returns the
+// w×h image. Each pixel accumulates the same rectangles in the same order
+// with the same arithmetic as in Rasterize, so the result equals
+// Rasterize followed by SubImage bit for bit, and the rest of the frame is
+// never drawn. A window outside the frame's grid fails with SubImage's
+// error, before anything is allocated.
+//
+// Each rectangle is first clamped to the window, which leaves every
+// window pixel's overlap unchanged and keeps a rectangle past the frame's
+// edges from indexing outside the window. A pixel a rectangle covers
+// whole is stored as exactly 1: its ovX·ovY/area is exactly 1.0 and
+// pixels are never negative, so the saturating sum is 1 whatever the
+// pixel held.
+func RasterizeWindow(dst *Image, c geom.Clip, resNM, x0, y0, w, h int) (*Image, error) {
+	if resNM <= 0 {
+		return nil, fmt.Errorf("raster: resolution must be positive, got %d", resNM)
+	}
+	gw := (c.Frame.W() + resNM - 1) / resNM
+	gh := (c.Frame.H() + resNM - 1) / resNM
+	if err := checkWindow(x0, y0, x0+w, y0+h, gw, gh); err != nil {
+		return nil, err
+	}
+	im := Reuse(dst, w, h)
+	wx0, wx1 := x0*resNM, (x0+w)*resNM // the window in frame-relative nm
+	wy0, wy1 := y0*resNM, (y0+h)*resNM
 	area := float64(resNM) * float64(resNM)
-	for _, r := range n.Rects {
-		px0 := r.X0 / resNM
-		px1 := (r.X1 + resNM - 1) / resNM
-		py0 := r.Y0 / resNM
-		py1 := (r.Y1 + resNM - 1) / resNM
-		for py := py0; py < py1 && py < h; py++ {
-			cellY0, cellY1 := py*resNM, (py+1)*resNM
-			ovY := minInt(r.Y1, cellY1) - maxInt(r.Y0, cellY0)
-			if ovY <= 0 {
+	for _, r := range c.Rects {
+		rx0, rx1 := max(r.X0-c.Frame.X0, wx0), min(r.X1-c.Frame.X0, wx1)
+		ry0, ry1 := max(r.Y0-c.Frame.Y0, wy0), min(r.Y1-c.Frame.Y0, wy1)
+		if rx1 <= rx0 || ry1 <= ry0 {
+			continue
+		}
+		px0, px1 := rx0/resNM, (rx1+resNM-1)/resNM
+		py0, py1 := ry0/resNM, (ry1+resNM-1)/resNM
+		// Columns [ix0, ix1) lie wholly inside the rectangle.
+		ix0, ix1 := (rx0+resNM-1)/resNM, rx1/resNM
+		for py := py0; py < py1; py++ {
+			cellY0 := py * resNM
+			ovY := min(ry1, cellY0+resNM) - max(ry0, cellY0)
+			// row[i] is pixel x0+i of the window's row py.
+			row := im.Pix[(py-y0)*w : (py-y0+1)*w]
+			if ovY < resNM || ix0 >= ix1 {
+				cover(row[px0-x0:px1-x0], px0, rx0, rx1, resNM, float64(ovY), area)
 				continue
 			}
-			row := im.Pix[py*w:]
-			for px := px0; px < px1 && px < w; px++ {
-				cellX0, cellX1 := px*resNM, (px+1)*resNM
-				ovX := minInt(r.X1, cellX1) - maxInt(r.X0, cellX0)
-				if ovX <= 0 {
-					continue
-				}
-				v := row[px] + float64(ovX)*float64(ovY)/area
-				if v > 1 {
-					v = 1
-				}
-				row[px] = v
+			for run := row[ix0-x0 : ix1-x0]; len(run) > 0; {
+				run = run[copy(run, fullRow[:]):]
 			}
+			cover(row[px0-x0:ix0-x0], px0, rx0, rx1, resNM, float64(ovY), area)
+			cover(row[ix1-x0:px1-x0], ix1, rx0, rx1, resNM, float64(ovY), area)
 		}
 	}
 	return im, nil
@@ -174,20 +244,6 @@ func (im *Image) Downsample(factor int) (*Image, error) {
 	return out, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // WritePGM writes the image as a binary 8-bit PGM (portable graymap),
 // clamping pixel values to [0, 1]. Rows are written top-down per PGM
 // convention (our y axis points up, so the image is flipped on output).
@@ -210,7 +266,7 @@ func (im *Image) WritePGM(w io.Writer) error {
 			if v > 1 {
 				v = 1
 			}
-			row[x] = byte(v*255 + 0.5)
+			row[x] = byte(float64(v*255) + 0.5)
 		}
 		if _, err := w.Write(row); err != nil {
 			return err

@@ -128,14 +128,13 @@ func (r *Result) HotWindows() int {
 	return n
 }
 
-// workerState is one worker's scratch: a block encoder with its pixel
-// buffer and the assembled feature tensor fed to that worker's inference
-// engine. Every field is fully overwritten per item, so reuse across
-// items cannot leak state between them.
+// workerState is one worker's scratch: a block encoder and the assembled
+// feature tensor fed to that worker's inference engine. Every field is
+// fully overwritten per item, so reuse across items cannot leak state
+// between them.
 type workerState struct {
-	enc   *feature.BlockEncoder
-	block []float64
-	x     *tensor.Tensor
+	enc *feature.BlockEncoder
+	x   *tensor.Tensor
 }
 
 // Scanner scans one die. It owns the block-plane cache and the last heat
@@ -206,11 +205,7 @@ func New(cfg Config, net *nn.Network, die geom.Clip) (*Scanner, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.workers[i] = &workerState{
-			enc:   enc,
-			block: make([]float64, blockPx*blockPx),
-			x:     tensor.New(k, n, n),
-		}
+		s.workers[i] = &workerState{enc: enc, x: tensor.New(k, n, n)}
 	}
 	return s, nil
 }
@@ -329,10 +324,11 @@ func (s *Scanner) fail(root trace.Stage, err error) error {
 }
 
 // encodeRegion rasterizes the block range [bx0,bx1)×[by0,by1) and encodes
-// every block into its cache slot. Workers own disjoint block ranges, so
-// slot writes never overlap; pixel values are independent of the region
-// bounds (area-accurate rasterization is per-pixel local), so the cached
-// vectors are independent of tiling and worker count.
+// every block, read in place from the region's raster, into its cache
+// slot. Workers own disjoint block ranges, so slot writes never overlap;
+// pixel values are independent of the region bounds (area-accurate
+// rasterization is per-pixel local), so the cached vectors are
+// independent of tiling and worker count.
 //
 //hsd:hotpath
 func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
@@ -348,16 +344,9 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 	b := s.blockPx
 	for by := by0; by < by1; by++ {
 		for bx := bx0; bx < bx1; bx++ {
-			px0 := (bx - bx0) * b
-			py0 := (by - by0) * b
-			for y := 0; y < b; y++ {
-				srcRow := (py0+y)*im.W + px0
-				copy(ws.block[y*b:(y+1)*b], im.Pix[srcRow:srcRow+b])
-			}
+			origin := (by-by0)*b*im.W + (bx-bx0)*b
 			slot := (by*s.nbx + bx) * s.k
-			if err := ws.enc.EncodeInto(s.planes[slot:slot+s.k], ws.block); err != nil {
-				return err
-			}
+			ws.enc.EncodeStrided(s.planes[slot:slot+s.k], 1, im.Pix[origin:], im.W)
 		}
 	}
 	return nil

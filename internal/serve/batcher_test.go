@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -141,6 +143,35 @@ func TestHashImageDistinguishes(t *testing.T) {
 	tall := raster.NewImage(4, 16)
 	if hashImage(wide) == hashImage(tall) {
 		t.Fatal("shape is not part of the hash")
+	}
+}
+
+// TestHashImageBitFlips: flipping any one of a sample of bits in any pixel
+// changes the hash — pixels 0..3 each feed one of the four lanes and pixel
+// 8 of the 3×3 image is the tail folded in after them — and no two flips
+// collide. Swapping W and H over the same pixels changes it too.
+func TestHashImageBitFlips(t *testing.T) {
+	base := raster.NewImage(3, 3)
+	for i := range base.Pix {
+		base.Pix[i] = float64(i+1) / 16
+	}
+	seen := map[uint64]string{hashImage(base): "base"}
+	for _, px := range []int{0, 1, 2, 3, 4, 7, 8} {
+		for _, bit := range []uint{0, 1, 31, 52, 62, 63} {
+			im := base.Clone()
+			im.Pix[px] = math.Float64frombits(math.Float64bits(im.Pix[px]) ^ 1<<bit)
+			what := fmt.Sprintf("pixel %d bit %d", px, bit)
+			h := hashImage(im)
+			if prev, dup := seen[h]; dup {
+				t.Fatalf("%s hashes like %s", what, prev)
+			}
+			seen[h] = what
+		}
+	}
+	wide := &raster.Image{W: 3, H: 2, Pix: base.Pix[:6]}
+	tall := &raster.Image{W: 2, H: 3, Pix: base.Pix[:6]}
+	if hashImage(wide) == hashImage(tall) {
+		t.Fatal("swapping W and H over the same pixels kept the hash")
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"math"
+	"math/bits"
 	"sync"
 
 	"hotspot/internal/raster"
@@ -97,28 +98,59 @@ func (c *clipCache) len() int {
 	return c.order.Len()
 }
 
-// hashImage fingerprints a rasterized core window with FNV-1a over the
-// dimensions and the bit patterns of every pixel. Rasterization is
-// deterministic, so two requests for the same geometry at the same
-// resolution hash identically; the bit-pattern basis means the key —
-// unlike any rounded representation — can never merge clips whose tensors
-// would differ.
+// Multipliers of the image hash's rounds, from xxHash64.
+const (
+	prime1 uint64 = 11400714785074694791
+	prime2 uint64 = 14029467366897019727
+	prime3 uint64 = 1609587929392839161
+	prime4 uint64 = 9650029242287828579
+)
+
+// hashRound mixes one 64-bit word into a lane: multiply, rotate, multiply.
+func hashRound(acc, w uint64) uint64 {
+	return bits.RotateLeft64(acc+w*prime2, 31) * prime1
+}
+
+// hashFold folds one word into the merged hash.
+func hashFold(h, w uint64) uint64 {
+	return bits.RotateLeft64(h^hashRound(0, w), 27)*prime1 + prime4
+}
+
+// hashImage fingerprints a rasterized core window from the bit patterns
+// of its pixels and its dimensions, one 64-bit word at a time. Four
+// independent lanes each take every fourth pixel through an
+// xxHash64-style round, so the multiplies of neighbouring pixels overlap
+// instead of queueing behind one chain; the lanes are then merged, the
+// leftover pixels, W and H folded in, and the result avalanched.
+// Rasterization is deterministic, so two requests for the same geometry at
+// the same resolution hash identically; the bit-pattern basis means the
+// key — unlike any rounded representation — can never merge clips whose
+// tensors would differ except by a 64-bit collision. The key never leaves
+// the LRU.
 func hashImage(im *raster.Image) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= prime64
-		}
+	pix := im.Pix
+	v1, v2, v3, v4 := prime1, prime2, prime3, prime4
+	i := 0
+	for ; i+4 <= len(pix); i += 4 {
+		p := pix[i : i+4 : i+4]
+		v1 = hashRound(v1, math.Float64bits(p[0]))
+		v2 = hashRound(v2, math.Float64bits(p[1]))
+		v3 = hashRound(v3, math.Float64bits(p[2]))
+		v4 = hashRound(v4, math.Float64bits(p[3]))
 	}
-	mix(uint64(im.W))
-	mix(uint64(im.H))
-	for _, p := range im.Pix {
-		mix(math.Float64bits(p))
+	h := bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+	for _, v := range [4]uint64{v1, v2, v3, v4} {
+		h = (h^hashRound(0, v))*prime1 + prime4
 	}
+	for _, p := range pix[i:] {
+		h = hashFold(h, math.Float64bits(p))
+	}
+	h = hashFold(h, uint64(im.W))
+	h = hashFold(h, uint64(im.H))
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	return h
 }

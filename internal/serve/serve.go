@@ -123,6 +123,7 @@ type Server struct {
 	cfg     Config
 	model   atomic.Pointer[model]
 	cache   *clipCache
+	images  imagePool
 	metrics *metrics
 	batcher *batcher
 	tracer  *trace.Tracer // nil when tracing is dark
@@ -262,13 +263,53 @@ const maxImageSide = 2048
 // maxBatchClips bounds one /v1/predict/batch request.
 const maxBatchClips = 1024
 
+// maxRequestRects bounds the rectangles one request may draw, summed over
+// its clips, so a body inside maxBodyBytes cannot pin a core rasterizing
+// the same frame hundreds of thousands of times. The generated suites'
+// largest clip has 32 rectangles.
+const maxRequestRects = 65536
+
+// checkRects rejects a request drawing more than maxRequestRects
+// rectangles.
+func checkRects(n int) error {
+	if n > maxRequestRects {
+		return fmt.Errorf("%d rectangles exceeds the %d-rectangle request limit", n, maxRequestRects)
+	}
+	return nil
+}
+
+// imagePool recycles core images between requests. The rule: the handler
+// that drew an image puts it back on a cache hit, on any failure before
+// enqueue, and after that request's result has arrived — the batcher never
+// reads an image after it answers. A request abandoned on timeout leaves
+// its image to the GC, because the batcher may still be extracting from
+// it. Every call is made on handler goroutines.
+type imagePool struct{ p sync.Pool }
+
+// get returns a recycled image, or nil when there is none; raster.Reuse
+// and feature.RasterizeCore allocate in that case.
+func (ip *imagePool) get() *raster.Image {
+	im, _ := ip.p.Get().(*raster.Image)
+	return im
+}
+
+// put recycles images; nil ones are ignored.
+func (ip *imagePool) put(ims ...*raster.Image) {
+	for _, im := range ims {
+		if im != nil {
+			ip.p.Put(im)
+		}
+	}
+}
+
 // --- request pipeline ---
 
 // coreImage turns a request clip into the rasterized core window the
 // pipeline operates on, mirroring feature.ExtractTensor's geometry exactly
-// (rasterize the full clip, crop the core) so served predictions are
+// (the core window of the clip's frame raster) so served predictions are
 // bit-identical to offline ones. Image sides are checked against
-// maxImageSide before anything is multiplied or allocated.
+// maxImageSide before anything is multiplied or allocated. The image comes
+// from the server's pool; the caller owns it (see imagePool).
 func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	cfg := s.cfg.Feature
 	if cr.Bitmap != nil {
@@ -288,8 +329,15 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		if err := cfg.ValidateCore(bm.W * cfg.ResNM); err != nil {
 			return nil, err
 		}
-		im := raster.NewImage(bm.W, bm.H)
-		copy(im.Pix, bm.Pix)
+		im := raster.Reuse(s.images.get(), bm.W, bm.H)
+		for i, v := range bm.Pix {
+			// The negated range test also rejects NaN.
+			if !(v >= 0 && v <= 1) {
+				s.images.put(im)
+				return nil, fmt.Errorf("bitmap pixel %d is %v, outside [0, 1]", i, v)
+			}
+			im.Pix[i] = v
+		}
 		return im, nil
 	}
 	if cr.Frame == nil {
@@ -322,16 +370,24 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	if err := cfg.ValidateCore(core.W()); err != nil {
 		return nil, err
 	}
-	return feature.ExtractCoreImage(clip, core, cfg)
+	buf := s.images.get()
+	im, err := feature.RasterizeCore(buf, clip, core, cfg)
+	if err != nil {
+		s.images.put(buf)
+		return nil, err
+	}
+	return im, nil
 }
 
 // predictOne resolves one hashed core image to a verdict: cache lookup,
-// then enqueue and wait for the micro-batcher. parent, when tracing is
-// lit, is the span the request's queue stage is recorded under (the trace
-// root for single predicts, the per-clip span for batch requests); nil
-// spans no-op.
+// then enqueue and wait for the micro-batcher. It takes ownership of im
+// and returns it to the pool unless the wait is abandoned. parent, when
+// tracing is lit, is the span the request's queue stage is recorded under
+// (the trace root for single predicts, the per-clip span for batch
+// requests); nil spans no-op.
 func (s *Server) predictOne(ctx context.Context, im *raster.Image, key uint64, parent *trace.Span) (PredictResponse, error) {
 	if p, ok := s.cache.get(key); ok {
+		s.images.put(im)
 		s.metrics.cache(true)
 		parent.SetBool("cache_hit", true)
 		return PredictResponse{Prob: p, Hotspot: train.Decide(p, s.cfg.Shift), Cached: true}, nil
@@ -341,16 +397,18 @@ func (s *Server) predictOne(ctx context.Context, im *raster.Image, key uint64, p
 	req := &request{im: im, key: key, resp: make(chan result, 1), queue: parent.Stage(stageQueue, s.metrics.queueSum)}
 	if err := s.batcher.enqueue(req); err != nil {
 		req.queue.Abort() // never reached the queue
+		s.images.put(im)
 		return PredictResponse{}, err
 	}
 	select {
 	case res := <-req.resp:
+		s.images.put(im)
 		if res.err != nil {
 			return PredictResponse{}, res.err
 		}
 		return PredictResponse{Prob: res.prob, Hotspot: train.Decide(res.prob, s.cfg.Shift)}, nil
 	case <-ctx.Done():
-		return PredictResponse{}, ctx.Err()
+		return PredictResponse{}, ctx.Err() // im stays with the queued request
 	}
 }
 
@@ -394,6 +452,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	dec.End()
 	if err != nil {
 		fail(w, st, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if err := checkRects(len(cr.Rects)); err != nil {
+		fail(w, st, http.StatusBadRequest, err.Error())
 		return
 	}
 	ras := root.Stage("raster", nil)
@@ -440,6 +502,14 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, st, http.StatusBadRequest, fmt.Sprintf("%d clips exceeds the %d-clip limit", len(br.Clips), maxBatchClips))
 		return
 	}
+	rects := 0
+	for _, cr := range br.Clips {
+		rects += len(cr.Rects)
+	}
+	if err := checkRects(rects); err != nil {
+		fail(w, st, http.StatusBadRequest, err.Error())
+		return
+	}
 	root.SetInt("clips", int64(len(br.Clips)))
 	ras := root.Stage("raster", nil)
 	ims := make([]*raster.Image, len(br.Clips))
@@ -447,6 +517,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		im, err := s.coreImage(cr)
 		if err != nil {
 			ras.End()
+			s.images.put(ims[:i]...)
 			fail(w, st, http.StatusBadRequest, fmt.Sprintf("clip %d: %v", i, err))
 			return
 		}
@@ -462,7 +533,10 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	// Resolve cache hits and enqueue the misses before waiting on any of
-	// them, so one batch request can fill whole micro-batches.
+	// them, so one batch request can fill whole micro-batches. Images
+	// follow imagePool's rule: a hit's goes back at once, a queued one's
+	// when its result arrives, and those still queued when the request
+	// gives up stay with their requests.
 	results := make([]PredictResponse, len(ims))
 	type pending struct {
 		i    int
@@ -473,6 +547,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	hits := 0
 	for i, im := range ims {
 		if p, ok := s.cache.get(keys[i]); ok {
+			s.images.put(im)
 			s.metrics.cache(true)
 			hits++
 			results[i] = PredictResponse{Prob: p, Hotspot: train.Decide(p, s.cfg.Shift), Cached: true}
@@ -487,6 +562,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		if err := s.batcher.enqueue(req); err != nil {
 			req.queue.Abort() // never reached the queue
 			clip.Abort()
+			s.images.put(ims[i:]...)
 			fail(w, st, statusOf(err), fmt.Sprintf("clip %d: %v", i, err))
 			return
 		}
@@ -496,6 +572,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	for _, p := range waits {
 		select {
 		case res := <-p.req.resp:
+			s.images.put(p.req.im)
 			if p.clip.Done(res.err) != nil {
 				fail(w, st, statusOf(res.err), fmt.Sprintf("clip %d: %v", p.i, res.err))
 				return

@@ -109,7 +109,7 @@ func matmulBiasInto(out, a, b, bias []float64, m, k, n int) {
 				}
 				brow := b[p*n : (p+1)*n]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 			if bias != nil {
@@ -132,14 +132,14 @@ func matmulBiasInto(out, a, b, bias []float64, m, k, n int) {
 			b2 := b[(p+2)*n : (p+3)*n]
 			b3 := b[(p+3)*n : (p+4)*n]
 			for j := range orow {
-				orow[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
+				orow[j] += float64(av0*b0[j]) + float64(av1*b1[j]) + float64(av2*b2[j]) + float64(av3*b3[j])
 			}
 		}
 		for ; p < k; p++ {
 			av := arow[p]
 			brow := b[p*n : (p+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 		if bias != nil {
@@ -203,7 +203,7 @@ func MatVec(a, x *Tensor) (*Tensor, error) {
 		row := a.data[i*k : (i+1)*k]
 		s := 0.0
 		for j, v := range row {
-			s += v * x.data[j]
+			s += float64(v * x.data[j])
 		}
 		out.data[i] = s
 	}
@@ -228,7 +228,7 @@ func MatVecInto(out, a, x *Tensor) error {
 		row := a.data[i*k : (i+1)*k]
 		s := 0.0
 		for j, v := range row {
-			s += v * x.data[j]
+			s += float64(v * x.data[j])
 		}
 		out.data[i] = s
 	}
@@ -264,7 +264,7 @@ func MatMulATInto(out, a, b *Tensor) error {
 				}
 				orow := od[i*n : (i+1)*n]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -286,7 +286,7 @@ func MatMulATInto(out, a, b *Tensor) error {
 			av0, av1, av2, av3 := a0[i], a1[i], a2[i], a3[i]
 			orow := od[i*n : (i+1)*n]
 			for j := range orow {
-				orow[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
+				orow[j] += float64(av0*b0[j]) + float64(av1*b1[j]) + float64(av2*b2[j]) + float64(av3*b3[j])
 			}
 		}
 	}
@@ -296,7 +296,7 @@ func MatMulATInto(out, a, b *Tensor) error {
 		for i, av := range arow {
 			orow := od[i*n : (i+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -324,7 +324,7 @@ func MatMulBTAddInto(out, a, b *Tensor) error {
 			brow := b.data[j*k : (j+1)*k]
 			s := 0.0
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float64(av * brow[p])
 			}
 			orow[j] += s
 		}

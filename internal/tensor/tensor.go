@@ -174,7 +174,7 @@ func (t *Tensor) AddScaled(s float64, o *Tensor) error {
 		return fmt.Errorf("tensor: addscaled shape mismatch %v vs %v", t.shape, o.shape)
 	}
 	for i, v := range o.data {
-		t.data[i] += s * v
+		t.data[i] += float64(s * v)
 	}
 	return nil
 }
@@ -233,7 +233,7 @@ func (t *Tensor) Dot(o *Tensor) (float64, error) {
 	}
 	s := 0.0
 	for i, v := range t.data {
-		s += v * o.data[i]
+		s += float64(v * o.data[i])
 	}
 	return s, nil
 }
@@ -242,7 +242,7 @@ func (t *Tensor) Dot(o *Tensor) (float64, error) {
 func (t *Tensor) Norm2() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

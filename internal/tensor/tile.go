@@ -72,20 +72,20 @@ func block4(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64
 		a30, a31, a32, a33 := a3[p], a3[p+1], a3[p+2], a3[p+3]
 		for j := range d0 {
 			bv0, bv1, bv2, bv3 := br0[j], br1[j], br2[j], br3[j]
-			d0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
-			d1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
-			d2[j] += a20*bv0 + a21*bv1 + a22*bv2 + a23*bv3
-			d3[j] += a30*bv0 + a31*bv1 + a32*bv2 + a33*bv3
+			d0[j] += float64(a00*bv0) + float64(a01*bv1) + float64(a02*bv2) + float64(a03*bv3)
+			d1[j] += float64(a10*bv0) + float64(a11*bv1) + float64(a12*bv2) + float64(a13*bv3)
+			d2[j] += float64(a20*bv0) + float64(a21*bv1) + float64(a22*bv2) + float64(a23*bv3)
+			d3[j] += float64(a30*bv0) + float64(a31*bv1) + float64(a32*bv2) + float64(a33*bv3)
 		}
 	}
 	for ; p < k; p++ {
 		brow := base[off[p] : off[p]+w]
 		av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
 		for j, bv := range brow {
-			d0[j] += av0 * bv
-			d1[j] += av1 * bv
-			d2[j] += av2 * bv
-			d3[j] += av3 * bv
+			d0[j] += float64(av0 * bv)
+			d1[j] += float64(av1 * bv)
+			d2[j] += float64(av2 * bv)
+			d3[j] += float64(av3 * bv)
 		}
 	}
 	BiasReLURow(d0, b0, relu)
@@ -115,21 +115,26 @@ func BiasReLURow(d []float64, bias float64, relu bool) {
 	}
 }
 
-// dotTile computes a 4×4 block of dot products over n = len(b0) terms:
-// s[4·r + c] = Σ_p aT[p·ld + c] · br[p], each sum started at +0 and
-// accumulated in p order. aT holds (n−1)·ld + 4 elements. It runs the AVX2
-// kernel where the host has it and the order-identical Go body elsewhere.
+// DotTile computes a 4×4 block of dot products over n = len(b0) ≥ 1
+// terms: s[4·r + c] = Σ_p aT[p·ld + c] · br[p], each sum started at +0 and
+// accumulated in p order with a separate multiply and add per term. aT
+// holds (n−1)·ld + 4 elements and b1..b3 at least n each; both are checked
+// before the kernel runs, so a short slice panics instead of being read
+// past its end. It runs the AVX2 kernel where the host has it and the
+// order-identical Go body elsewhere.
 //
 //hsd:noalloc
-func dotTile(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
+func DotTile(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
+	n := len(b0)
+	_, _, _, _ = aT[(n-1)*ld+3], b1[n-1], b2[n-1], b3[n-1]
 	if useAVX2 {
-		dotTileAVX2(s, &aT[0], ld, &b0[0], &b1[0], &b2[0], &b3[0], len(b0))
+		dotTileAVX2(s, &aT[0], ld, &b0[0], &b1[0], &b2[0], &b3[0], n)
 		return
 	}
 	dot4(s, aT, ld, b0, b1, b2, b3)
 }
 
-// dot4 is the pure-Go body of the dot tile, with dotTile's contract: each
+// dot4 is the pure-Go body of the dot tile, with DotTile's contract: each
 // of the sixteen sums is MatMulBTAddInto's sequential chain, four of them
 // advancing together per coefficient row.
 func dot4(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
@@ -137,10 +142,10 @@ func dot4(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
 		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
 		for p, bv := range br {
 			a := aT[p*ld : p*ld+4]
-			s0 += a[0] * bv
-			s1 += a[1] * bv
-			s2 += a[2] * bv
-			s3 += a[3] * bv
+			s0 += float64(a[0] * bv)
+			s1 += float64(a[1] * bv)
+			s2 += float64(a[2] * bv)
+			s3 += float64(a[3] * bv)
 		}
 		s[4*r], s[4*r+1], s[4*r+2], s[4*r+3] = s0, s1, s2, s3
 	}
@@ -206,7 +211,7 @@ func MatMulBTAddTiles(out, a, b, aT []float64, m, n, k int) {
 		r1, r2, r3 := min(j+1, k-1), min(j+2, k-1), min(j+3, k-1)
 		b0, b1, b2, b3 := b[j*n:j*n+n], b[r1*n:r1*n+n], b[r2*n:r2*n+n], b[r3*n:r3*n+n]
 		for i := 0; i < m; i += TileRows {
-			dotTile(&s, aT[i:], ld, b0, b1, b2, b3)
+			DotTile(&s, aT[i:], ld, b0, b1, b2, b3)
 			for r := 0; r < TileRows && j+r < k; r++ {
 				for c := 0; c < TileRows && i+c < m; c++ {
 					out[(i+c)*k+j+r] += s[4*r+c]

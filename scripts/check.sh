@@ -11,7 +11,10 @@
 #                            internal/nn/fused: the tile_noasm.go stubs
 #                            must keep matching the amd64 assembly
 #                            declarations, which asmdecl checks only on
-#                            amd64
+#                            amd64; and no fused multiply-add in the
+#                            arm64 assembly of the bit-exact packages,
+#                            where the compiler would otherwise contract
+#                            x*y + z (DESIGN.md §8)
 #   4. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
@@ -75,6 +78,15 @@ go vet ./...
 
 echo "==> GOARCH=arm64 go build ./... && go vet ./internal/tensor/ ./internal/nn/fused/"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/fused/
+
+echo "==> no FMA in the arm64 assembly of tensor, dct, raster, feature, nn/fused"
+fma="$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ ./internal/dct/ ./internal/raster/ \
+    ./internal/feature/ ./internal/nn/fused/ 2>&1 | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
+if [[ -n "${fma}" ]]; then
+    echo "arm64 fused multiply-adds; write the product as float64(x*y):" >&2
+    echo "${fma}" >&2
+    exit 1
+fi
 
 echo "==> hsd-vet ./..."
 go run ./cmd/hsd-vet ./...
