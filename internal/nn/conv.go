@@ -22,13 +22,17 @@ type Conv2D struct {
 	inC, outC           int
 	kh, kw, stride, pad int
 	weight, bias        *Param
-	inH, inW            int
+	// storeGrads makes the backward pass store the sample's parameter
+	// gradients instead of adding them; set on worker shadows
+	// (Network.Shadow).
+	storeGrads bool
+	inH, inW   int
 	// Reused buffers (allocated lazily for the first input geometry).
 	cols    *tensor.Tensor // (inC*kh*kw, oh*ow), a view of colsBuf
 	colsBuf []float64      // cols plus the tile kernel's read slack
 	out     *tensor.Tensor // (outC, oh*ow)
-	dCols   *tensor.Tensor // (inC*kh*kw, oh*ow)
-	dx      *tensor.Tensor // (inC, inH, inW)
+	dCols   *tensor.Tensor // (inC*kh*kw, oh*ow); nil until dx is formed
+	dx      *tensor.Tensor // (inC, inH, inW); nil until formed
 	// Tile-product scratch, sized with the buffers above.
 	off  []int     // off[p] = p·oh·ow: row p of cols, or of g
 	wT   []float64 // Wᵀ (inC*kh*kw, outC), refreshed per input gradient
@@ -40,18 +44,33 @@ type Conv2D struct {
 // NewConv2D builds a convolution layer. Weights are He-initialized from
 // rng; biases start at zero.
 func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) (*Conv2D, error) {
-	if inC <= 0 || outC <= 0 || k <= 0 || stride <= 0 || pad < 0 {
+	fanIn, ok := convFanIn(inC, outC, k, stride, pad)
+	if !ok {
 		return nil, fmt.Errorf("nn: conv %q invalid geometry (inC=%d outC=%d k=%d stride=%d pad=%d)",
 			name, inC, outC, k, stride, pad)
 	}
-	w := tensor.New(outC, inC*k*k)
-	heInit(w, inC*k*k, rng)
-	b := tensor.New(outC)
+	w := tensor.New(outC, fanIn)
+	heInit(w, fanIn, rng)
+	return newConv2D(name, inC, outC, k, stride, pad, w, tensor.New(outC)), nil
+}
+
+// convFanIn returns a convolution's fan-in inC·k·k when its geometry is
+// valid (positive channel counts, kernel size and stride, a non-negative
+// pad) and the fan-in fits in an int.
+func convFanIn(inC, outC, k, stride, pad int) (int, bool) {
+	if outC <= 0 || stride <= 0 || pad < 0 {
+		return 0, false
+	}
+	return checkedProduct(inC, k, k)
+}
+
+// newConv2D assembles a convolution layer around weights w (outC, inC·k·k)
+// and biases b (outC) that the caller has checked against the geometry.
+func newConv2D(name string, inC, outC, k, stride, pad int, w, b *tensor.Tensor) *Conv2D {
 	return &Conv2D{
 		name: name, inC: inC, outC: outC, kh: k, kw: k, stride: stride, pad: pad,
-		weight: &Param{Name: name + ".w", W: w, Grad: tensor.New(outC, inC*k*k)},
-		bias:   &Param{Name: name + ".b", W: b, Grad: tensor.New(outC)},
-	}, nil
+		weight: newParam(name+".w", w), bias: newParam(name+".b", b),
+	}
 }
 
 // Name implements Layer.
@@ -99,19 +118,29 @@ func (c *Conv2D) ensureBuffers(h, w, oh, ow int) {
 	c.colsBuf = make([]float64, kk*n+slack)
 	c.cols = tensor.MustFromSlice(c.colsBuf[:kk*n], kk, n)
 	c.out = tensor.New(c.outC, n)
-	c.dCols = tensor.New(kk, n)
-	c.dx = tensor.New(c.inC, h, w)
 	c.off = make([]int, max(kk, c.outC))
 	for p := range c.off {
 		c.off[p] = p * n
 	}
-	c.wT = make([]float64, kk*c.outC)
 	c.gT = make([]float64, n*tensor.TileWidth(c.outC))
-	c.gPad = nil
-	if slack > 0 {
+	c.tile = make([]float64, tensor.TileRows*tensor.TileWidth(n))
+	c.dCols, c.dx, c.wT, c.gPad = nil, nil, nil, nil
+}
+
+// ensureInputGradBuffers sizes the input-gradient buffers for the current
+// geometry on the first Backward that forms dx. Network.Backward never
+// forms a first layer's, so that layer never allocates them.
+func (c *Conv2D) ensureInputGradBuffers() {
+	if c.dx != nil {
+		return
+	}
+	kk, n := c.cols.Dim(0), c.cols.Dim(1)
+	c.dCols = tensor.New(kk, n)
+	c.dx = tensor.New(c.inC, c.inH, c.inW)
+	c.wT = make([]float64, kk*c.outC)
+	if slack := tensor.TileWidth(n) - n; slack > 0 {
 		c.gPad = make([]float64, c.outC*n+slack)
 	}
-	c.tile = make([]float64, tensor.TileRows*tensor.TileWidth(n))
 }
 
 // Forward implements Layer. The returned tensor aliases an internal buffer
@@ -145,6 +174,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.ensureInputGradBuffers()
 	// dx = Col2Im(Wᵀ · g), on a transposed copy of W. A bias-free tile
 	// product over Wᵀ equals MatMulATInto over W bit for bit: the same
 	// per-element order on either kernel variant, and the density gate
@@ -168,8 +198,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // backwardParams is Backward without the input gradient: it accumulates
-// dW and db from grad and returns grad's data. Network.Backward calls it
-// alone on a first layer, whose input gradient nobody reads.
+// dW and db from grad, or stores them on a shadow, and returns grad's
+// data. Network.Backward calls it alone on a first layer, whose input
+// gradient nobody reads.
 func (c *Conv2D) backwardParams(grad *tensor.Tensor) ([]float64, error) {
 	if c.cols == nil {
 		return nil, fmt.Errorf("nn: conv %q backward before forward", c.name)
@@ -179,16 +210,25 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) ([]float64, error) {
 		return nil, fmt.Errorf("nn: conv %q gradient shape %v, want %d×%d elements", c.name, grad.Shape(), c.outC, n)
 	}
 	g := grad.Data()
-	// dW += g · colsᵀ
-	tensor.MatMulBTAddTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.outC, n, kk)
-	// db += row sums of g.
+	// dW += g · colsᵀ and db += row sums of g. Each is a sum started at
+	// +0, which can never be −0, so a shadow stores it: the value adding
+	// it to a zeroed gradient would give.
+	if c.storeGrads {
+		tensor.MatMulBTTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.outC, n, kk)
+	} else {
+		tensor.MatMulBTAddTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.outC, n, kk)
+	}
 	bg := c.bias.Grad.Data()
 	for oc := 0; oc < c.outC; oc++ {
 		s := 0.0
 		for _, v := range g[oc*n : (oc+1)*n] {
 			s += v
 		}
-		bg[oc] += s
+		if c.storeGrads {
+			bg[oc] = s
+		} else {
+			bg[oc] += s
+		}
 	}
 	return g, nil
 }

@@ -22,6 +22,11 @@ type Param struct {
 	Grad *tensor.Tensor
 }
 
+// newParam wraps weights w with a zero gradient of the same shape.
+func newParam(name string, w *tensor.Tensor) *Param {
+	return &Param{Name: name, W: w, Grad: tensor.New(w.Shape()...)}
+}
+
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
@@ -35,7 +40,8 @@ type Layer interface {
 	// samples.
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	// Backward consumes dL/d(output) and returns dL/d(input), accumulating
-	// parameter gradients.
+	// parameter gradients (a worker shadow's layers store them instead;
+	// see Network.Shadow).
 	Backward(grad *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the layer's learnable parameters (empty for
 	// activation/pooling layers).
@@ -69,9 +75,9 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 }
 
 // Backward propagates the output gradient back through all layers,
-// accumulating every parameter gradient. Nobody reads the gradient with
-// respect to the network input, so a first Conv2D layer accumulates its
-// parameter gradients without forming it.
+// accumulating every parameter gradient (storing it, on a shadow). Nobody
+// reads the gradient with respect to the network input, so a first Conv2D
+// layer forms only its parameter gradients.
 func (n *Network) Backward(grad *tensor.Tensor) error {
 	var err error
 	for i := len(n.layers) - 1; i >= 0; i-- {
@@ -94,6 +100,18 @@ func (n *Network) Params() []*Param {
 		out = append(out, l.Params()...)
 	}
 	return out
+}
+
+// Shadow builds a worker shadow of the network. Its parameters alias this
+// network's weight tensors: every update, restore or copy into them is
+// visible to the shadow at once, with no sync. It owns everything else —
+// gradients, dropout stream, layer buffers — so goroutines may each run
+// their own shadow while nothing writes the weights. Its Backward stores
+// each sample's parameter gradients instead of adding them, bit for bit
+// what adding into zeroed gradients gives (DESIGN.md §7), so a gradient
+// holds one sample and is never zeroed.
+func (n *Network) Shadow() (*Network, error) {
+	return n.derive(func(p *Param) *Param { return newParam(p.Name, p.W) }, true)
 }
 
 // ZeroGrads clears every parameter gradient.

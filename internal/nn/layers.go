@@ -173,14 +173,17 @@ func (m *MaxPool2) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // Dense is a fully connected layer; any input shape is flattened.
 type Dense struct {
-	name     string
-	in, out  int
-	weight   *Param
-	bias     *Param
-	cachedIn *tensor.Tensor
-	inShp    []int
-	fwdOut   *tensor.Tensor // reused forward output
-	dx       *tensor.Tensor // reused backward output
+	name    string
+	in, out int
+	weight  *Param
+	bias    *Param
+	// storeGrads makes Backward store the sample's parameter gradients
+	// instead of adding them; set on worker shadows (Network.Shadow).
+	storeGrads bool
+	cachedIn   *tensor.Tensor
+	inShp      []int
+	fwdOut     *tensor.Tensor // reused forward output
+	dx         *tensor.Tensor // reused backward output
 }
 
 // NewDense builds a fully connected layer with He-initialized weights.
@@ -190,11 +193,13 @@ func NewDense(name string, in, out int, rng *rand.Rand) (*Dense, error) {
 	}
 	w := tensor.New(out, in)
 	heInit(w, in, rng)
-	return &Dense{
-		name: name, in: in, out: out,
-		weight: &Param{Name: name + ".w", W: w, Grad: tensor.New(out, in)},
-		bias:   &Param{Name: name + ".b", W: tensor.New(out), Grad: tensor.New(out)},
-	}, nil
+	return newDense(name, in, out, w, tensor.New(out)), nil
+}
+
+// newDense assembles a fully connected layer around weights w (out, in)
+// and biases b (out) that the caller has checked against the sizes.
+func newDense(name string, in, out int, w, b *tensor.Tensor) *Dense {
+	return &Dense{name: name, in: in, out: out, weight: newParam(name+".w", w), bias: newParam(name+".b", b)}
 }
 
 // Name implements Layer.
@@ -251,17 +256,20 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	gd := grad.Data()
 	xd := d.cachedIn.Data()
-	wg := d.weight.Grad.Data()
-	for o := 0; o < d.out; o++ {
-		g := gd[o]
-		if g == 0 {
-			continue
+	if d.storeGrads {
+		d.storeParamGrads(gd, xd)
+	} else {
+		wg, bg := d.weight.Grad.Data(), d.bias.Grad.Data()
+		for o, g := range gd {
+			if g == 0 {
+				continue
+			}
+			row := wg[o*d.in : (o+1)*d.in]
+			for i, xv := range xd {
+				row[i] += float64(g * xv)
+			}
+			bg[o] += g
 		}
-		row := wg[o*d.in : (o+1)*d.in]
-		for i, xv := range xd {
-			row[i] += g * xv
-		}
-		d.bias.Grad.Data()[o] += g
 	}
 	// dx = Wᵀ · g
 	d.dx = reuseBuffer(d.dx, d.in)
@@ -275,10 +283,31 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 		row := wd[o*d.in : (o+1)*d.in]
 		for i, wv := range row {
-			dd[i] += g * wv
+			dd[i] += float64(g * wv)
 		}
 	}
 	return d.dx.Reshape(d.inShp...)
+}
+
+// storeParamGrads is a shadow's parameter-gradient update: it stores what
+// adding into zeroed gradients gives, without the zeroing. The add skips a
+// g = 0 row, so that row stores +0. Any other row stores +0 + g·x, which
+// turns a −0 product (g < 0 with x = +0) into +0 exactly as the add did;
+// its bias stores g, which is not −0.
+func (d *Dense) storeParamGrads(gd, xd []float64) {
+	wg, bg := d.weight.Grad.Data(), d.bias.Grad.Data()
+	for o, g := range gd {
+		row := wg[o*d.in : (o+1)*d.in]
+		if g == 0 {
+			clear(row)
+			bg[o] = 0
+			continue
+		}
+		for i, xv := range xd {
+			row[i] = 0 + float64(g*xv)
+		}
+		bg[o] = g
+	}
 }
 
 // Dropout implements inverted dropout: during training each activation is

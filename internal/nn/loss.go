@@ -54,7 +54,7 @@ func SoftmaxCrossEntropy(logits, target *tensor.Tensor) (float64, *tensor.Tensor
 		if t == 0 {
 			continue // lim x→0 x·log x = 0 (Equation (8))
 		}
-		loss -= t * math.Log(probs.Data()[i])
+		loss -= float64(t * math.Log(probs.Data()[i]))
 	}
 	grad := probs.Clone()
 	if err := grad.Sub(target); err != nil {

@@ -109,7 +109,7 @@ func (p *Pool) Size() int { return p.workers }
 
 // For runs fn(worker, i) for every i in [0, n), fanning out across at most
 // Size workers. worker is a stable id in [0, Size) for per-worker state
-// (network replicas, scratch buffers). Item order within a worker is not
+// (network shadows, scratch buffers). Item order within a worker is not
 // specified; see the package comment for the determinism contract.
 //
 // All n items are attempted even when some fail; the returned error is the

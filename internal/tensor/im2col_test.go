@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -156,6 +157,99 @@ func TestConvOutputSize(t *testing.T) {
 	for _, c := range cases {
 		if got := ConvOutputSize(c.in, c.k, c.s, c.p); got != c.want {
 			t.Errorf("ConvOutputSize(%d,%d,%d,%d) = %d, want %d", c.in, c.k, c.s, c.p, got, c.want)
+		}
+	}
+}
+
+// oracleIm2Col and oracleCol2Im are the element-wise loops: a bounds test
+// per output element, in the loop order the production code keeps.
+func oracleIm2Col(out, in []float64, c, h, w, k, stride, pad, oh, ow int) {
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				row := ((ch*k+ky)*k + kx) * oh * ow
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+						v := 0.0
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = in[(ch*h+iy)*w+ix]
+						}
+						out[row+oy*ow+ox] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+func oracleCol2Im(out, cols []float64, c, h, w, k, stride, pad, oh, ow int) {
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				row := ((ch*k+ky)*k + kx) * oh * ow
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							out[(ch*h+iy)*w+ix] += cols[row+oy*ow+ox]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2ColRunsMatchOracle pins the run-copy im2col and run-add col2im
+// against the element-wise oracles, bit for bit: pads 0/1/2, kernels
+// 1/3/5, non-square inputs, and pad ≥ k, where whole output rows — and,
+// on a 1-wide input, whole kernel columns — have no valid run. Inputs span
+// many magnitudes, so a changed addition order in col2im would show.
+func TestIm2ColRunsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for _, stride := range []int{1, 2} {
+		for _, k := range []int{1, 3, 5} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, hw := range [][2]int{{4, 7}, {7, 3}, {5, 1}, {1, 6}} {
+					c, h, w := 2, hw[0], hw[1]
+					oh, ow := ConvOutputSize(h, k, stride, pad), ConvOutputSize(w, k, stride, pad)
+					if oh <= 0 || ow <= 0 {
+						continue
+					}
+					in := New(c, h, w)
+					for i := range in.data {
+						in.data[i] = rng.NormFloat64() * math.Pow(2, float64(rng.Intn(60)-30))
+					}
+					want := make([]float64, c*k*k*oh*ow)
+					oracleIm2Col(want, in.data, c, h, w, k, stride, pad, oh, ow)
+					got := MustFromSlice(nanScratch(len(want)), c*k*k, oh*ow)
+					if err := Im2ColInto(got, in, k, k, stride, pad); err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range want {
+						if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+							t.Fatalf("im2col s=%d k=%d pad=%d %dx%d: col %d = %v, want %v", stride, k, pad, h, w, i, got.data[i], v)
+						}
+					}
+
+					cols := MustFromSlice(make([]float64, len(want)), c*k*k, oh*ow)
+					for i := range cols.data {
+						cols.data[i] = rng.NormFloat64() * math.Pow(2, float64(rng.Intn(60)-30))
+					}
+					wantBack := make([]float64, c*h*w)
+					oracleCol2Im(wantBack, cols.data, c, h, w, k, stride, pad, oh, ow)
+					back := MustFromSlice(nanScratch(c*h*w), c, h, w)
+					if err := Col2ImInto(back, cols, k, k, stride, pad); err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range wantBack {
+						if math.Float64bits(back.data[i]) != math.Float64bits(v) {
+							t.Fatalf("col2im s=%d k=%d pad=%d %dx%d: pixel %d = %v, want %v", stride, k, pad, h, w, i, back.data[i], v)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -362,28 +362,6 @@ func Col2ImInto(out, cols *Tensor, kh, kw, stride, pad int) error {
 		return fmt.Errorf("tensor: col2iminto geometry mismatch")
 	}
 	out.Zero()
-	ncols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				row := ((ch*kh+ky)*kw + kx) * ncols
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					src := row + oy*ow
-					dstRow := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kx
-						if ix >= 0 && ix < w {
-							out.data[dstRow+ix] += cols.data[src+ox]
-						}
-					}
-				}
-			}
-		}
-	}
+	col2imInto(out.data, cols.data, c, h, w, kh, kw, stride, pad, oh, ow)
 	return nil
 }

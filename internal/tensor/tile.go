@@ -199,6 +199,22 @@ func MatMulTiles(out, a, b, bias []float64, off []int, tile []float64, m, k, n i
 //hsd:hotpath
 //hsd:noalloc
 func MatMulBTAddTiles(out, a, b, aT []float64, m, n, k int) {
+	matMulBTTiles(out, a, b, aT, m, n, k, false)
+}
+
+// MatMulBTTiles is MatMulBTAddTiles storing each sum into out instead of
+// adding it. A sum starts at +0 and so can never be −0 (+0 + −0 = +0), and
+// +0 + s = s for every other s, so the stored value is bit for bit what
+// MatMulBTAddTiles adds into a zeroed out — without the zeroing.
+//
+//hsd:hotpath
+//hsd:noalloc
+func MatMulBTTiles(out, a, b, aT []float64, m, n, k int) {
+	matMulBTTiles(out, a, b, aT, m, n, k, true)
+}
+
+//hsd:noalloc
+func matMulBTTiles(out, a, b, aT []float64, m, n, k int, store bool) {
 	ld := TileWidth(m)
 	aT = aT[:n*ld]
 	for i := 0; i < m; i++ {
@@ -214,7 +230,11 @@ func MatMulBTAddTiles(out, a, b, aT []float64, m, n, k int) {
 			DotTile(&s, aT[i:], ld, b0, b1, b2, b3)
 			for r := 0; r < TileRows && j+r < k; r++ {
 				for c := 0; c < TileRows && i+c < m; c++ {
-					out[(i+c)*k+j+r] += s[4*r+c]
+					if store {
+						out[(i+c)*k+j+r] = s[4*r+c]
+					} else {
+						out[(i+c)*k+j+r] += s[4*r+c]
+					}
 				}
 			}
 		}

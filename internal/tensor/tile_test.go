@@ -231,3 +231,37 @@ func TestMatMulBTAddTilesMatchesReference(t *testing.T) {
 		seen.complete(t)
 	})
 }
+
+// TestMatMulBTTilesStoresZeroedSums pins the store form of the weight
+// gradient against the add form into a zeroed out, bit for bit and for
+// both kernel bodies, in every operand regime — −0 operands and all-zero
+// rows included: a dot sum starts at +0 and is never −0, so storing it
+// equals adding it to +0.
+func TestMatMulBTTilesStoresZeroedSums(t *testing.T) {
+	kernelBodies(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(86))
+		for _, rg := range tileRegimes(rng) {
+			for _, zeros := range []float64{0, 0.5, 1} {
+				tileShapes(func(outC, n, kk int) {
+					g := tileOperand(rg, outC, n, 0, zeros, rng)
+					for i := range g {
+						if g[i] == 0 && rng.Intn(2) == 0 {
+							g[i] = math.Copysign(0, -1)
+						}
+					}
+					cols := tileOperand(rg, kk, n, 0, 0, rng)
+					want := make([]float64, outC*kk)
+					MatMulBTAddTiles(want, g, cols, nanScratch(n*TileWidth(outC)), outC, n, kk)
+					got := nanScratch(outC * kk)
+					MatMulBTTiles(got, g, cols, nanScratch(n*TileWidth(outC)), outC, n, kk)
+					for i, wv := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(wv) && !(math.IsNaN(wv) && math.IsNaN(got[i])) {
+							t.Fatalf("%s zeros=%v outC=%d n=%d kk=%d: element %d stored %v, added %v",
+								rg.name, zeros, outC, n, kk, i, got[i], wv)
+						}
+					}
+				})
+			}
+		}
+	})
+}

@@ -40,7 +40,7 @@ func (c BiasedConfig) Validate() error {
 	if c.InitialEps < 0 || c.DeltaEps < 0 {
 		return fmt.Errorf("train: negative bias parameters")
 	}
-	final := c.InitialEps + c.DeltaEps*float64(c.Rounds-1)
+	final := c.InitialEps + float64(c.DeltaEps*float64(c.Rounds-1))
 	if final >= 0.5 {
 		return fmt.Errorf("train: final ε=%v reaches 0.5; the non-hotspot target would cross the boundary", final)
 	}

@@ -60,7 +60,7 @@ func EvalSet(net *nn.Network, samples []Sample, shift float64) (Metrics, error) 
 }
 
 // evalSetOn scores samples across the pool; predict's worker argument owns
-// that worker's scratch (a layered replica or a fused engine) exclusively
+// that worker's scratch (a layered shadow or a fused engine) exclusively
 // for the duration of the call. Predictions land in index-addressed slots,
 // so the folded counts — and with them every derived metric — are
 // identical under any worker count.

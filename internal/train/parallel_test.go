@@ -258,3 +258,58 @@ func TestMGDGenericKernelParity(t *testing.T) {
 		}
 	})
 }
+
+// TestMGDRepeatedCallsMatchFresh runs MGD on one network with 2, 3, 2 and
+// then 1 workers, each from the same start weights, so every run starts
+// from the layer buffers and gradients the run before it left behind.
+// Every run must match, bit for bit, the same run on a fresh clone of the
+// start weights. The batch of 8 leaves a short last wave at 3 workers, and
+// validation runs on the shadows and restores the best snapshot into the
+// weights they alias.
+func TestMGDRepeatedCallsMatchFresh(t *testing.T) {
+	samples := imbalancedToy(60, 47)
+	trainSet, valSet, err := Split(samples, 0.25, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := dropoutNet(t, 53)
+	net, err := start.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run, workers := range []int{2, 3, 2, 1} {
+		cfg := quickCfg()
+		cfg.MaxIters, cfg.ValEvery, cfg.Workers = 30, 10, workers
+		cfg.Seed = int64(61 + run)
+		if err := copyWeights(net, start); err != nil {
+			t.Fatal(err)
+		}
+		hist, err := MGD(net, trainSet, valSet, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := start.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshHist, err := MGD(fresh, trainSet, valSet, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wp, fp := net.Params(), fresh.Params()
+		for i := range wp {
+			for j, v := range wp[i].W.Data() {
+				if math.Float64bits(v) != math.Float64bits(fp[i].W.Data()[j]) {
+					t.Fatalf("run %d (%d workers): %s[%d] = %v repeated, %v fresh", run, workers, wp[i].Name, j, v, fp[i].W.Data()[j])
+				}
+			}
+		}
+		for i := range hist {
+			h, f := hist[i], freshHist[i]
+			h.Elapsed, f.Elapsed = 0, 0
+			if h != f {
+				t.Fatalf("run %d (%d workers): checkpoint %d repeated %+v, fresh %+v", run, workers, i, h, f)
+			}
+		}
+	}
+}

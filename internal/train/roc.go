@@ -86,7 +86,7 @@ func AUC(points []ROCPoint) (float64, error) {
 		if dx < 0 {
 			return 0, fmt.Errorf("train: ROC points not sorted by FPR")
 		}
-		area += dx * (points[i].TPR + points[i-1].TPR) / 2
+		area += float64(dx * (points[i].TPR + points[i-1].TPR) / 2)
 	}
 	return area, nil
 }

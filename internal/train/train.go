@@ -184,7 +184,8 @@ func sampleSeed(seed, counter int64) int64 {
 
 // sampleGrad runs one training sample through net (forward, loss, backward)
 // with its dropout stream reseeded from the sample's global counter.
-// Gradients accumulate into net's current Param.Grad tensors.
+// Gradients accumulate into net's Param.Grad tensors, or, on a shadow,
+// are stored there.
 //
 //hsd:hotpath
 func sampleGrad(net *nn.Network, s Sample, yn, yh *tensor.Tensor, seed int64) (float64, error) {
@@ -213,9 +214,9 @@ func sampleGrad(net *nn.Network, s Sample, yn, yh *tensor.Tensor, seed int64) (f
 // with the best performance on the validation set").
 //
 // With cfg.Workers > 1 the per-sample gradients of each batch are computed
-// concurrently on per-worker network replicas and reduced in batch-position
-// order; see DESIGN.md ("Concurrency model") for why the result is
-// bit-identical to the single-worker path.
+// concurrently on worker shadows of net (nn.Network.Shadow), built once per
+// call, and reduced in batch-position order; see DESIGN.md ("Concurrency
+// model") for why the result is bit-identical to the single-worker path.
 func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -246,7 +247,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 		}
 	}
 
-	// Worker setup. More replicas than batch positions can never help.
+	// Worker setup. More shadows than batch positions can never help.
 	nW := parallel.Workers(cfg.Workers)
 	if nW > cfg.BatchSize {
 		nW = cfg.BatchSize
@@ -254,58 +255,44 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	pool := parallel.New(nW)
 	masterParams := net.Params()
 	var (
-		replicas  []*nn.Network // worker-owned clones; master stays on this goroutine
-		repParams [][]*nn.Param
-		slots     [][]*tensor.Tensor // per-wave-position gradient buffers
-		losses    []float64
+		shadows []*nn.Network // shadow s runs wave position s
+		slots   [][]*nn.Param // slots[s]: shadow s's parameters, whose gradients are position s's
+		losses  []float64
+		ranges  []foldRange
 	)
 	if nW > 1 {
-		replicas = make([]*nn.Network, nW)
-		repParams = make([][]*nn.Param, nW)
-		for i := range replicas {
-			if replicas[i], err = net.Clone(); err != nil {
+		shadows = make([]*nn.Network, nW)
+		slots = make([][]*nn.Param, nW)
+		for s := range shadows {
+			if shadows[s], err = net.Shadow(); err != nil {
 				return nil, err
 			}
-			repParams[i] = replicas[i].Params()
-		}
-		// The batch runs in waves of nW positions, so nW gradient slots
-		// serve the whole batch.
-		slots = make([][]*tensor.Tensor, nW)
-		for b := range slots {
-			slots[b] = make([]*tensor.Tensor, len(masterParams))
-			for i, p := range masterParams {
-				slots[b][i] = tensor.New(p.Grad.Shape()...)
-			}
+			slots[s] = shadows[s].Params()
 		}
 		losses = make([]float64, nW)
-	}
-	// Weight sync over the cached param slices: copyWeights would rebuild
-	// both Params() slices on every iteration.
-	syncReplicas := func() {
-		for w := range repParams {
-			for i, p := range repParams[w] {
-				copy(p.W.Data(), masterParams[i].W.Data())
-			}
-		}
+		ranges = foldRanges(masterParams)
 	}
 	batchIdx := make([]int, cfg.BatchSize)
 
-	// One fan-out closure, built once, serves every wave's Pool.For pass.
+	// Two fan-out closures, built once, serve every wave: the positions'
+	// gradients, then their fold into the master gradients.
 	var counterBase int64
-	var wave int // first batch position of the running wave
-	gradTask := func(worker, s int) error {
-		// Point the replica's gradient accumulators at this wave
-		// position's slot so Backward writes the sample's contribution
-		// there directly — no copy.
-		rp := repParams[worker]
-		for i := range rp {
-			slots[s][i].Zero()
-			rp[i].Grad = slots[s][i]
-		}
+	var wave, waveLen int // first batch position and size of the running wave
+	gradTask := func(_, s int) error {
 		b := wave + s
-		loss, err := sampleGrad(replicas[worker], trainSet[batchIdx[b]], yn, yh, sampleSeed(cfg.Seed, counterBase+int64(b)))
+		loss, err := sampleGrad(shadows[s], trainSet[batchIdx[b]], yn, yh, sampleSeed(cfg.Seed, counterBase+int64(b)))
 		losses[s] = loss
 		return err
+	}
+	foldTask := func(_, r int) error {
+		fr := ranges[r]
+		dst := masterParams[fr.param].Grad.Data()[fr.lo:fr.hi]
+		for s := 0; s < waveLen; s++ {
+			for j, v := range slots[s][fr.param].Grad.Data()[fr.lo:fr.hi] {
+				dst[j] += v
+			}
+		}
+		return nil
 	}
 
 	lr := cfg.LearningRate
@@ -354,22 +341,20 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 				batchLoss += loss
 			}
 		} else {
-			syncReplicas()
 			for wave = 0; wave < cfg.BatchSize; wave += nW {
-				n := min(nW, cfg.BatchSize-wave)
-				if err := pool.For(n, gradTask); err != nil {
+				waveLen = min(nW, cfg.BatchSize-wave)
+				if err := pool.For(waveLen, gradTask); err != nil {
 					return nil, err
 				}
-				// Fold each wave in before the next, in batch-position
-				// order: fold-left addition per element is exactly the
-				// serial loop's in-place accumulation.
-				for s := 0; s < n; s++ {
+				for s := 0; s < waveLen; s++ {
 					batchLoss += losses[s]
-					for i, p := range masterParams {
-						if err := p.Grad.Add(slots[s][i]); err != nil {
-							return nil, err
-						}
-					}
+				}
+				// Fold the wave in before the next, in parallel over
+				// disjoint pieces of the parameters, each element's slots
+				// in batch-position order: fold-left addition per element
+				// is exactly the serial loop's in-place accumulation.
+				if err := pool.For(len(ranges), foldTask); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -395,9 +380,8 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 			val := epoch.Span().Stage("validate", nil)
 			var m Metrics
 			if nW > 1 {
-				syncReplicas()
 				m, err = evalSetOn(pool, valSet, 0, func(worker int, x *tensor.Tensor) (float64, error) {
-					return PredictProb(replicas[worker], x)
+					return PredictProb(shadows[worker], x)
 				})
 			} else {
 				m, err = EvalSet(net, valSet, 0)
@@ -452,6 +436,28 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 		}
 	}
 	return hist, nil
+}
+
+// foldRange is one fold task's piece of the gradients: elements [lo, hi)
+// of parameter param.
+type foldRange struct{ param, lo, hi int }
+
+// foldRangeLen bounds a fold piece at 4096 float64 (32 KB of each
+// gradient), which splits the Table-1 net's 93,584 gradients into 33
+// tasks.
+const foldRangeLen = 4096
+
+// foldRanges splits every parameter into pieces of at most foldRangeLen
+// elements: the disjoint units a wave's fold fans out over.
+func foldRanges(params []*nn.Param) []foldRange {
+	var rs []foldRange
+	for i, p := range params {
+		n := p.Grad.Len()
+		for lo := 0; lo < n; lo += foldRangeLen {
+			rs = append(rs, foldRange{param: i, lo: lo, hi: min(lo+foldRangeLen, n)})
+		}
+	}
+	return rs
 }
 
 // copyWeights copies src's parameters into dst (same architecture).

@@ -12,9 +12,10 @@
 #                            must keep matching the amd64 assembly
 #                            declarations, which asmdecl checks only on
 #                            amd64; and no fused multiply-add in the
-#                            arm64 assembly of the bit-exact packages,
-#                            where the compiler would otherwise contract
-#                            x*y + z (DESIGN.md §8)
+#                            arm64 assembly of the bit-exact packages
+#                            (tensor, dct, raster, feature, nn, nn/fused,
+#                            train), where the compiler would otherwise
+#                            contract x*y + z (DESIGN.md §8)
 #   4. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
@@ -79,9 +80,10 @@ go vet ./...
 echo "==> GOARCH=arm64 go build ./... && go vet ./internal/tensor/ ./internal/nn/fused/"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/fused/
 
-echo "==> no FMA in the arm64 assembly of tensor, dct, raster, feature, nn/fused"
+echo "==> no FMA in the arm64 assembly of tensor, dct, raster, feature, nn, nn/fused, train"
 fma="$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ ./internal/dct/ ./internal/raster/ \
-    ./internal/feature/ ./internal/nn/fused/ 2>&1 | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
+    ./internal/feature/ ./internal/nn/ ./internal/nn/fused/ ./internal/train/ 2>&1 |
+    grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
 if [[ -n "${fma}" ]]; then
     echo "arm64 fused multiply-adds; write the product as float64(x*y):" >&2
     echo "${fma}" >&2
