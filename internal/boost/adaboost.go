@@ -16,7 +16,7 @@ type Ensemble struct {
 func (e *Ensemble) Score(x []float64) float64 {
 	s := 0.0
 	for i, st := range e.Stumps {
-		s += e.Alphas[i] * st.Predict(x)
+		s += float64(e.Alphas[i] * st.Predict(x))
 	}
 	return s
 }
@@ -111,7 +111,7 @@ func TrainAdaBoost(X [][]float64, y []bool, rounds int) (*Ensemble, error) {
 		// Reweight and normalize.
 		sum := 0.0
 		for i := range w {
-			w[i] *= math.Exp(-alpha * pm[i] * stump.Predict(X[i]))
+			w[i] = float64(w[i] * math.Exp(-alpha*pm[i]*stump.Predict(X[i])))
 			sum += w[i]
 		}
 		for i := range w {

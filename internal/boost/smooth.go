@@ -57,7 +57,7 @@ func (sb *SmoothBoost) boost(rounds int) error {
 			if w[i] > 1 {
 				w[i] = 1
 			}
-			w[i] *= classW[i] * float64(n)
+			w[i] = float64(w[i] * (classW[i] * float64(n)))
 			sum += w[i]
 		}
 		if sum == 0 {
@@ -80,7 +80,7 @@ func (sb *SmoothBoost) boost(rounds int) error {
 		sb.Stumps = append(sb.Stumps, stump)
 		sb.Alphas = append(sb.Alphas, alpha)
 		for i := range margins {
-			margins[i] += alpha * sb.bufY[i] * stump.Predict(sb.bufX[i])
+			margins[i] += float64(alpha * sb.bufY[i] * stump.Predict(sb.bufX[i]))
 		}
 	}
 	if len(sb.Stumps) == 0 {

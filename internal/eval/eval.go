@@ -41,7 +41,7 @@ type Result struct {
 // penalty for every clip predicted hotspot (true positives and false
 // alarms).
 func ODST(cpu time.Duration, predictedHotspots int) float64 {
-	return cpu.Seconds() + SimSecondsPerClip*float64(predictedHotspots)
+	return cpu.Seconds() + float64(SimSecondsPerClip*float64(predictedHotspots))
 }
 
 // NewResult assembles a Result from confusion counts and timing.

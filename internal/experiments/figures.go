@@ -56,8 +56,8 @@ func Fig1(opts Options) (Fig1Result, string, error) {
 	var errE, sigE float64
 	for i := range coreIm.Pix {
 		d := rec.Pix[i] - coreIm.Pix[i]
-		errE += d * d
-		sigE += coreIm.Pix[i] * coreIm.Pix[i]
+		errE += float64(d * d)
+		sigE += float64(coreIm.Pix[i] * coreIm.Pix[i])
 	}
 	res := Fig1Result{
 		ClipNM:        cor.W(),

@@ -171,13 +171,13 @@ func (s *Simulator) Config() Config { return s.cfg }
 // The mask must be rasterized at Config.ResNM nanometres per pixel.
 func (s *Simulator) Aerial(mask *raster.Image, defocus float64) *raster.Image {
 	out := raster.NewImage(mask.W, mask.H)
-	widen := 1 + s.cfg.Optics.DefocusSpread*defocus
+	widen := 1 + float64(s.cfg.Optics.DefocusSpread*defocus)
 	for i, k := range s.cfg.Optics.Kernels {
 		sigmaPx := k.SigmaNM * widen / float64(s.cfg.ResNM)
 		field := gaussianBlur(mask, sigmaPx)
 		w := s.weights[i]
 		for j, v := range field.Pix {
-			out.Pix[j] += w * v * v
+			out.Pix[j] += float64(w * v * v)
 		}
 	}
 	return out
@@ -222,7 +222,7 @@ func gaussianBlur(im *raster.Image, sigmaPx float64) *raster.Image {
 				if xx < 0 || xx >= im.W {
 					continue
 				}
-				s += row[xx] * kern[k+radius]
+				s += float64(row[xx] * kern[k+radius])
 			}
 			orow[x] = s
 		}
@@ -237,7 +237,7 @@ func gaussianBlur(im *raster.Image, sigmaPx float64) *raster.Image {
 				if yy < 0 || yy >= im.H {
 					continue
 				}
-				s += tmp.Pix[yy*im.W+x] * kern[k+radius]
+				s += float64(tmp.Pix[yy*im.W+x] * kern[k+radius])
 			}
 			out.Pix[y*im.W+x] = s
 		}
@@ -252,7 +252,7 @@ func gaussianBlur(im *raster.Image, sigmaPx float64) *raster.Image {
 // kernels via SimulateKernels for users replacing the Gaussian optics with
 // tabulated SOCS kernels.
 func (s *Simulator) AerialFFT(mask *raster.Image, defocus float64) (*raster.Image, error) {
-	widen := 1 + s.cfg.Optics.DefocusSpread*defocus
+	widen := 1 + float64(s.cfg.Optics.DefocusSpread*defocus)
 	kernels := make([]*raster.Image, len(s.cfg.Optics.Kernels))
 	for i, k := range s.cfg.Optics.Kernels {
 		kernels[i] = gaussianKernelImage(k.SigmaNM * widen / float64(s.cfg.ResNM))
@@ -274,7 +274,7 @@ func (s *Simulator) SimulateKernels(mask *raster.Image, kernels []*raster.Image,
 		}
 		w := weights[i]
 		for j, v := range field {
-			out.Pix[j] += w * v * v
+			out.Pix[j] += float64(w * v * v)
 		}
 	}
 	return out, nil
@@ -293,7 +293,7 @@ func gaussianKernelImage(sigmaPx float64) *raster.Image {
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
 			dx, dy := float64(x-radius), float64(y-radius)
-			v := math.Exp(-(dx*dx + dy*dy) / (2 * sigmaPx * sigmaPx))
+			v := math.Exp(-(float64(dx*dx) + float64(dy*dy)) / (2 * sigmaPx * sigmaPx))
 			k.Set(x, y, v)
 			sum += v
 		}

@@ -9,7 +9,15 @@
 // full pre-pool activation tensor never round-trips through memory.
 // Dropout is the identity at inference and compiles to nothing. All
 // intermediate buffers are planned at compile time into one arena slab;
-// Forward never allocates and never touches a layer object.
+// ForwardBatch and Forward never allocate and never touch a layer object.
+//
+// ForwardBatch scores several inputs per call. The conv and pool steps run
+// sample by sample; the dense tail (the first dense step and everything
+// after it, which can only be dense and ReLU steps) runs over
+// tensor.TileRows samples at a time, held transposed, on tensor.DotTile:
+// each block of four weight rows × four samples is one 4×4 tile, so every
+// weight row is streamed once per four samples instead of once per
+// sample. Forward is a batch of one on the same path.
 //
 // The convolution product runs on tensor's register-blocked tile kernel,
 // the one the layered Conv2D also runs: four output channels advance
@@ -24,7 +32,8 @@
 // in exactly the per-element order and grouping of the layer-by-layer path
 // (tensor.matmulInto's 4-way unrolled dense kernel, its row-skipping
 // sparse variant behind the same tensor.SparseSkip gate, MatVecInto's
-// sequential dot products, and MaxPool2's comparison order), so fused
+// sequential dot products — each lane of a dot tile is one such chain —
+// and MaxPool2's comparison order), so fused
 // probabilities are bit-identical to nn.Network.Forward — the parity tests
 // in this package and in internal/train pin that equality on every Table 1
 // geometry and on stride/pad edge cases.
@@ -69,11 +78,15 @@ type op struct {
 	ph, pw               int
 	inLen, outLen        int
 	relu, pool           bool
+	sparse               bool // opConv: this call's density gate (ForwardBatch)
 
 	w, bias []float64 // parameter aliases (opConv, opDense)
 
-	in  []float64 // previous step's output; nil = the caller's input
-	out []float64 // this step's output
+	// in is the previous step's output (nil = the caller's input) and out
+	// this step's. A dense-tail step's buffers hold TileRows samples
+	// transposed: element j of sample s at [j·TileRows + s].
+	in  []float64
+	out []float64
 
 	// Conv kernel plan (opConv). Coefficient row p of the im2col product
 	// is base[off[p] : off[p]+width], and output element (oy, ox) is
@@ -99,8 +112,15 @@ type Engine struct {
 	inShape  []int
 	outShape []int
 	ops      []op
-	arena    []float64
-	out      []float64 // final output view (last op's out)
+	// tail indexes the first dense step: ops[:tail] run per sample and
+	// ops[tail:] over TileRows transposed samples. tail == len(ops) for a
+	// net without dense layers.
+	tail  int
+	arena []float64
+	// xT stages the dense tail's input, TileRows samples transposed; it is
+	// ops[tail].in. Nil without a dense tail.
+	xT  []float64
+	out []float64 // Forward's output, one sample
 }
 
 // Compile builds an engine executing net's inference forward pass for
@@ -216,12 +236,23 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("fused: network reduces to the identity (dropout only)")
 	}
+	// A dense step emits a rank-1 shape, which conv and pool layers reject,
+	// so everything from the first dense step on is dense or ReLU.
+	tail := len(ops)
+	for idx := range ops {
+		if ops[idx].kind == opDense {
+			tail = idx
+			break
+		}
+	}
 
 	// Pass 2: plan the arena. One kernel tile region shared by every conv
 	// and one explicit im2col region shared by the strided convs, then
 	// each stride-1 conv's own zero-bordered input plane — its border is
 	// zeroed here, once, and stays zero only because no other op writes
-	// into the plane — then each op's output buffer, all in a single slab.
+	// into the plane — then each op's output buffer (TileRows samples wide
+	// in the dense tail), the dense tail's transposed input and Forward's
+	// one-sample output, all in a single slab.
 	tileMax, colsMax, planes, actTotal := 0, 0, 0, 0
 	baseLen := make([]int, len(ops))
 	for idx := range ops {
@@ -235,9 +266,14 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 				colsMax = max(colsMax, baseLen[idx])
 			}
 		}
-		actTotal += o.outLen
+		actTotal += outSize(o, idx >= tail)
 	}
-	arena := make([]float64, tileMax+colsMax+planes+actTotal)
+	stage := 0
+	if tail < len(ops) {
+		stage = tensor.TileRows * ops[tail].inLen
+	}
+	outLen := prod(shape)
+	arena := make([]float64, tileMax+colsMax+planes+actTotal+stage+outLen)
 	tileRegion := arena[:tileMax]
 	colsRegion := arena[tileMax : tileMax+colsMax]
 	cur := tileMax + colsMax
@@ -246,14 +282,21 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		inShape: append([]int(nil), inShape...),
 		arena:   arena,
 		ops:     ops,
+		tail:    tail,
 	}
 	var prev []float64 // previous op's output view; nil = caller's input
 	var prevShape []int
 	for idx := range e.ops {
 		o := &e.ops[idx]
+		if idx == tail {
+			e.xT = arena[cur : cur+stage]
+			cur += stage
+			prev = e.xT
+		}
 		o.in = prev
-		o.out = arena[cur : cur+o.outLen]
-		cur += o.outLen
+		n := outSize(o, idx >= tail)
+		o.out = arena[cur : cur+n]
+		cur += n
 		if o.kind == opConv {
 			o.tile = tileRegion[:tensor.TileRows*o.width]
 			if o.stride == 1 {
@@ -294,9 +337,18 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 			prevShape = []int{o.outLen}
 		}
 	}
-	e.out = prev
+	e.out = arena[cur : cur+outLen]
 	e.outShape = append([]int(nil), shape...)
 	return e, nil
+}
+
+// outSize is the length of an op's output buffer: one sample's outLen, or
+// TileRows samples' in the dense tail.
+func outSize(o *op, tail bool) int {
+	if tail {
+		return tensor.TileRows * o.outLen
+	}
+	return o.outLen
 }
 
 // planConv builds a conv op's offset table and virtual-column geometry
@@ -374,36 +426,120 @@ func (e *Engine) Accepts(x *tensor.Tensor) bool {
 
 // Forward runs the compiled plan on one sample and returns the network
 // output as a view into the engine arena, valid until the next Forward
-// call. It performs no allocations.
+// call. It is ForwardBatch on a batch of one and performs no allocations.
 func (e *Engine) Forward(x *tensor.Tensor) ([]float64, error) {
-	if !e.Accepts(x) {
-		return nil, fmt.Errorf("fused: input shape %v, engine compiled for %v", x.Shape(), e.inShape)
-	}
-	for i := range e.ops {
-		o := &e.ops[i]
-		switch o.kind {
-		case opConv:
-			if o.stride == 1 {
-				padInput(o, e.input(o, x))
-			} else {
-				src := o.inT
-				if src == nil {
-					src = x
-				}
-				if err := tensor.Im2ColInto(o.colsT, src, o.k, o.k, o.stride, o.pad); err != nil {
-					return nil, err
-				}
-			}
-			convRun(o)
-		case opDense:
-			denseRun(o, e.input(o, x))
-		case opReLU:
-			reluRun(o, e.input(o, x))
-		case opPool:
-			poolRun(o, e.input(o, x))
-		}
+	xs := [1]*tensor.Tensor{x}
+	if err := e.ForwardBatch(e.out, xs[:]); err != nil {
+		return nil, err
 	}
 	return e.out, nil
+}
+
+// ForwardBatch runs the compiled plan on every input of xs and writes
+// sample i's output to out[i·OutLen() : (i+1)·OutLen()], bit for bit what
+// Forward returns for that input alone. It checks every input's shape
+// before it computes anything, decides each conv's density gate once per
+// call (on the first sample), runs the conv and pool steps sample by
+// sample and the dense tail over TileRows samples at a time. It performs
+// no allocations.
+func (e *Engine) ForwardBatch(out []float64, xs []*tensor.Tensor) error {
+	n := len(e.out)
+	if len(out) != len(xs)*n {
+		return fmt.Errorf("fused: output holds %d values, want %d for %d inputs", len(out), len(xs)*n, len(xs))
+	}
+	for i, x := range xs {
+		if !e.Accepts(x) {
+			return fmt.Errorf("fused: input %d shape %v, engine compiled for %v", i, x.Shape(), e.inShape)
+		}
+	}
+	for lo := 0; lo < len(xs); lo += tensor.TileRows {
+		hi := min(lo+tensor.TileRows, len(xs))
+		if err := e.forwardGroup(out[lo*n:hi*n], xs[lo:hi], lo == 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forwardGroup runs at most TileRows inputs through the plan: the steps
+// before the dense tail sample by sample, each sample's result staged as
+// one lane of the tail's transposed input, then the tail once for the
+// group. Unused lanes are zeroed; their results are never emitted. In a
+// call's first group (gate set), the first sample decides each conv's
+// density gate.
+func (e *Engine) forwardGroup(out []float64, xs []*tensor.Tensor, gate bool) error {
+	n := len(e.out)
+	for s, x := range xs {
+		for i := range e.ops[:e.tail] {
+			if err := e.step(&e.ops[i], x, gate && s == 0); err != nil {
+				return err
+			}
+		}
+		res := x.Data()
+		if e.tail > 0 {
+			res = e.ops[e.tail-1].out
+		}
+		if e.xT == nil {
+			copy(out[s*n:s*n+n], res)
+			continue
+		}
+		for j, v := range res[:e.ops[e.tail].inLen] {
+			e.xT[j*tensor.TileRows+s] = v
+		}
+	}
+	if e.xT == nil {
+		return nil
+	}
+	for j := 0; j < len(e.xT); j += tensor.TileRows {
+		for s := len(xs); s < tensor.TileRows; s++ {
+			e.xT[j+s] = 0
+		}
+	}
+	for i := e.tail; i < len(e.ops); i++ {
+		o := &e.ops[i]
+		if o.kind == opDense {
+			denseTile(o)
+		} else {
+			reluRun(o, o.in)
+		}
+	}
+	last := e.ops[len(e.ops)-1].out
+	for s := range xs {
+		for r := range n {
+			out[s*n+r] = last[r*tensor.TileRows+s]
+		}
+	}
+	return nil
+}
+
+// step runs one per-sample op on input x. With gate set, a conv first
+// decides its density gate for the rest of the call: the scan reads the
+// weights right before the kernel does, so it also brings them into cache
+// for it.
+func (e *Engine) step(o *op, x *tensor.Tensor, gate bool) error {
+	switch o.kind {
+	case opConv:
+		if gate {
+			o.sparse = tensor.SparseSkip(o.w[:o.outC*len(o.off)])
+		}
+		if o.stride == 1 {
+			padInput(o, e.input(o, x))
+		} else {
+			src := o.inT
+			if src == nil {
+				src = x
+			}
+			if err := tensor.Im2ColInto(o.colsT, src, o.k, o.k, o.stride, o.pad); err != nil {
+				return err
+			}
+		}
+		convRun(o)
+	case opReLU:
+		reluRun(o, e.input(o, x))
+	case opPool:
+		poolRun(o, e.input(o, x))
+	}
+	return nil
 }
 
 // input resolves an op's input slice: its planned view, or the caller's

@@ -5,11 +5,12 @@ import "hotspot/internal/tensor"
 // convRun executes one fused conv(+bias)(+ReLU)(+pool) op over the
 // coefficient rows its plan addresses (o.base at o.off[p], o.width virtual
 // columns each). Kernel selection replicates the layered path's density
-// gate exactly: the same tensor.SparseSkip decision over the same weight
-// data, so the fused and layered paths always take structurally matching
-// kernels and produce bit-identical outputs.
+// gate exactly: o.sparse is the same tensor.SparseSkip decision over the
+// same weight data, made once per ForwardBatch call, so the fused and
+// layered paths always take structurally matching kernels and produce
+// bit-identical outputs.
 func convRun(o *op) {
-	if tensor.SparseSkip(o.w[:o.outC*len(o.off)]) {
+	if o.sparse {
 		convSparse(o)
 		return
 	}
@@ -105,50 +106,33 @@ func poolRow(dst, src []float64, srcW, ph, pw int) {
 	}
 }
 
-// denseRun executes one fused dense(+bias)(+ReLU) op. Each dot product
-// accumulates in tensor.MatVecInto's sequential order; bias lands after
-// the full dot, exactly as the layered Dense.Forward + ReLU pair computes.
-// Four output rows advance together so their four accumulator chains
-// overlap in the FP pipeline — each chain is still strictly sequential per
-// element, so every output bit is unchanged; only the chains' relative
-// scheduling differs, and they never interact.
-func denseRun(o *op, x []float64) {
-	w, bias, out := o.w, o.bias, o.out
-	k := o.inLen
-	x = x[:k]
-	i := 0
-	for ; i+3 < o.outLen; i += 4 {
-		r0 := w[i*k : i*k+k]
-		r1 := w[(i+1)*k : (i+1)*k+k]
-		r2 := w[(i+2)*k : (i+2)*k+k]
-		r3 := w[(i+3)*k : (i+3)*k+k]
-		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-		for j, v := range x {
-			s0 += float64(r0[j] * v)
-			s1 += float64(r1[j] * v)
-			s2 += float64(r2[j] * v)
-			s3 += float64(r3[j] * v)
+// denseTile executes one fused dense(+bias)(+ReLU) op over TileRows
+// samples held transposed: o.in[j·TileRows + s] is input j of sample s,
+// and o.out[i·TileRows + s] receives output i. Each block of four weight
+// rows × four samples is one tensor.DotTile, whose every lane is
+// tensor.MatVecInto's sequential chain (start at +0, add the products in
+// input order); the bias lands after the full dot and the rectifier after
+// the bias, exactly as the layered Dense.Forward + ReLU pair computes. When
+// outLen is not a multiple of four, the last tile's unused rows recompute
+// the last live row and are never stored.
+func denseTile(o *op) {
+	k, m := o.inLen, o.outLen
+	var s [16]float64
+	for i := 0; i < m; i += tensor.TileRows {
+		r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
+		tensor.DotTile(&s, o.in, tensor.TileRows,
+			o.w[i*k:i*k+k], o.w[r1*k:r1*k+k], o.w[r2*k:r2*k+k], o.w[r3*k:r3*k+k])
+		for r := 0; r < tensor.TileRows && i+r < m; r++ {
+			b := o.bias[i+r]
+			dst := o.out[(i+r)*tensor.TileRows : (i+r+1)*tensor.TileRows]
+			for c, v := range s[4*r : 4*r+4] {
+				v += b
+				if o.relu {
+					v = rectify(v)
+				}
+				dst[c] = v
+			}
 		}
-		s0 += bias[i]
-		s1 += bias[i+1]
-		s2 += bias[i+2]
-		s3 += bias[i+3]
-		if o.relu {
-			s0, s1, s2, s3 = rectify(s0), rectify(s1), rectify(s2), rectify(s3)
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < o.outLen; i++ {
-		row := w[i*k : i*k+k]
-		s := 0.0
-		for j, v := range row {
-			s += float64(v * x[j])
-		}
-		s += bias[i]
-		if o.relu {
-			s = rectify(s)
-		}
-		out[i] = s
 	}
 }
 
@@ -161,7 +145,8 @@ func rectify(v float64) float64 {
 }
 
 // reluRun executes a standalone rectifier op (a ReLU not adjacent to a
-// conv or dense producer, e.g. following a pool).
+// conv or dense producer, e.g. following a pool). It is elementwise, so it
+// runs the same on one sample and on the dense tail's transposed ones.
 func reluRun(o *op, x []float64) {
 	out := o.out
 	for i, v := range x[:len(out)] {

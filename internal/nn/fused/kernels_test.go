@@ -74,8 +74,10 @@ func TestImplicitIm2ColMatchesTensor(t *testing.T) {
 // TestTable1ArenaPlan pins the paper net's arena: one 4-row kernel tile
 // (168 virtual columns for a 12×12 output read from a 14-wide plane), a
 // dedicated zero-bordered plane per conv — each inC·Hp·Wp long plus the 2
-// slots the last coefficient row's rounded-up reads run past it — and the
-// six ops' outputs. No explicit im2col region is planned.
+// slots the last coefficient row's rounded-up reads run past it — the four
+// conv ops' outputs, the dense tail's outputs four samples wide, its
+// transposed four-sample input (fc1's 288 inputs) and Forward's
+// one-sample output. No explicit im2col region is planned.
 func TestTable1ArenaPlan(t *testing.T) {
 	net, err := nn.NewPaperNet(nn.DefaultPaperNetConfig())
 	if err != nil {
@@ -87,9 +89,11 @@ func TestTable1ArenaPlan(t *testing.T) {
 	}
 	tile := tensor.TileRows * 168
 	planes := (32*14*14 + 2) + (16*14*14 + 2) + (16*8*8 + 2) + (32*8*8 + 2)
-	outs := 16*12*12 + 16*6*6 + 32*6*6 + 32*3*3 + 250 + 2
-	if got, want := eng.ArenaLen(), tile+planes+outs; got != want {
-		t.Fatalf("arena holds %d float64, want %d (tile %d + planes %d + outputs %d)", got, want, tile, planes, outs)
+	outs := 16*12*12 + 16*6*6 + 32*6*6 + 32*3*3 + tensor.TileRows*(250+2)
+	stage := tensor.TileRows * 288
+	if got, want := eng.ArenaLen(), tile+planes+outs+stage+2; got != want {
+		t.Fatalf("arena holds %d float64, want %d (tile %d + planes %d + outputs %d + staging %d + 2)",
+			got, want, tile, planes, outs, stage)
 	}
 }
 
@@ -104,5 +108,6 @@ func TestGenericKernelParity(t *testing.T) {
 		t.Run("PaperNet", TestParityPaperNet)
 		t.Run("OddGeometries", TestParityOddGeometries)
 		t.Run("SparseWeights", TestParitySparseWeights)
+		t.Run("ForwardBatch", TestForwardBatchParity)
 	})
 }

@@ -330,8 +330,9 @@ type Dropout struct {
 }
 
 // NewDropout builds a dropout layer with its own deterministic RNG stream.
+// The rate must lie in [0, 1); NaN is rejected too.
 func NewDropout(name string, rate float64, seed int64) (*Dropout, error) {
-	if rate < 0 || rate >= 1 {
+	if !(rate >= 0 && rate < 1) {
 		return nil, fmt.Errorf("nn: dropout %q rate %v outside [0, 1)", name, rate)
 	}
 	return &Dropout{name: name, rate: rate, state: uint64(seed)}, nil

@@ -243,6 +243,20 @@ func TestDropoutRateValidation(t *testing.T) {
 	}
 }
 
+// TestDropoutRejectsNaNRate: a NaN rate fails both range tests (rate < 0
+// and rate >= 1 are each false for NaN), so it is rejected explicitly by
+// NewDropout and by the paper net's config check.
+func TestDropoutRejectsNaNRate(t *testing.T) {
+	if _, err := NewDropout("d", math.NaN(), 1); err == nil {
+		t.Fatal("NewDropout accepted a NaN rate")
+	}
+	cfg := DefaultPaperNetConfig()
+	cfg.DropoutRate = math.NaN()
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted a NaN dropout rate")
+	}
+}
+
 func TestConvSamePaddingShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c, err := NewConv2D("c", 32, 16, 3, 1, 1, rng)

@@ -48,7 +48,7 @@ func (c PaperNetConfig) Validate() error {
 	if c.Conv1Maps <= 0 || c.Conv2Maps <= 0 || c.FC1 <= 0 {
 		return fmt.Errorf("nn: paper net needs positive layer widths")
 	}
-	if c.DropoutRate < 0 || c.DropoutRate >= 1 {
+	if !(c.DropoutRate >= 0 && c.DropoutRate < 1) { // NaN fails too
 		return fmt.Errorf("nn: paper net dropout rate %v outside [0, 1)", c.DropoutRate)
 	}
 	return nil

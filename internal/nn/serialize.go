@@ -134,7 +134,8 @@ func Load(r io.Reader) (*Network, error) {
 // network. Both are wrapped with the layer, and the parameter and index
 // where there is one.
 var (
-	// ErrCheckpointGeometry: a layer's declared geometry is invalid, or
+	// ErrCheckpointGeometry: a layer's declared geometry is invalid (a
+	// dropout rate outside [0, 1), NaN included, counts as geometry), or
 	// its weight payload does not have exactly the shapes and lengths the
 	// geometry declares.
 	ErrCheckpointGeometry = errors.New("nn: checkpoint layer geometry does not match its weights")
@@ -173,7 +174,8 @@ func (s layerSpec) layer(i int) (Layer, error) {
 	case "dropout":
 		d, err := NewDropout(s.Name, s.Rate, s.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("nn: rebuild layer %d (%s): %w", i, s.Name, err)
+			return nil, fmt.Errorf("%w: layer %d (%s): dropout rate %v outside [0, 1)",
+				ErrCheckpointGeometry, i, s.Name, s.Rate)
 		}
 		return s.paramless(i, d)
 	}

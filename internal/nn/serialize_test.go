@@ -11,18 +11,38 @@ import (
 )
 
 // saveSmallNet serializes a tiny PaperNet and returns the bytes.
-func saveSmallNet(t *testing.T) []byte {
+func saveSmallNet(t testing.TB) []byte {
+	t.Helper()
+	return saveSmallNetWith(t, nil)
+}
+
+// saveSmallNetWith serializes a tiny PaperNet after edit, when non-nil,
+// has changed it.
+func saveSmallNetWith(t testing.TB, edit func(*Network)) []byte {
 	t.Helper()
 	cfg := PaperNetConfig{InChannels: 2, SpatialSize: 4, Conv1Maps: 2, Conv2Maps: 2, FC1: 4, DropoutRate: 0.5, Seed: 3}
 	net, err := NewPaperNet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if edit != nil {
+		edit(net)
+	}
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// nanDropoutRate sets every dropout layer's rate to NaN, which NewDropout
+// would refuse; Save writes it as it is.
+func nanDropoutRate(net *Network) {
+	for _, l := range net.Layers() {
+		if d, ok := l.(*Dropout); ok {
+			d.rate = math.NaN()
+		}
+	}
 }
 
 func TestCheckpointHeaderWritten(t *testing.T) {
@@ -162,4 +182,44 @@ func TestLoadRejectsNonFiniteWeights(t *testing.T) {
 			t.Fatalf("%s[%d] = %v: got %v, want ErrNonFiniteWeight naming %q", tc.param, tc.index, tc.v, err, tc.want)
 		}
 	}
+}
+
+// TestLoadRejectsNaNDropoutRate: a checkpoint whose dropout rate is NaN
+// would serve normally (dropout is the identity at inference) and then
+// train to all-NaN outputs, so Load refuses it, naming the layer.
+func TestLoadRejectsNaNDropoutRate(t *testing.T) {
+	raw := saveSmallNetWith(t, nanDropoutRate)
+	_, err := Load(bytes.NewReader(raw))
+	if !errors.Is(err, ErrCheckpointGeometry) || !strings.Contains(err.Error(), "(dropout1): dropout rate NaN") {
+		t.Fatalf("NaN dropout rate: got %v, want ErrCheckpointGeometry naming dropout1", err)
+	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes. Load must never panic, and a
+// network it accepts must save to bytes that load again and save to the
+// same bytes: a checkpoint spec holds no maps, so its gob encoding is
+// deterministic. The seed corpus in testdata/fuzz/FuzzLoad holds a saved
+// small paper net, truncations of it, a NaN dropout rate, a NaN weight and
+// every TestLoadBoundsGeometryBeforeAllocating case.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		net, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := net.Save(&first); err != nil {
+			t.Fatalf("save a loaded network: %v", err)
+		}
+		back, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reload a saved network: %v", err)
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatalf("save a reloaded network: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save, load, save changed the checkpoint: %d bytes, then %d", first.Len(), second.Len())
+		}
+	})
 }

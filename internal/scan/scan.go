@@ -16,8 +16,9 @@
 // The two passes run on the shared worker-pool substrate under its
 // standing determinism contract: the extract pass shards the die into
 // tiles whose blocks land in disjoint, index-addressed cache slots; the
-// score pass fans window rows across the evaluator's per-worker engines
-// into index-addressed probability slots. Windows near tile boundaries gather
+// score pass fans window rows across the evaluator's per-worker engines,
+// which score four windows of a row per call, into index-addressed
+// probability slots. Windows near tile boundaries gather
 // blocks owned by neighbouring tiles — halo reads into the shared cache,
 // never halo recomputation, which is what keeps "exactly once" true.
 // Results are bit-identical under any worker count, and bit-identical to
@@ -129,12 +130,12 @@ func (r *Result) HotWindows() int {
 }
 
 // workerState is one worker's scratch: a block encoder and the assembled
-// feature tensor fed to that worker's inference engine. Every field is
-// fully overwritten per item, so reuse across items cannot leak state
-// between them.
+// feature tensors of the windows fed to that worker's inference engine in
+// one call. Every field is fully overwritten per item, so reuse across
+// items cannot leak state between them.
 type workerState struct {
 	enc *feature.BlockEncoder
-	x   *tensor.Tensor
+	xs  [tensor.TileRows]*tensor.Tensor
 }
 
 // Scanner scans one die. It owns the block-plane cache and the last heat
@@ -205,7 +206,11 @@ func New(cfg Config, net *nn.Network, die geom.Clip) (*Scanner, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.workers[i] = &workerState{enc: enc, x: tensor.New(k, n, n)}
+		ws := &workerState{enc: enc}
+		for j := range ws.xs {
+			ws.xs[j] = tensor.New(k, n, n)
+		}
+		s.workers[i] = ws
 	}
 	return s, nil
 }
@@ -353,19 +358,21 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 }
 
 // scoreRow assembles and scores windows (wx0..wx1) of window row wy on
-// one worker's engine, writing into the row's probability slots.
+// one worker's engine, tensor.TileRows windows per call, writing into the
+// row's probability slots.
 //
 //hsd:hotpath
 func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {
 	ws := s.workers[worker]
-	dst := ws.x.Data()
-	for wx := wx0; wx < wx1; wx++ {
-		s.assembleWindow(dst, wx, wy)
-		p, err := s.ev.PredictOn(worker, ws.x)
-		if err != nil {
+	for wx := wx0; wx < wx1; wx += tensor.TileRows {
+		n := min(tensor.TileRows, wx1-wx)
+		for i, x := range ws.xs[:n] {
+			s.assembleWindow(x.Data(), wx+i, wy)
+		}
+		slot := wy*s.wnx + wx
+		if err := s.ev.PredictBatchOn(worker, ws.xs[:n], s.probs[slot:slot+n]); err != nil {
 			return err
 		}
-		s.probs[wy*s.wnx+wx] = p
 	}
 	return nil
 }

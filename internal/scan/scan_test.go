@@ -7,6 +7,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/nn"
+	"hotspot/internal/tensor"
 	"hotspot/internal/train"
 )
 
@@ -27,7 +28,9 @@ func testNet(t *testing.T) *nn.Network {
 }
 
 // testDie is a 2×1-cell city: 2400×1200 nm, a 24×12 block grid scanned by
-// 13×1 windows — small enough for exhaustive per-window comparison.
+// 13×1 windows — small enough for exhaustive per-window comparison. 13 is
+// not a multiple of the four windows the row scorer batches, so the row
+// ends in a one-window chunk (checkRaggedRow).
 func testDie(t *testing.T) geom.Clip {
 	t.Helper()
 	die, err := layout.GenerateDie(layout.DieConfig{CellsX: 2, CellsY: 1, CellNM: 1200, Seed: 5})
@@ -35,6 +38,15 @@ func testDie(t *testing.T) geom.Clip {
 		t.Fatal(err)
 	}
 	return die
+}
+
+// checkRaggedRow fails unless the scan's rows end in a partial chunk of
+// the four windows scoreRow scores per call.
+func checkRaggedRow(t *testing.T, s *Scanner) {
+	t.Helper()
+	if wnx, _ := s.Windows(); wnx%tensor.TileRows == 0 {
+		t.Fatalf("test die rows hold %d windows, a multiple of %d; no partial chunk is covered", wnx, tensor.TileRows)
+	}
 }
 
 func testConfig(workers int) Config {
@@ -67,6 +79,7 @@ func TestScanMatchesPerClip(t *testing.T) {
 	if wnx != 13 || wny != 1 {
 		t.Fatalf("window grid %dx%d, want 13x1", wnx, wny)
 	}
+	checkRaggedRow(t, s)
 	fcfg := DefaultConfig().Feature
 	for wy := 0; wy < wny; wy++ {
 		for wx := 0; wx < wnx; wx++ {
@@ -86,19 +99,28 @@ func TestScanMatchesPerClip(t *testing.T) {
 	}
 }
 
+// TestScanWorkerInvariance scans the one-row test die and a 2×2-cell die
+// (13 rows of 13 windows, so several workers score ragged rows at once)
+// under several worker counts; every probability must match one worker's.
 func TestScanWorkerInvariance(t *testing.T) {
 	net := testNet(t)
-	die := testDie(t)
-	_, base := mustScan(t, testConfig(1), net, die)
-	for _, w := range []int{2, 4, 7} {
-		_, res := mustScan(t, testConfig(w), net, die)
-		for i := range base.Probs {
-			if res.Probs[i] != base.Probs[i] {
-				t.Fatalf("workers=%d: window %d prob %v, want %v", w, i, res.Probs[i], base.Probs[i])
+	square, err := layout.GenerateDie(layout.DieConfig{CellsX: 2, CellsY: 2, CellNM: 1200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, die := range []geom.Clip{testDie(t), square} {
+		s, base := mustScan(t, testConfig(1), net, die)
+		checkRaggedRow(t, s)
+		for _, w := range []int{2, 4, 7} {
+			_, res := mustScan(t, testConfig(w), net, die)
+			for i := range base.Probs {
+				if res.Probs[i] != base.Probs[i] {
+					t.Fatalf("workers=%d: window %d prob %v, want %v", w, i, res.Probs[i], base.Probs[i])
+				}
 			}
-		}
-		if len(res.Regions) != len(base.Regions) {
-			t.Fatalf("workers=%d: %d regions, want %d", w, len(res.Regions), len(base.Regions))
+			if len(res.Regions) != len(base.Regions) {
+				t.Fatalf("workers=%d: %d regions, want %d", w, len(res.Regions), len(base.Regions))
+			}
 		}
 	}
 }

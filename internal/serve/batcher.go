@@ -77,6 +77,7 @@ type batcher struct {
 	scratch []*request       // batch assembly buffer, owned by the flush loop
 	xs      []*tensor.Tensor // extracted-tensor scratch, reused across batches
 	idx     []int            // xs→batch index scratch, reused across batches
+	results []result         // per-request outcomes, held until the batch trace is filed
 }
 
 func newBatcher(srv *Server, queueSize, maxBatch int, maxWait time.Duration, pool *parallel.Pool) *batcher {
@@ -91,6 +92,7 @@ func newBatcher(srv *Server, queueSize, maxBatch int, maxWait time.Duration, poo
 		scratch:  make([]*request, 0, maxBatch),
 		xs:       make([]*tensor.Tensor, 0, maxBatch),
 		idx:      make([]int, 0, maxBatch),
+		results:  make([]result, maxBatch),
 	}
 }
 
@@ -198,7 +200,9 @@ type extraction struct {
 }
 
 // run executes one micro-batch: parallel feature extraction, batched
-// inference, replies, cache fills.
+// inference, cache fills, then the end of the batch stage, and only then
+// the replies. A client that reads /debug/trace right after its reply
+// therefore finds its batch's trace already filed.
 //
 //hsd:hotpath
 func (b *batcher) run(batch []*request) {
@@ -207,13 +211,15 @@ func (b *batcher) run(batch []*request) {
 	bsp, btr := bst.Span(), bst.Trace()
 	m := b.srv.model.Load() //hsd:allow hotlint one atomic pointer read per micro-batch pins the model across the batch
 	if m == nil {
-		for _, r := range batch {
-			r.queue.Abort()
-			r.resp <- result{err: ErrNoModel} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
-		}
 		btr.SetStatus(503)
 		btr.SetError("no model loaded")
+		for _, r := range batch {
+			r.queue.Abort()
+		}
 		bst.Abort()
+		for _, r := range batch {
+			r.resp <- result{err: ErrNoModel} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
+		}
 		return
 	}
 	n := len(batch)
@@ -244,9 +250,10 @@ func (b *batcher) run(batch []*request) {
 
 	xs := b.xs[:0]
 	idx := b.idx[:0]
+	results := b.results[:n]
 	for i, e := range exts {
 		if e.err != nil {
-			batch[i].resp <- result{err: e.err} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
+			results[i] = result{err: e.err}
 			continue
 		}
 		xs = append(xs, e.x)
@@ -258,12 +265,15 @@ func (b *batcher) run(batch []*request) {
 		_ = in.Done(err) // err is answered per request below
 		for j, i := range idx {
 			if err != nil {
-				batch[i].resp <- result{err: err} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
+				results[i] = result{err: err}
 				continue
 			}
 			b.srv.cache.add(batch[i].key, probs[j])
-			batch[i].resp <- result{prob: probs[j]} //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
+			results[i] = result{prob: probs[j]}
 		}
 	}
 	bst.End()
+	for i, r := range batch {
+		r.resp <- results[i] //hsd:allow hotlint reply into the request's cap-1 buffered channel; never blocks
+	}
 }

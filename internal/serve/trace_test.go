@@ -208,26 +208,19 @@ func TestDebugTraceGating(t *testing.T) {
 	if code, _ := getBody(t, debugTS.URL+"/debug/pprof/"); code != http.StatusNotFound {
 		t.Fatalf("tracing lit without -pprof exposed pprof: %d", code)
 	}
-	// The batcher files the batch trace after it replies, so a dump read
-	// right after the reply may hold the request trace alone: poll, with a
-	// deadline, until the predict and its batch have both landed.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		code, body := getBody(t, debugTS.URL+"/debug/trace")
-		if code != http.StatusOK {
-			t.Fatalf("lit server /debug/trace = %d, want 200", code)
-		}
-		var dump trace.DumpJSON
-		if err := json.Unmarshal([]byte(body), &dump); err != nil {
-			t.Fatalf("/debug/trace body does not parse: %v", err)
-		}
-		if dump.Recorded >= 2 && len(dump.Traces) >= 2 { // predict + its batch at minimum
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dump suspiciously empty: recorded=%d traces=%d", dump.Recorded, len(dump.Traces))
-		}
-		time.Sleep(time.Millisecond)
+	// The batcher files the batch trace before it replies and the handler
+	// files the request trace before it writes the response, so one read
+	// right after the reply must hold both.
+	code, body := getBody(t, debugTS.URL+"/debug/trace")
+	if code != http.StatusOK {
+		t.Fatalf("lit server /debug/trace = %d, want 200", code)
+	}
+	var dump trace.DumpJSON
+	if err := json.Unmarshal([]byte(body), &dump); err != nil {
+		t.Fatalf("/debug/trace body does not parse: %v", err)
+	}
+	if dump.Recorded < 2 || len(dump.Traces) < 2 { // predict + its batch at minimum
+		t.Fatalf("dump suspiciously empty: recorded=%d traces=%d", dump.Recorded, len(dump.Traces))
 	}
 	// The slowest request's trace ID surfaces as a /metrics exemplar.
 	if code, metrics := getBody(t, litTS.URL+"/metrics"); code != http.StatusOK ||

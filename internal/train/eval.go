@@ -59,27 +59,33 @@ func EvalSet(net *nn.Network, samples []Sample, shift float64) (Metrics, error) 
 	})
 }
 
+// errEmptySet rejects an evaluation over no samples.
+var errEmptySet = errors.New("train: empty evaluation set")
+
 // evalSetOn scores samples across the pool; predict's worker argument owns
-// that worker's scratch (a layered shadow or a fused engine) exclusively
-// for the duration of the call. Predictions land in index-addressed slots,
-// so the folded counts — and with them every derived metric — are
-// identical under any worker count.
+// that worker's scratch (a layered shadow) exclusively for the duration of
+// the call. Predictions land in index-addressed slots, so the folded
+// counts — and with them every derived metric — are identical under any
+// worker count.
 func evalSetOn(pool *parallel.Pool, samples []Sample, shift float64, predict func(worker int, x *tensor.Tensor) (float64, error)) (Metrics, error) {
 	if len(samples) == 0 {
-		return Metrics{}, fmt.Errorf("train: empty evaluation set")
+		return Metrics{}, errEmptySet
 	}
-	preds, err := parallel.Map(pool, len(samples), func(worker, i int) (bool, error) {
-		p, err := predict(worker, samples[i].X)
-		if err != nil {
-			return false, err
-		}
-		return Decide(p, shift), nil
+	probs, err := parallel.Map(pool, len(samples), func(worker, i int) (float64, error) {
+		return predict(worker, samples[i].X)
 	})
 	if err != nil {
 		return Metrics{}, err
 	}
+	return metricsOf(samples, probs, shift), nil
+}
+
+// metricsOf folds per-sample hotspot probabilities, in sample order, into
+// Metrics at the given boundary shift.
+func metricsOf(samples []Sample, probs []float64, shift float64) Metrics {
 	var m Metrics
-	for i, pred := range preds {
+	for i, p := range probs {
+		pred := Decide(p, shift)
 		switch {
 		case pred && samples[i].Hotspot:
 			m.TP++
@@ -96,7 +102,7 @@ func evalSetOn(pool *parallel.Pool, samples []Sample, shift float64, predict fun
 	}
 	m.FalseAlarms = m.FP
 	m.Accuracy = float64(m.TP+m.TN) / float64(len(samples))
-	return m, nil
+	return m
 }
 
 // Evaluator fans fused inference for one network across a worker pool:
@@ -111,9 +117,16 @@ func evalSetOn(pool *parallel.Pool, samples []Sample, shift float64, predict fun
 type Evaluator struct {
 	net  *nn.Network
 	pool *parallel.Pool
-	// engines[w] is worker w's plan for one input shape; nil until the
-	// first Prepare.
-	engines []*fused.Engine
+	// workers[w] is worker w's plan for one input shape and its scratch;
+	// nil until the first Prepare.
+	workers []evalWorker
+}
+
+// evalWorker is one worker's compiled engine and the logits of the inputs
+// it scores together.
+type evalWorker struct {
+	eng    *fused.Engine
+	logits [2 * tensor.TileRows]float64
 }
 
 // NewEvaluator builds an evaluator over net with the given worker count
@@ -125,24 +138,25 @@ func NewEvaluator(net *nn.Network, workers int) (*Evaluator, error) {
 // Workers returns the evaluator's worker count.
 func (e *Evaluator) Workers() int { return e.pool.Size() }
 
-// errUnprepared rejects PredictOn before any Prepare compiled engines.
+// errUnprepared rejects PredictOn and PredictBatchOn before any Prepare
+// compiled engines.
 var errUnprepared = errors.New("train: evaluator used before Prepare")
 
 // Prepare compiles one fused engine per worker for inputs of exactly
 // inShape; engines already compiled for that shape are kept. It is the
 // evaluator's only compile point: EvalSet and PredictProbs call it for
 // their first input, and callers that drive their own fan-out over
-// PredictOn — the full-layout scan engine scores millions of windows
-// without materializing a []*tensor.Tensor batch — call it once per pass.
-// It fails for a network the fused engine cannot run and for one that
-// does not emit the two class logits, keeping any engines it already had.
-// Not safe concurrently with evaluation.
+// PredictOn or PredictBatchOn — the full-layout scan engine scores
+// millions of windows without materializing a []*tensor.Tensor of them —
+// call it once per pass. It fails for a network the fused engine cannot
+// run and for one that does not emit the two class logits, keeping any
+// engines it already had. Not safe concurrently with evaluation.
 func (e *Evaluator) Prepare(inShape []int) error {
-	if e.engines != nil && slices.Equal(e.engines[0].InShape(), inShape) {
+	if e.workers != nil && slices.Equal(e.workers[0].eng.InShape(), inShape) {
 		return nil
 	}
-	engines := make([]*fused.Engine, e.pool.Size())
-	for w := range engines {
+	workers := make([]evalWorker, e.pool.Size())
+	for w := range workers {
 		eng, err := fused.Compile(e.net, inShape)
 		if err != nil {
 			return fmt.Errorf("train: evaluator: %w", err)
@@ -150,9 +164,9 @@ func (e *Evaluator) Prepare(inShape []int) error {
 		if eng.OutLen() != 2 {
 			return fmt.Errorf("train: evaluator: classifier emits %d outputs, want 2", eng.OutLen())
 		}
-		engines[w] = eng
+		workers[w].eng = eng
 	}
-	e.engines = engines
+	e.workers = workers
 	return nil
 }
 
@@ -168,14 +182,44 @@ func (e *Evaluator) Prepare(inShape []int) error {
 //
 //hsd:hotpath
 func (e *Evaluator) PredictOn(worker int, x *tensor.Tensor) (float64, error) {
-	if e.engines == nil {
+	if e.workers == nil {
 		return 0, errUnprepared
 	}
-	out, err := e.engines[worker].Forward(x)
+	out, err := e.workers[worker].eng.Forward(x)
 	if err != nil {
 		return 0, err
 	}
 	return probHot(out), nil
+}
+
+// PredictBatchOn scores xs on worker w's engine and writes their hotspot
+// probabilities to probs, which holds one slot per input: one
+// fused.Engine.ForwardBatch call per tensor.TileRows inputs, so the dense
+// layers stream their weights once per four inputs. The fan-out contract
+// is PredictOn's, and an input of another shape fails with the engine's
+// shape error. Probabilities are bit-identical to PredictProb. It
+// allocates nothing.
+//
+//hsd:hotpath
+func (e *Evaluator) PredictBatchOn(worker int, xs []*tensor.Tensor, probs []float64) error {
+	if e.workers == nil {
+		return errUnprepared
+	}
+	if len(probs) != len(xs) {
+		return fmt.Errorf("train: %d probability slots for %d inputs", len(probs), len(xs))
+	}
+	w := &e.workers[worker]
+	for lo := 0; lo < len(xs); lo += tensor.TileRows {
+		hi := min(lo+tensor.TileRows, len(xs))
+		logits := w.logits[:2*(hi-lo)]
+		if err := w.eng.ForwardBatch(logits, xs[lo:hi]); err != nil {
+			return err
+		}
+		for i := lo; i < hi; i++ {
+			probs[i] = probHot(logits[2*(i-lo):])
+		}
+	}
+	return nil
 }
 
 // probHot converts the classifier's two logits (Prepare guarantees two) to
@@ -196,26 +240,51 @@ func probHot(out []float64) float64 {
 }
 
 // EvalSet computes Metrics over a sample set with the given boundary
-// shift, fanning samples across the pool. Results are identical to the
-// serial EvalSet.
+// shift, scoring the samples as PredictProbs does. Results are identical
+// to the serial EvalSet.
 func (e *Evaluator) EvalSet(samples []Sample, shift float64) (Metrics, error) {
-	if len(samples) > 0 {
-		if err := e.Prepare(samples[0].X.Shape()); err != nil {
-			return Metrics{}, err
-		}
+	if len(samples) == 0 {
+		return Metrics{}, errEmptySet
 	}
-	return evalSetOn(e.pool, samples, shift, e.PredictOn)
+	xs := make([]*tensor.Tensor, len(samples))
+	for i := range samples {
+		xs[i] = samples[i].X
+	}
+	probs, err := e.PredictProbs(xs)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return metricsOf(samples, probs, shift), nil
 }
 
-// PredictProbs scores every input in parallel and returns the hotspot
-// probabilities in input order.
+// PredictProbs scores every input and returns the hotspot probabilities in
+// input order. The N inputs split into contiguous chunks of
+// min(tensor.TileRows, ⌈N/workers⌉), one PredictBatchOn each, fanned
+// across the pool, so every worker gets work and no chunk is wider than
+// one dot tile. Engines are compiled for the first input's shape, and an
+// input of another shape fails with the lowest such index before anything
+// is scored.
 func (e *Evaluator) PredictProbs(xs []*tensor.Tensor) ([]float64, error) {
-	if len(xs) > 0 {
-		if err := e.Prepare(xs[0].Shape()); err != nil { //hsd:cold engines compile once per model load or input-shape change, not per batch
-			return nil, err
+	probs := make([]float64, len(xs))
+	if len(xs) == 0 {
+		return probs, nil
+	}
+	if err := e.Prepare(xs[0].Shape()); err != nil { //hsd:cold engines compile once per model load or input-shape change, not per batch
+		return nil, err
+	}
+	eng := e.workers[0].eng
+	for i, x := range xs {
+		if !eng.Accepts(x) {
+			return nil, fmt.Errorf("train: sample %d shape %v, engine compiled for %v", i, x.Shape(), eng.InShape())
 		}
 	}
-	return parallel.Map(e.pool, len(xs), func(worker, i int) (float64, error) {
-		return e.PredictOn(worker, xs[i])
+	size := min(tensor.TileRows, (len(xs)+e.pool.Size()-1)/e.pool.Size())
+	err := e.pool.For((len(xs)+size-1)/size, func(worker, c int) error {
+		lo, hi := c*size, min((c+1)*size, len(xs))
+		return e.PredictBatchOn(worker, xs[lo:hi], probs[lo:hi])
 	})
+	if err != nil {
+		return nil, err
+	}
+	return probs, nil
 }

@@ -174,6 +174,128 @@ func TestEvaluatorsFusedConcurrent(t *testing.T) {
 	}
 }
 
+// TestEvaluatorChunkParity pins PredictProbs and EvalSet, which score
+// contiguous chunks of min(4, ⌈N/workers⌉) samples per engine call,
+// against the serial layered PredictProb and EvalSet by Float64bits, at
+// set sizes around the chunk and tile widths and at 1, 2 and 3 workers.
+func TestEvaluatorChunkParity(t *testing.T) {
+	all := imbalancedToy(33, 89)
+	net := dropoutNet(t, 97)
+	for _, n := range []int{1, 3, 4, 5, 9, 33} {
+		samples := all[:n]
+		xs := make([]*tensor.Tensor, n)
+		want := make([]float64, n)
+		for i := range samples {
+			xs[i] = samples[i].X
+			p, err := PredictProb(net, xs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = p
+		}
+		mWant, err := EvalSet(net, samples, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			ev, err := NewEvaluator(net, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev.PredictProbs(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("N=%d workers=%d sample %d: fused %v != layered %v", n, workers, i, got[i], want[i])
+				}
+			}
+			m, err := ev.EvalSet(samples, 0.02)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != mWant {
+				t.Fatalf("N=%d workers=%d: fused metrics %+v != layered %+v", n, workers, m, mWant)
+			}
+		}
+	}
+}
+
+// TestEvaluatorShapeErrorLowestIndex: with wrong-shape inputs at indices
+// 5 and 7 of nine, PredictProbs and EvalSet fail naming index 5 at every
+// worker count, though the chunks run in parallel.
+func TestEvaluatorShapeErrorLowestIndex(t *testing.T) {
+	samples := imbalancedToy(9, 101)
+	samples[5].X = randToyInput(2, 6, 6, 103)
+	samples[7].X = randToyInput(2, 5, 5, 107)
+	xs := make([]*tensor.Tensor, len(samples))
+	for i := range samples {
+		xs[i] = samples[i].X
+	}
+	net := dropoutNet(t, 109)
+	const want = "sample 5 shape [2 6 6], engine compiled for [2 4 4]"
+	for _, workers := range []int{1, 2, 3} {
+		ev, err := NewEvaluator(net, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ev.PredictProbs(xs); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d PredictProbs: err %v, want %q", workers, err, want)
+		}
+		if _, err := ev.EvalSet(samples, 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d EvalSet: err %v, want %q", workers, err, want)
+		}
+	}
+}
+
+// TestPredictBatchOn scores nine inputs in one call (three engine calls
+// of at most four), bit for bit against PredictProb and with no
+// allocation, and rejects a call before Prepare and a probs slice of the
+// wrong length.
+func TestPredictBatchOn(t *testing.T) {
+	samples := imbalancedToy(9, 113)
+	xs := make([]*tensor.Tensor, len(samples))
+	for i := range samples {
+		xs[i] = samples[i].X
+	}
+	net := dropoutNet(t, 127)
+	ev, err := NewEvaluator(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := make([]float64, len(xs))
+	if err := ev.PredictBatchOn(1, xs, probs); err == nil || !strings.Contains(err.Error(), "before Prepare") {
+		t.Fatalf("PredictBatchOn before Prepare: err %v", err)
+	}
+	if err := ev.Prepare(xs[0].Shape()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.PredictBatchOn(1, xs, probs[:8]); err == nil || !strings.Contains(err.Error(), "8 probability slots for 9 inputs") {
+		t.Fatalf("short probs: err %v", err)
+	}
+	if err := ev.PredictBatchOn(1, xs, probs); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		want, err := PredictProb(net, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(probs[i]) != math.Float64bits(want) {
+			t.Fatalf("sample %d: batch %v != layered %v", i, probs[i], want)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := ev.PredictBatchOn(0, xs, probs); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PredictBatchOn allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // randToyInput builds a deterministic random tensor for shape tests.
 func randToyInput(c, h, w int, seed int64) *tensor.Tensor {
 	x := tensor.New(c, h, w)

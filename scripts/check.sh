@@ -12,19 +12,22 @@
 #                            must keep matching the amd64 assembly
 #                            declarations, which asmdecl checks only on
 #                            amd64; and no fused multiply-add in the
-#                            arm64 assembly of the bit-exact packages
-#                            (tensor, dct, raster, feature, nn, nn/fused,
-#                            train), where the compiler would otherwise
-#                            contract x*y + z (DESIGN.md §8)
+#                            arm64 assembly of any package under
+#                            internal/ but internal/fft, where the
+#                            compiler would otherwise contract x*y + z
+#                            (DESIGN.md §8)
 #   4. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
 #                            (see DESIGN.md "Determinism & numerics rules")
 #   5. go test -race ./...   unit + parity tests under the race detector
-#   6. perfbench go test     the repository benchmark's own tests, so an
+#   6. go test -fuzz         10 s of FuzzLoad over nn.Load: no panic, and
+#                            every accepted checkpoint saves, reloads and
+#                            saves to the same bytes
+#   7. perfbench go test     the repository benchmark's own tests, so an
 #                            API change it depends on fails here and not
 #                            only when the benchmark next runs
-#   7. scripts/smoke         hsd-serve end-to-end smoke: one build, four
+#   8. scripts/smoke         hsd-serve end-to-end smoke: one build, four
 #                            boots on ephemeral ports — predict, healthz,
 #                            metrics; the -pprof debug surface;
 #                            /debug/trace dark by default (404); -trace
@@ -33,15 +36,15 @@
 #                            with cross-linkage and the p99 trace-ID
 #                            exemplar on the metrics scrape — each ending in
 #                            a SIGINT drain and zero exit
-#   8. scripts/trainsmoke    hsd-train observability smoke: tiny suite,
+#   9. scripts/trainsmoke    hsd-train observability smoke: tiny suite,
 #                            -telemetry JSONL (manifest/epoch/result) and
 #                            -metrics-out stage summaries parse and assert
-#   9. scripts/scansmoke     hsd-scan full-layout smoke: tiny die, shifted
+#  10. scripts/scansmoke     hsd-scan full-layout smoke: tiny die, shifted
 #                            boundary, asserts region merge, one-DCT-per-
 #                            block accounting, the exact cache hit rate,
 #                            incremental re-scan dirty counts and the
 #                            hsd_scan_* metrics series
-#  10. scripts/activesmoke   hsd-active smoke: tiny pool, budget sized to
+#  11. scripts/activesmoke   hsd-active smoke: tiny pool, budget sized to
 #                            exhaust mid-batch, asserts exact ODST-seconds
 #                            accounting, truncation, the JSONL manifest and
 #                            the hsd_litho_*/hsd_active_* metrics series
@@ -80,9 +83,10 @@ go vet ./...
 echo "==> GOARCH=arm64 go build ./... && go vet ./internal/tensor/ ./internal/nn/fused/"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/fused/
 
-echo "==> no FMA in the arm64 assembly of tensor, dct, raster, feature, nn, nn/fused, train"
-fma="$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor/ ./internal/dct/ ./internal/raster/ \
-    ./internal/feature/ ./internal/nn/ ./internal/nn/fused/ ./internal/train/ 2>&1 |
+# internal/fft's complex products wait on the keep-or-delete decision of
+# ROADMAP item 6.
+echo "==> no FMA in the arm64 assembly of ./internal/... but internal/fft"
+fma="$(GOARCH=arm64 go build -gcflags=-S $(go list ./internal/... | grep -v '/internal/fft$') 2>&1 |
     grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
 if [[ -n "${fma}" ]]; then
     echo "arm64 fused multiply-adds; write the product as float64(x*y):" >&2
@@ -100,6 +104,9 @@ fi
 
 echo "==> go test -race ${short} ./..."
 go test -race ${short} ./...
+
+echo "==> go test -fuzz FuzzLoad (10 s)"
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/nn/
 
 echo "==> perfbench go test ./..."
 (cd perfbench && go test ./...)
