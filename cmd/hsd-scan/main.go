@@ -1,8 +1,9 @@
 // Command hsd-scan strides the trained detector across a full synthetic
 // die with the streaming scan engine: every DCT block of the die is
 // transformed exactly once into a shared block cache, every window is
-// assembled from cached coefficient vectors and scored through the fused
-// inference engine, and hot windows are merged into region proposals.
+// scored off that cache through the fused inference engine, which shares
+// the first convs' work between overlapping windows, and hot windows are
+// merged into region proposals.
 // With -edit it additionally demonstrates incremental re-scan: the edit
 // region's blocks are invalidated and only the affected windows
 // re-scored, bit-identically to a cold scan of the edited die.

@@ -15,8 +15,9 @@ import (
 
 // Alloclint turns the fused engine's 0 B/op promise from
 // benchmark-observed into compiler-verified. A function marked
-// //hsd:noalloc — the fused ops, the arena-executing Forward, im2col, the
-// tensor matmul kernels — must not allocate, and the authority on whether
+// //hsd:noalloc — the fused ops and the engine's per-sample and grid
+// bodies, im2col, the tensor matmul kernels — must not allocate, and the
+// authority on whether
 // it does is the compiler's own escape analysis, which sees through the
 // AST-level tricks buflint can't (interface boxing, captured variables,
 // variable-size makes, escaping composite literals).

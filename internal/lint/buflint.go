@@ -65,14 +65,15 @@ var bufSpecs = map[string]bufSpec{
 		anySlice: true,
 	},
 	"dct": {hot: func(name string) bool { return strings.HasSuffix(name, "Into") }},
-	// scan's per-tile and per-window bodies run once per die block / window
-	// over millions of windows on real designs; every buffer (block pixels,
-	// tensor scratch, the plane cache) is allocated at Scanner construction
-	// and any per-item make of any slice type is churn at scan rate.
+	// scan's per-tile and per-row bodies run once per die tile / window row
+	// over millions of windows on real designs; every buffer (the Grid, the
+	// tile rasters, the engines' arenas) is allocated at Scanner
+	// construction or reused from tile to tile, and any per-item make of
+	// any slice type is churn at scan rate.
 	"scan": {
 		hot: func(name string) bool {
 			switch name {
-			case "encodeRegion", "scoreRow", "assembleWindow":
+			case "encodeRegion", "scoreRow":
 				return true
 			}
 			return false

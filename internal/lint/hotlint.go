@@ -8,8 +8,9 @@ import (
 )
 
 // Hotlint enforces the hot-loop contract transitively. A function marked
-// //hsd:hotpath is a hot-path root — the fused engine's Forward, the
-// tensor matmul/matvec kernels, the parallel worker bodies, the serve
+// //hsd:hotpath is a hot-path root — the evaluator's PredictOn and
+// PredictBatchOn and the scan row scorer (which reach the fused engine),
+// the tensor matmul/matvec kernels, the parallel worker bodies, the serve
 // flush loop, the MGD per-sample step — and everything statically
 // reachable from a root (see callgraph.go) must stay free of:
 //

@@ -1,12 +1,11 @@
 // Package scan is a buflint fixture for the die-scan hot bodies: the
-// extract and score passes run once per block / per window over millions
-// of windows, so a per-item make of any slice type is churn at scan rate.
-// Scanner-construction helpers stay legal.
+// extract and score passes run once per tile / per window row over
+// millions of windows, so a per-item make of any slice type is churn at
+// scan rate. Scanner-construction helpers stay legal.
 package scan
 
 type scanner struct {
-	block  []float64
-	planes []float64
+	block []float64
 }
 
 func (s *scanner) encodeRegion(n int) {
@@ -23,10 +22,6 @@ func (s *scanner) scoreRow(n int) []float64 {
 	return make([]float64, n) // want "per-call make of a slice in hot path scan.scoreRow"
 }
 
-func (s *scanner) assembleWindow(n int) {
-	_ = make([]byte, n) // want "per-call make of a slice in hot path scan.assembleWindow"
-}
-
-func (s *scanner) newPlanes(n int) []float64 {
+func (s *scanner) newGrid(n int) []float64 {
 	return make([]float64, n) // construction, not a pass body: clean
 }

@@ -19,6 +19,12 @@
 // weight row is streamed once per four samples instead of once per
 // sample. Forward is a batch of one on the same path.
 //
+// ForwardGrid scores overlapping windows of one die off a Grid (grid.go):
+// the plan's leading "same" convs keep die-level maps there, so each
+// window computes only the ring of positions near its edge and copies the
+// rest. It runs the same per-sample routine as ForwardBatch, with the
+// Grid as the sample source.
+//
 // The convolution product runs on tensor's register-blocked tile kernel,
 // the one the layered Conv2D also runs: four output channels advance
 // together through the coefficient rows of the im2col product, so every
@@ -121,6 +127,13 @@ type Engine struct {
 	// ops[tail].in. Nil without a dense tail.
 	xT  []float64
 	out []float64 // Forward's output, one sample
+	// depth counts the shared prefix (sharedDepth): ForwardGrid runs
+	// ops[:depth] on the ring path that rings[s] plans for op s.
+	depth int
+	rings []ringPlan
+	// stage holds a Grid window as an input tensor, for a (C, H, W) net
+	// without a shared prefix; nil otherwise.
+	stage *tensor.Tensor
 }
 
 // Compile builds an engine executing net's inference forward pass for
@@ -246,20 +259,33 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		}
 	}
 
+	depth := sharedDepth(ops, inShape)
+	rings := planRings(ops, depth)
+
 	// Pass 2: plan the arena. One kernel tile region shared by every conv
-	// and one explicit im2col region shared by the strided convs, then
-	// each stride-1 conv's own zero-bordered input plane — its border is
-	// zeroed here, once, and stays zero only because no other op writes
-	// into the plane — then each op's output buffer (TileRows samples wide
-	// in the dense tail), the dense tail's transposed input and Forward's
-	// one-sample output, all in a single slab.
+	// (and by the grid path's span tiles and pre-pool rows) and one
+	// explicit im2col region shared by the strided convs, then each
+	// stride-1 conv's own zero-bordered input plane — its border is zeroed
+	// here, once, and stays zero only because no other op writes into the
+	// plane — then each op's output buffer (TileRows samples wide in the
+	// dense tail), the dense tail's transposed input, Forward's one-sample
+	// output and a grid window's staged input, all in a single slab.
 	tileMax, colsMax, planes, actTotal := 0, 0, 0, 0
+	rowsLen, spanMax := 0, 0
+	if depth > 0 && ops[depth-1].pool {
+		rowsLen = tensor.TileRows * ops[depth-1].oh * ops[depth-1].ow
+	}
 	baseLen := make([]int, len(ops))
 	for idx := range ops {
 		o := &ops[idx]
 		if o.kind == opConv {
 			baseLen[idx] = planConv(o)
 			tileMax = max(tileMax, tensor.TileRows*o.width)
+			if idx < depth {
+				// A span's rounded-up columns may run past the plan's width.
+				baseLen[idx] = max(baseLen[idx], o.off[len(o.off)-1]+rings[idx].end())
+				spanMax = max(spanMax, rings[idx].maxWidth())
+			}
 			if o.stride == 1 {
 				planes += baseLen[idx]
 			} else {
@@ -268,12 +294,17 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		}
 		actTotal += outSize(o, idx >= tail)
 	}
+	tileMax = max(tileMax, rowsLen+tensor.TileRows*spanMax)
 	stage := 0
 	if tail < len(ops) {
 		stage = tensor.TileRows * ops[tail].inLen
 	}
+	window := 0
+	if depth == 0 && len(inShape) == 3 {
+		window = prod(inShape)
+	}
 	outLen := prod(shape)
-	arena := make([]float64, tileMax+colsMax+planes+actTotal+stage+outLen)
+	arena := make([]float64, tileMax+colsMax+planes+actTotal+stage+outLen+window)
 	tileRegion := arena[:tileMax]
 	colsRegion := arena[tileMax : tileMax+colsMax]
 	cur := tileMax + colsMax
@@ -283,6 +314,8 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		arena:   arena,
 		ops:     ops,
 		tail:    tail,
+		depth:   depth,
+		rings:   rings,
 	}
 	var prev []float64 // previous op's output view; nil = caller's input
 	var prevShape []int
@@ -338,6 +371,15 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 		}
 	}
 	e.out = arena[cur : cur+outLen]
+	cur += outLen
+	if window > 0 {
+		t, err := tensor.FromSlice(arena[cur:cur+window], inShape...)
+		if err != nil {
+			return nil, fmt.Errorf("fused: plan grid window: %w", err)
+		}
+		e.stage = t
+	}
+	e.bindRings(tileRegion[:rowsLen], tileRegion[rowsLen:rowsLen+tensor.TileRows*spanMax])
 	e.outShape = append([]int(nil), shape...)
 	return e, nil
 }
@@ -435,6 +477,14 @@ func (e *Engine) Forward(x *tensor.Tensor) ([]float64, error) {
 	return e.out, nil
 }
 
+// source is where a group's samples come from: the caller's tensors xs,
+// or, when g is set, consecutive windows of Grid row wy from window wx.
+type source struct {
+	xs     []*tensor.Tensor
+	g      *Grid
+	wx, wy int
+}
+
 // ForwardBatch runs the compiled plan on every input of xs and writes
 // sample i's output to out[i·OutLen() : (i+1)·OutLen()], bit for bit what
 // Forward returns for that input alone. It checks every input's shape
@@ -454,30 +504,49 @@ func (e *Engine) ForwardBatch(out []float64, xs []*tensor.Tensor) error {
 	}
 	for lo := 0; lo < len(xs); lo += tensor.TileRows {
 		hi := min(lo+tensor.TileRows, len(xs))
-		if err := e.forwardGroup(out[lo*n:hi*n], xs[lo:hi], lo == 0); err != nil {
+		if err := e.forwardGroup(out[lo*n:hi*n], source{xs: xs[lo:hi]}, hi-lo, lo == 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// forwardGroup runs at most TileRows inputs through the plan: the steps
-// before the dense tail sample by sample, each sample's result staged as
-// one lane of the tail's transposed input, then the tail once for the
-// group. Unused lanes are zeroed; their results are never emitted. In a
-// call's first group (gate set), the first sample decides each conv's
-// density gate.
-func (e *Engine) forwardGroup(out []float64, xs []*tensor.Tensor, gate bool) error {
+// forwardGroup runs count ≤ TileRows samples from src through the plan:
+// the steps before the dense tail sample by sample, each sample's result
+// staged as one lane of the tail's transposed input, then the tail once
+// for the group. A Grid window runs the shared prefix on the ring path
+// (gridPrefix) and the steps after it as a tensor input would, or, without
+// a shared prefix, is staged as an input tensor. Unused lanes are zeroed;
+// their results are never emitted. In a call's first group (gate set), the
+// first sample decides each conv's density gate.
+//
+//hsd:noalloc
+func (e *Engine) forwardGroup(out []float64, src source, count int, gate bool) error {
 	n := len(e.out)
-	for s, x := range xs {
-		for i := range e.ops[:e.tail] {
-			if err := e.step(&e.ops[i], x, gate && s == 0); err != nil {
+	for s := 0; s < count; s++ {
+		first := gate && s == 0
+		var x *tensor.Tensor
+		from := 0
+		switch {
+		case src.g == nil:
+			x = src.xs[s]
+		case e.depth > 0:
+			e.gridPrefix(src.g, src.wx+s, src.wy, first)
+			from = e.depth
+		default:
+			src.g.window(e.stage.Data(), e.inShape[1]*e.inShape[2], e.inShape[2], 0, src.wx+s, src.wy)
+			x = e.stage
+		}
+		for i := from; i < e.tail; i++ {
+			if err := e.step(&e.ops[i], x, first); err != nil {
 				return err
 			}
 		}
-		res := x.Data()
+		var res []float64
 		if e.tail > 0 {
 			res = e.ops[e.tail-1].out
+		} else {
+			res = x.Data()
 		}
 		if e.xT == nil {
 			copy(out[s*n:s*n+n], res)
@@ -491,7 +560,7 @@ func (e *Engine) forwardGroup(out []float64, xs []*tensor.Tensor, gate bool) err
 		return nil
 	}
 	for j := 0; j < len(e.xT); j += tensor.TileRows {
-		for s := len(xs); s < tensor.TileRows; s++ {
+		for s := count; s < tensor.TileRows; s++ {
 			e.xT[j+s] = 0
 		}
 	}
@@ -504,7 +573,7 @@ func (e *Engine) forwardGroup(out []float64, xs []*tensor.Tensor, gate bool) err
 		}
 	}
 	last := e.ops[len(e.ops)-1].out
-	for s := range xs {
+	for s := range count {
 		for r := range n {
 			out[s*n+r] = last[r*tensor.TileRows+s]
 		}
@@ -516,6 +585,8 @@ func (e *Engine) forwardGroup(out []float64, xs []*tensor.Tensor, gate bool) err
 // decides its density gate for the rest of the call: the scan reads the
 // weights right before the kernel does, so it also brings them into cache
 // for it.
+//
+//hsd:noalloc
 func (e *Engine) step(o *op, x *tensor.Tensor, gate bool) error {
 	switch o.kind {
 	case opConv:
@@ -553,6 +624,8 @@ func (e *Engine) input(o *op, x *tensor.Tensor) []float64 {
 
 // padInput copies a stride-1 conv's (inC, inH, inW) input into the
 // interior of its zero-bordered plane, row by row.
+//
+//hsd:noalloc
 func padInput(o *op, x []float64) {
 	hp, wp := o.inH+2*o.pad, o.inW+2*o.pad
 	for c := 0; c < o.inC; c++ {

@@ -325,7 +325,9 @@ func TestGateFollowsWeightUpdates(t *testing.T) {
 
 // TestForwardZeroAlloc pins the arena contract: a compiled engine's
 // forward pass performs no heap allocations, for one sample through
-// Forward and for batches of 1, 4 and 9 through ForwardBatch.
+// Forward, for batches of 1, 4 and 9 through ForwardBatch and for rows of
+// 1, 4 and 9 grid windows through ForwardGrid; nor does a Grid's Update,
+// over the whole die or a few blocks.
 func TestForwardZeroAlloc(t *testing.T) {
 	net, err := nn.NewPaperNet(nn.DefaultPaperNetConfig())
 	if err != nil {
@@ -364,6 +366,23 @@ func TestForwardZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("batch of %d allocates %.1f times per call, want 0", size, allocs)
+		}
+	}
+	g, _ := randGrid(t, eng, 24, 14, rng)
+	for _, size := range []int{1, 4, 9} {
+		out := make([]float64, size*eng.OutLen())
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := eng.ForwardGrid(out, g, 2, 1); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("grid row of %d allocates %.1f times per call, want 0", size, allocs)
+		}
+	}
+	for _, r := range [][4]int{{0, 0, 24, 14}, {5, 3, 8, 5}} {
+		if allocs := testing.AllocsPerRun(5, func() { g.Update(r[0], r[1], r[2], r[3]) }); allocs != 0 {
+			t.Fatalf("Update(%v) allocates %.1f times per call, want 0", r, allocs)
 		}
 	}
 }
@@ -494,21 +513,14 @@ func TestForwardBatchErrors(t *testing.T) {
 }
 
 // BenchmarkFusedPaperNetBatch scores the paper net four windows per call,
-// the chunk train.Evaluator and the scan engine use; compare its ns/op
-// with four BenchmarkFusedPaperNetInference iterations.
+// the chunk train.Evaluator uses; compare its ns/op with four
+// BenchmarkFusedPaperNetInference iterations. The windows are
+// BenchmarkForwardGrid's, assembled as input tensors.
 func BenchmarkFusedPaperNetBatch(b *testing.B) {
-	net, err := nn.NewPaperNet(nn.DefaultPaperNetConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := Compile(net, []int{32, 12, 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
+	eng, g, die := benchGrid(b)
 	xs := make([]*tensor.Tensor, tensor.TileRows)
 	for i := range xs {
-		xs[i] = randInput(rng, 32, 12, 12)
+		xs[i] = windowTensor(g, die, 30+i, 30)
 	}
 	out := make([]float64, len(xs)*eng.OutLen())
 	b.ReportAllocs()

@@ -4,45 +4,62 @@ import "hotspot/internal/tensor"
 
 // convRun executes one fused conv(+bias)(+ReLU)(+pool) op over the
 // coefficient rows its plan addresses (o.base at o.off[p], o.width virtual
-// columns each). Kernel selection replicates the layered path's density
-// gate exactly: o.sparse is the same tensor.SparseSkip decision over the
-// same weight data, made once per ForwardBatch call, so the fused and
-// layered paths always take structurally matching kernels and produce
-// bit-identical outputs.
+// columns each), four output channels at a time into the shared tile
+// buffer; each finished channel is emitted at once (pooled convs fold it
+// into the 2×2 max-pool), so the pre-pool activation never exists as a full
+// tensor.
+//
+//hsd:noalloc
 func convRun(o *op) {
-	if o.sparse {
-		convSparse(o)
-		return
-	}
-	convDense(o)
-}
-
-// convDense is the blocked dense kernel. Output channels are produced four
-// at a time by tensor.ConvTile into the shared tile buffer, with bias and
-// ReLU folded into the kernel epilogue; each finished channel is emitted at
-// once (pooled convs fold it into the 2×2 max-pool), so the pre-pool
-// activation never exists as a full tensor. When outC is not a multiple of
-// four, the last tile's unused rows recompute the last live channel and
-// are never emitted.
-func convDense(o *op) {
-	m, k, w := o.outC, len(o.off), o.width
+	w := o.width
 	t := o.tile[:tensor.TileRows*w]
-	for i := 0; i < m; i += tensor.TileRows {
-		r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
-		tensor.ConvTile(t,
-			o.w[i*k:i*k+k], o.w[r1*k:r1*k+k], o.w[r2*k:r2*k+k], o.w[r3*k:r3*k+k],
-			o.base, o.off,
-			o.bias[i], o.bias[r1], o.bias[r2], o.bias[r3], o.relu)
-		for r := 0; r < tensor.TileRows && i+r < m; r++ {
+	for i := 0; i < o.outC; i += tensor.TileRows {
+		convTile(t, o, o.base, o.off, i)
+		for r := 0; r < tensor.TileRows && i+r < o.outC; r++ {
 			emitRow(o, i+r, t[r*w:r*w+w])
 		}
 	}
+}
+
+// convTile computes output channels i..i+3 of conv o into the rows of t,
+// len(t)/TileRows virtual columns each, where coefficient row p is
+// base[off[p]:]. Kernel selection replicates the layered path's density
+// gate exactly: o.sparse is the same tensor.SparseSkip decision over the
+// same weight data, made once per call, so the fused and layered paths
+// always take structurally matching kernels and produce bit-identical
+// outputs. Every column is its own sum, so a tile over any run of columns
+// computes them exactly as a tile over all of them does.
+//
+//hsd:noalloc
+func convTile(t []float64, o *op, base []float64, off []int, i int) {
+	if o.sparse {
+		convSparse(t, o, base, off, i)
+		return
+	}
+	convDense(t, o, base, off, i)
+}
+
+// convDense is the blocked dense kernel: tensor.ConvTile with bias and
+// ReLU folded into its epilogue. When outC is not a multiple of four, the
+// last tile's unused rows recompute the last live channel and are never
+// emitted.
+//
+//hsd:noalloc
+func convDense(t []float64, o *op, base []float64, off []int, i int) {
+	m, k := o.outC, len(off)
+	r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
+	tensor.ConvTile(t,
+		o.w[i*k:i*k+k], o.w[r1*k:r1*k+k], o.w[r2*k:r2*k+k], o.w[r3*k:r3*k+k],
+		base, off,
+		o.bias[i], o.bias[r1], o.bias[r2], o.bias[r3], o.relu)
 }
 
 // emitRow stores output channel c from its finished virtual-column row:
 // output element (oy, ox) is row[oy·vw+ox]. Pooled convs fold the row into
 // the 2×2 max-pool in place; the others copy the ow valid columns out of
 // every vw.
+//
+//hsd:noalloc
 func emitRow(o *op, c int, row []float64) {
 	if o.pool {
 		phw := o.ph * o.pw
@@ -58,25 +75,26 @@ func emitRow(o *op, c int, row []float64) {
 
 // convSparse mirrors tensor's row-skipping sparse kernel with the fused
 // epilogue: per-channel accumulation one coefficient at a time, zeros
-// skipped.
-func convSparse(o *op) {
-	k, w := len(o.off), o.width
-	d := o.tile[:w]
-	for i := 0; i < o.outC; i++ {
+// skipped. Only live channels are computed.
+//
+//hsd:noalloc
+func convSparse(t []float64, o *op, base []float64, off []int, i int) {
+	k, w := len(off), len(t)/tensor.TileRows
+	for r := 0; r < tensor.TileRows && i+r < o.outC; r++ {
+		d := t[r*w : r*w+w]
 		for j := range d {
 			d[j] = 0
 		}
-		for p, av := range o.w[i*k : i*k+k] {
+		for p, av := range o.w[(i+r)*k : (i+r)*k+k] {
 			if av == 0 {
 				continue
 			}
-			brow := o.base[o.off[p] : o.off[p]+w]
+			brow := base[off[p] : off[p]+w]
 			for j, bv := range brow {
 				d[j] += float64(av * bv)
 			}
 		}
-		tensor.BiasReLURow(d, o.bias[i], o.relu)
-		emitRow(o, i, d)
+		tensor.BiasReLURow(d, o.bias[i+r], o.relu)
 	}
 }
 
@@ -85,6 +103,8 @@ func convSparse(o *op) {
 // left, top right, bottom left, bottom right; strictly greater replaces)
 // matches nn.MaxPool2 so NaN propagation is identical too. Odd trailing
 // rows/columns are dropped, as in the layered pool.
+//
+//hsd:noalloc
 func poolRow(dst, src []float64, srcW, ph, pw int) {
 	for py := 0; py < ph; py++ {
 		srow := src[2*py*srcW:]
@@ -115,6 +135,8 @@ func poolRow(dst, src []float64, srcW, ph, pw int) {
 // the bias, exactly as the layered Dense.Forward + ReLU pair computes. When
 // outLen is not a multiple of four, the last tile's unused rows recompute
 // the last live row and are never stored.
+//
+//hsd:noalloc
 func denseTile(o *op) {
 	k, m := o.inLen, o.outLen
 	var s [16]float64
@@ -147,6 +169,8 @@ func rectify(v float64) float64 {
 // reluRun executes a standalone rectifier op (a ReLU not adjacent to a
 // conv or dense producer, e.g. following a pool). It is elementwise, so it
 // runs the same on one sample and on the dense tail's transposed ones.
+//
+//hsd:noalloc
 func reluRun(o *op, x []float64) {
 	out := o.out
 	for i, v := range x[:len(out)] {
@@ -159,6 +183,8 @@ func reluRun(o *op, x []float64) {
 }
 
 // poolRun executes a standalone 2×2 max-pool op channel by channel.
+//
+//hsd:noalloc
 func poolRun(o *op, x []float64) {
 	hw := o.inH * o.inW
 	phw := o.ph * o.pw

@@ -109,5 +109,7 @@ func TestGenericKernelParity(t *testing.T) {
 		t.Run("OddGeometries", TestParityOddGeometries)
 		t.Run("SparseWeights", TestParitySparseWeights)
 		t.Run("ForwardBatch", TestForwardBatchParity)
+		t.Run("ForwardGrid", TestForwardGridParity)
+		t.Run("GridUpdate", TestGridUpdateIncremental)
 	})
 }

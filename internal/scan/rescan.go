@@ -7,12 +7,13 @@ import (
 )
 
 // Rescan applies a localized layout edit and incrementally refreshes the
-// heat map: only the blocks the edit region overlaps are re-encoded, and
-// only the windows that gather one of those blocks are re-scored. Every
-// other window keeps its stored probability. The refreshed result is
-// bit-identical to a cold Scan of the edited die: surviving geometry
-// keeps its rectangle order (layout.ApplyEdit's contract), rasterization
-// is per-pixel local, and clean blocks' cached vectors are exactly what a
+// heat map: only the blocks the edit region overlaps are re-encoded, the
+// shared conv maps are recomputed only around them, and only the windows
+// that gather one of those blocks are re-scored. Every other window keeps
+// its stored probability. The refreshed result is bit-identical to a cold
+// Scan of the edited die: surviving geometry keeps its rectangle order
+// (layout.ApplyEdit's contract), rasterization is per-pixel local, and
+// clean blocks' cached vectors and clean map positions are exactly what a
 // cold pass would recompute.
 //
 // Rescan requires a prior Scan. Applying the same edit again is a no-op

@@ -10,21 +10,25 @@
 // coefficient vector for it. A naive scanner re-rasterizes and
 // re-transforms each window — recomputing each block DCT up to Blocks²
 // (144) times — while this engine computes every block DCT exactly once
-// per die into a block-plane cache and assembles each window's feature
-// tensor by gathering cached vectors.
+// per die into a block cache, the input plane of a fused.Grid. The same
+// holds one level up: the network's first convs (conv1-1 and conv1-2 on
+// Table 1) compute the same sums for every window that covers a block far
+// enough from the window's edge, so the Grid keeps die-level maps of them
+// and each window computes only the ring of positions near its edge.
 //
-// The two passes run on the shared worker-pool substrate under its
-// standing determinism contract: the extract pass shards the die into
-// tiles whose blocks land in disjoint, index-addressed cache slots; the
-// score pass fans window rows across the evaluator's per-worker engines,
-// which score four windows of a row per call, into index-addressed
-// probability slots. Windows near tile boundaries gather
-// blocks owned by neighbouring tiles — halo reads into the shared cache,
-// never halo recomputation, which is what keeps "exactly once" true.
-// Results are bit-identical under any worker count, and bit-identical to
-// the per-clip path (feature.ExtractTensor + train.Evaluator) on every
-// window: both paths run the same feature.BlockEncoder kernel and the
-// same fused inference engines.
+// The passes run on the shared worker-pool substrate under its standing
+// determinism contract: the extract pass shards the die into tiles whose
+// blocks land in disjoint, index-addressed cache slots; the share step
+// brings the Grid's maps up to date; the score pass fans window rows
+// across the evaluator's per-worker engines, which score four windows of a
+// row per call off the shared Grid, into index-addressed probability
+// slots. Windows near tile boundaries read blocks owned by neighbouring
+// tiles — halo reads into the shared cache, never halo recomputation,
+// which is what keeps "exactly once" true. Results are bit-identical under
+// any worker count, and bit-identical to the per-clip path
+// (feature.ExtractTensor + train.Evaluator) on every window: both paths
+// run the same feature.BlockEncoder kernel and the same fused inference
+// engines, whose grid path equals their per-window path bit for bit.
 //
 // After a layout edit, Rescan invalidates only the blocks the edit
 // touches and rescores only the windows that gather a dirty block,
@@ -37,11 +41,11 @@ import (
 	"hotspot/internal/feature"
 	"hotspot/internal/geom"
 	"hotspot/internal/nn"
+	"hotspot/internal/nn/fused"
 	"hotspot/internal/obs"
 	"hotspot/internal/obs/trace"
 	"hotspot/internal/parallel"
 	"hotspot/internal/raster"
-	"hotspot/internal/tensor"
 	"hotspot/internal/train"
 )
 
@@ -80,7 +84,8 @@ type Stats struct {
 	// BlockDCTs is the number of block transforms computed this pass.
 	BlockDCTs int `json:"block_dcts"`
 	// BlockGathers is the number of coefficient vectors served from the
-	// cache while assembling window tensors (Blocks² per scored window).
+	// cache to scored windows (Blocks² per scored window: each copies its
+	// blocks' coefficients into its first conv's plane).
 	BlockGathers int64 `json:"block_gathers"`
 	// Windows is the number of windows (re)scored this pass.
 	Windows int `json:"windows"`
@@ -129,18 +134,19 @@ func (r *Result) HotWindows() int {
 	return n
 }
 
-// workerState is one worker's scratch: a block encoder and the assembled
-// feature tensors of the windows fed to that worker's inference engine in
-// one call. Every field is fully overwritten per item, so reuse across
-// items cannot leak state between them.
+// workerState is one worker's scratch: a block encoder and the raster of
+// the tile it encodes, reused from tile to tile (raster.RasterizeWindow
+// clears it before drawing), so the extract pass allocates no images.
 type workerState struct {
 	enc *feature.BlockEncoder
-	xs  [tensor.TileRows]*tensor.Tensor
+	im  *raster.Image
 }
 
-// Scanner scans one die. It owns the block-plane cache and the last heat
-// map, which is what makes incremental re-scan possible. Not safe for
-// concurrent use; build with New.
+// Scanner scans one die. It owns the Grid — the block cache and the
+// shared conv maps — and the last heat map, which is what makes
+// incremental re-scan possible. The network's weights must not change
+// between passes: clean windows keep their probabilities and the maps
+// their values. Not safe for concurrent use; build with New.
 type Scanner struct {
 	cfg  Config
 	die  geom.Clip
@@ -153,8 +159,8 @@ type Scanner struct {
 	wnx, wny         int // window grid
 	tileBlocks       int
 
-	planes  []float64 // [nby][nbx][k] cached block coefficient vectors
-	probs   []float64 // [wny][wnx] last heat map
+	grid    *fused.Grid // block cache (its input plane) and shared conv maps
+	probs   []float64   // [wny][wnx] last heat map
 	scanned bool
 
 	workers []*workerState
@@ -191,13 +197,20 @@ func New(cfg Config, net *nn.Network, die geom.Clip) (*Scanner, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ev.Prepare([]int{k, n, n}); err != nil {
+		return nil, err
+	}
+	grid, err := ev.NewGrid(nbx, nby)
+	if err != nil {
+		return nil, err
+	}
 	s := &Scanner{
 		cfg: cfg, die: die, ev: ev, pool: parallel.New(cfg.Workers),
 		blockPx: blockPx, blockNM: blockNM,
 		n: n, k: k, nbx: nbx, nby: nby,
 		wnx: nbx - n + 1, wny: nby - n + 1,
 		tileBlocks: tb,
-		planes:     make([]float64, nbx*nby*k),
+		grid:       grid,
 		probs:      make([]float64, (nbx-n+1)*(nby-n+1)),
 	}
 	s.workers = make([]*workerState, s.pool.Size())
@@ -206,11 +219,7 @@ func New(cfg Config, net *nn.Network, die geom.Clip) (*Scanner, error) {
 		if err != nil {
 			return nil, err
 		}
-		ws := &workerState{enc: enc}
-		for j := range ws.xs {
-			ws.xs[j] = tensor.New(k, n, n)
-		}
-		s.workers[i] = ws
+		s.workers[i] = &workerState{enc: enc}
 	}
 	return s, nil
 }
@@ -234,35 +243,27 @@ func (s *Scanner) WindowRect(wx, wy int) geom.Rect {
 	return geom.R(x0, y0, x0+s.cfg.WindowNM, y0+s.cfg.WindowNM)
 }
 
-// blockRect returns block (bx, by)'s rectangle in die coordinates.
-func (s *Scanner) blockRect(bx, by int) geom.Rect {
-	x0 := s.die.Frame.X0 + bx*s.blockNM
-	y0 := s.die.Frame.Y0 + by*s.blockNM
-	return geom.R(x0, y0, x0+s.blockNM, y0+s.blockNM)
-}
-
 // The pass stage summaries in the process registry.
 var (
 	extractSum = obs.Default().Stage("scan/extract")
+	shareSum   = obs.Default().Stage("scan/share")
 	inferSum   = obs.Default().Stage("scan/infer")
 	regionsSum = obs.Default().Stage("scan/regions")
 )
 
-// Scan runs a cold full scan: every block transformed once, every window
-// assembled from the cache and scored.
+// Scan runs a cold full scan: every block transformed once, the shared
+// conv maps computed over the whole die, every window scored.
 func (s *Scanner) Scan() (*Result, error) {
 	return s.pass(false, 0, 0, s.nbx, s.nby)
 }
 
-// pass re-encodes the block range [bx0,bx1)×[by0,by1) into the cache and
-// rescores every window that gathers one of those blocks, under one
-// trace: "scan" for a cold pass over the whole die (where the window
-// range below is the full window grid), "rescan" when dirty marks the
-// range as an edit's invalidated blocks.
+// pass re-encodes the block range [bx0,bx1)×[by0,by1) into the cache,
+// updates the shared conv maps over it and rescores every window that
+// gathers one of those blocks, under one trace: "scan" for a cold pass
+// over the whole die (where the window range below is the full window
+// grid), "rescan" when dirty marks the range as an edit's invalidated
+// blocks.
 func (s *Scanner) pass(dirty bool, bx0, by0, bx1, by1 int) (*Result, error) {
-	if err := s.ev.Prepare([]int{s.k, s.n, s.n}); err != nil {
-		return nil, err
-	}
 	name := "scan"
 	if dirty {
 		name = "rescan"
@@ -287,6 +288,9 @@ func (s *Scanner) pass(dirty bool, bx0, by0, bx1, by1 int) (*Result, error) {
 	if ex.Done(err) != nil {
 		return nil, s.fail(root, err)
 	}
+	sh := root.Span().Stage("share", shareSum)
+	s.grid.Update(bx0, by0, bx1, by1)
+	sh.End()
 
 	// Affected windows: window (wx, wy) gathers blocks [wx, wx+n)×[wy,
 	// wy+n), so it needs re-scoring iff that range meets the block range.
@@ -328,74 +332,41 @@ func (s *Scanner) fail(root trace.Stage, err error) error {
 	return err
 }
 
-// encodeRegion rasterizes the block range [bx0,bx1)×[by0,by1) and encodes
-// every block, read in place from the region's raster, into its cache
-// slot. Workers own disjoint block ranges, so slot writes never overlap;
+// encodeRegion rasterizes the block range [bx0,bx1)×[by0,by1) into the
+// worker's reused tile raster and encodes every block, read in place from
+// it, into its cache cell, coefficient i at channel i of the Grid's input
+// plane. Workers own disjoint block ranges, so cell writes never overlap;
 // pixel values are independent of the region bounds (area-accurate
-// rasterization is per-pixel local), so the cached vectors are
+// rasterization is per-pixel local, and raster.RasterizeWindow draws the
+// pixels a full-die raster would hold), so the cached values are
 // independent of tiling and worker count.
 //
 //hsd:hotpath
 func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 	ws := s.workers[worker]
-	region := geom.R(
-		s.die.Frame.X0+bx0*s.blockNM, s.die.Frame.Y0+by0*s.blockNM,
-		s.die.Frame.X0+bx1*s.blockNM, s.die.Frame.Y0+by1*s.blockNM,
-	)
-	im, err := raster.Rasterize(geom.NewClip(region, s.die.Rects), s.cfg.Feature.ResNM)
+	b := s.blockPx
+	im, err := raster.RasterizeWindow(ws.im, s.die, s.cfg.Feature.ResNM, bx0*b, by0*b, (bx1-bx0)*b, (by1-by0)*b)
 	if err != nil {
 		return err
 	}
-	b := s.blockPx
+	ws.im = im
 	for by := by0; by < by1; by++ {
 		for bx := bx0; bx < bx1; bx++ {
-			origin := (by-by0)*b*im.W + (bx-bx0)*b
-			slot := (by*s.nbx + bx) * s.k
-			ws.enc.EncodeStrided(s.planes[slot:slot+s.k], 1, im.Pix[origin:], im.W)
+			cell, stride := s.grid.Cell(bx, by)
+			ws.enc.EncodeStrided(cell, stride, im.Pix[(by-by0)*b*im.W+(bx-bx0)*b:], im.W)
 		}
 	}
 	return nil
 }
 
-// scoreRow assembles and scores windows (wx0..wx1) of window row wy on
-// one worker's engine, tensor.TileRows windows per call, writing into the
-// row's probability slots.
+// scoreRow scores windows (wx0..wx1) of window row wy off the Grid on one
+// worker's engine, tensor.TileRows windows per engine call, writing into
+// the row's probability slots.
 //
 //hsd:hotpath
 func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {
-	ws := s.workers[worker]
-	for wx := wx0; wx < wx1; wx += tensor.TileRows {
-		n := min(tensor.TileRows, wx1-wx)
-		for i, x := range ws.xs[:n] {
-			s.assembleWindow(x.Data(), wx+i, wy)
-		}
-		slot := wy*s.wnx + wx
-		if err := s.ev.PredictBatchOn(worker, ws.xs[:n], s.probs[slot:slot+n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// assembleWindow gathers the cached coefficient vectors of the Blocks²
-// blocks under window (wx, wy) into a channels-first (K, n, n) tensor
-// buffer — the exact layout feature.ExtractTensor produces, with the
-// exact values the BlockEncoder cached.
-//
-//hsd:noalloc
-func (s *Scanner) assembleWindow(dst []float64, wx, wy int) {
-	n, k, nbx := s.n, s.k, s.nbx
-	plane := n * n
-	for r := 0; r < n; r++ {
-		rowBase := ((wy+r)*nbx + wx) * k
-		for c := 0; c < n; c++ {
-			vec := s.planes[rowBase+c*k : rowBase+(c+1)*k]
-			di := r*n + c
-			for i, v := range vec {
-				dst[i*plane+di] = v
-			}
-		}
-	}
+	slot := wy*s.wnx + wx0
+	return s.ev.PredictGridOn(worker, s.grid, wx0, wy, s.probs[slot:slot+wx1-wx0])
 }
 
 // finish derives the thresholded heat map and region proposals from the

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"math"
 	"testing"
 
 	"hotspot/internal/feature"
@@ -93,6 +94,42 @@ func TestScanMatchesPerClip(t *testing.T) {
 			}
 			got := res.Probs[wy*wnx+wx]
 			if got != want {
+				t.Fatalf("window (%d,%d): scan %v, per-clip %v", wx, wy, got, want)
+			}
+		}
+	}
+}
+
+// TestScanPaperNetMatchesPerClip runs the grid path at full size: the
+// paper net (16-map conv1-1 and conv1-2, so each shared map is as deep as
+// Table 1's) on a 2×2-cell die, 13×13 windows, every one bit-identical to
+// the per-clip path.
+func TestScanPaperNetMatchesPerClip(t *testing.T) {
+	net, err := nn.NewPaperNet(nn.DefaultPaperNetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	die, err := layout.GenerateDie(layout.DieConfig{CellsX: 2, CellsY: 2, CellNM: 1200, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, res := mustScan(t, testConfig(2), net, die)
+	wnx, wny := s.Windows()
+	if wnx != 13 || wny != 13 {
+		t.Fatalf("window grid %dx%d, want 13x13", wnx, wny)
+	}
+	fcfg := DefaultConfig().Feature
+	for wy := 0; wy < wny; wy++ {
+		for wx := 0; wx < wnx; wx++ {
+			ft, err := feature.ExtractTensor(die, s.WindowRect(wx, wy), fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := train.PredictProb(net, ft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Probs[wy*wnx+wx]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("window (%d,%d): scan %v, per-clip %v", wx, wy, got, want)
 			}
 		}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"strings"
 	"testing"
 
 	"hotspot/internal/layout"
@@ -25,9 +26,9 @@ func TestScanTraceParity(t *testing.T) {
 }
 
 // TestScanTraceTree checks the recorded shape of a scan pass and an
-// incremental rescan: extract/infer/regions stage spans, per-tile and
-// per-window-row children, and the cache-attribution attributes on the
-// root.
+// incremental rescan: extract/share/infer/regions stage spans, in that
+// order, per-tile and per-window-row children, and the cache-attribution
+// attributes on the root.
 func TestScanTraceTree(t *testing.T) {
 	net := testNet(t)
 	die := testDie(t)
@@ -51,13 +52,13 @@ func TestScanTraceTree(t *testing.T) {
 			t.Fatalf("no %q trace recorded (have %d traces)", name, len(snap))
 		}
 		stages := map[string]trace.SpanJSON{}
+		var order []string
 		for _, sp := range tr.Spans {
 			stages[sp.Name] = sp
+			order = append(order, sp.Name)
 		}
-		for _, st := range []string{"extract", "infer", "regions"} {
-			if _, ok := stages[st]; !ok {
-				t.Fatalf("%s trace missing %q span: %+v", name, st, tr.Spans)
-			}
+		if got := strings.Join(order, ","); got != "extract,share,infer,regions" {
+			t.Fatalf("%s trace stages %s, want extract,share,infer,regions", name, got)
 		}
 		tiles, rows := 0, 0
 		for _, sp := range stages["extract"].Children {

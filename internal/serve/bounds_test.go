@@ -103,6 +103,58 @@ func TestRectangleBound(t *testing.T) {
 	}
 }
 
+// TestCoreSideBound: a clip's core is the served one, CoreSide nm or
+// CoreSide/ResNM px a side, so each clip costs at most one served core
+// image. A body of eight clips whose explicit cores fill 2,048-px frames
+// — 33 MB of pixels each — is a 400 naming the served side, refused before
+// anything is rasterized, as are a bitmap and an explicit core of another
+// side; a served-side core off the frame's centre is scored.
+func TestCoreSideBound(t *testing.T) {
+	cfg := testConfig()
+	_, ts := newTestServer(t, cfg, 5)
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.String()
+	}
+	frameNM := 2048 * cfg.Feature.ResNM
+	clip := fmt.Sprintf(`{"frame":{"x0":0,"y0":0,"x1":%d,"y1":%d},"core":{"x0":0,"y0":0,"x1":%d,"y1":%d},"rects":[{"x0":0,"y0":0,"x1":8,"y1":8}]}`,
+		frameNM, frameNM, frameNM, frameNM)
+	big := []byte(`{"clips":[` + strings.Repeat(clip+",", 7) + clip + `]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, body := post("/v1/predict/batch", big)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest || !strings.Contains(body, "not the served 192x192 nm core") {
+		t.Fatalf("eight 2048-px cores: status %d (%s), want a 400 naming the served side", code, body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("eight 2048-px cores allocated %d bytes before the 400, want under 8 MB", grew)
+	}
+	side := cfg.CoreSide / cfg.Feature.ResNM
+	pix := strings.TrimSuffix(strings.Repeat("0.5,", (side+4)*(side+4)), ",")
+	code, body = post("/v1/predict", []byte(fmt.Sprintf(`{"bitmap":{"w":%d,"h":%d,"pix":[%s]}}`, side+4, side+4, pix)))
+	if code != http.StatusBadRequest || !strings.Contains(body, "not the served 48x48 px core") {
+		t.Fatalf("52-px bitmap: status %d (%s), want a 400 naming the served side", code, body)
+	}
+	code, body = post("/v1/predict", []byte(`{"frame":{"x0":0,"y0":0,"x1":480,"y1":480},"core":{"x0":0,"y0":0,"x1":96,"y1":96}}`))
+	if code != http.StatusBadRequest || !strings.Contains(body, "not the served 192x192 nm core") {
+		t.Fatalf("96 nm core: status %d (%s), want a 400 naming the served side", code, body)
+	}
+	code, body = post("/v1/predict", []byte(`{"frame":{"x0":0,"y0":0,"x1":480,"y1":480},"core":{"x0":100,"y0":60,"x1":292,"y1":252},"rects":[{"x0":120,"y0":80,"x1":200,"y1":240}]}`))
+	if code != http.StatusOK {
+		t.Fatalf("off-centre served-side core: status %d (%s), want 200", code, body)
+	}
+}
+
 // TestTimedOutRequestKeepsImage pins the core-image ownership rule: a
 // request abandoned on timeout while still queued keeps its image, so
 // later requests rasterizing into recycled images cannot overwrite the

@@ -307,9 +307,11 @@ func (ip *imagePool) put(ims ...*raster.Image) {
 // coreImage turns a request clip into the rasterized core window the
 // pipeline operates on, mirroring feature.ExtractTensor's geometry exactly
 // (the core window of the clip's frame raster) so served predictions are
-// bit-identical to offline ones. Image sides are checked against
-// maxImageSide before anything is multiplied or allocated. The image comes
-// from the server's pool; the caller owns it (see imagePool).
+// bit-identical to offline ones. A clip's core is always the served one,
+// Config.CoreSide nm (CoreSide/ResNM px) a side: the network only ever saw
+// that block size, and it bounds each clip to one served core image.
+// Image sides are checked before anything is multiplied or allocated. The
+// image comes from the server's pool; the caller owns it (see imagePool).
 func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	cfg := s.cfg.Feature
 	if cr.Bitmap != nil {
@@ -320,14 +322,11 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		if bm.W < 1 || bm.W > maxImageSide || bm.H < 1 || bm.H > maxImageSide {
 			return nil, fmt.Errorf("bitmap %dx%d px: each side must be 1..%d px", bm.W, bm.H, maxImageSide)
 		}
-		if bm.W != bm.H {
-			return nil, fmt.Errorf("bitmap %dx%d must be square and non-empty", bm.W, bm.H)
+		if side := s.cfg.CoreSide / cfg.ResNM; bm.W != side || bm.H != side {
+			return nil, fmt.Errorf("bitmap %dx%d px is not the served %dx%d px core", bm.W, bm.H, side, side)
 		}
 		if len(bm.Pix) != bm.W*bm.H {
 			return nil, fmt.Errorf("bitmap has %d pixels, want %d", len(bm.Pix), bm.W*bm.H)
-		}
-		if err := cfg.ValidateCore(bm.W * cfg.ResNM); err != nil {
-			return nil, err
 		}
 		im := raster.Reuse(s.images.get(), bm.W, bm.H)
 		for i, v := range bm.Pix {
@@ -356,20 +355,20 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	for i, r := range cr.Rects {
 		rects[i] = r.rect()
 	}
-	clip := geom.NewClip(frame, rects)
 	core := CenteredCore(frame, s.cfg.CoreSide)
 	if cr.Core != nil {
 		core = cr.Core.rect()
+		if core.W() != s.cfg.CoreSide || core.H() != s.cfg.CoreSide {
+			return nil, fmt.Errorf("core %+v is %dx%d nm, not the served %dx%d nm core",
+				*cr.Core, core.W(), core.H(), s.cfg.CoreSide, s.cfg.CoreSide)
+		}
 	}
-	if core.W() != core.H() || core.Empty() {
-		return nil, fmt.Errorf("core %+v must be square and non-empty", core)
-	}
-	if !frame.ContainsRect(core) {
+	// A side that wraps past int range can match CoreSide on an empty
+	// rectangle, which ContainsRect accepts.
+	if core.Empty() || !frame.ContainsRect(core) {
 		return nil, fmt.Errorf("core %+v outside clip frame %+v", core, frame)
 	}
-	if err := cfg.ValidateCore(core.W()); err != nil {
-		return nil, err
-	}
+	clip := geom.NewClip(frame, rects)
 	buf := s.images.get()
 	im, err := feature.RasterizeCore(buf, clip, core, cfg)
 	if err != nil {

@@ -222,6 +222,42 @@ func (e *Evaluator) PredictBatchOn(worker int, xs []*tensor.Tensor, probs []floa
 	return nil
 }
 
+// NewGrid builds the fused.Grid of an nbx×nby-block die for the engines
+// Prepare compiled: windows of their input shape, scored with
+// PredictGridOn on any worker. The network's weights must not change
+// between a Grid's Update and the scoring it serves.
+func (e *Evaluator) NewGrid(nbx, nby int) (*fused.Grid, error) {
+	if e.workers == nil {
+		return nil, errUnprepared
+	}
+	return fused.NewGrid(e.workers[0].eng, nbx, nby)
+}
+
+// PredictGridOn scores the len(probs) consecutive windows of g's row wy
+// from window wx on worker w's engine and writes their hotspot
+// probabilities to probs, one fused.Engine.ForwardGrid call per
+// tensor.TileRows windows. The fan-out contract is PredictOn's; g must
+// come from NewGrid, and no Update may run meanwhile. Probabilities are
+// bit-identical to PredictProb on the windows' input tensors. It
+// allocates nothing.
+func (e *Evaluator) PredictGridOn(worker int, g *fused.Grid, wx, wy int, probs []float64) error {
+	if e.workers == nil {
+		return errUnprepared
+	}
+	w := &e.workers[worker]
+	for lo := 0; lo < len(probs); lo += tensor.TileRows {
+		hi := min(lo+tensor.TileRows, len(probs))
+		logits := w.logits[:2*(hi-lo)]
+		if err := w.eng.ForwardGrid(logits, g, wx+lo, wy); err != nil {
+			return err
+		}
+		for i := lo; i < hi; i++ {
+			probs[i] = probHot(logits[2*(i-lo):])
+		}
+	}
+	return nil
+}
+
 // probHot converts the classifier's two logits (Prepare guarantees two) to
 // the hotspot softmax probability y(1) in nn.Softmax's exact operation
 // order (running max, exp of shifted logits, sequential sum, one divide),

@@ -23,7 +23,11 @@
 #   5. go test -race ./...   unit + parity tests under the race detector
 #   6. go test -fuzz         10 s of FuzzLoad over nn.Load: no panic, and
 #                            every accepted checkpoint saves, reloads and
-#                            saves to the same bytes
+#                            saves to the same bytes; then 10 s of
+#                            FuzzClipRequest over serve's request
+#                            decoding: no panic, and every accepted clip
+#                            is the served core with pixels in [0, 1]
+#                            (go test -fuzz takes one target per run)
 #   7. perfbench go test     the repository benchmark's own tests, so an
 #                            API change it depends on fails here and not
 #                            only when the benchmark next runs
@@ -107,6 +111,9 @@ go test -race ${short} ./...
 
 echo "==> go test -fuzz FuzzLoad (10 s)"
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/nn/
+
+echo "==> go test -fuzz FuzzClipRequest (10 s)"
+go test -run '^$' -fuzz '^FuzzClipRequest$' -fuzztime 10s ./internal/serve/
 
 echo "==> perfbench go test ./..."
 (cd perfbench && go test ./...)

@@ -165,6 +165,7 @@ func checkMetrics(path string) error {
 		"hsd_scan_dirty_blocks_total",
 		"hsd_scan_block_cache_hit_rate",
 		`stage="scan/extract"`,
+		`stage="scan/share"`,
 		`stage="scan/infer"`,
 		`stage="scan/regions"`,
 	} {
