@@ -42,7 +42,11 @@ func ablationRun(b *testing.B, mutate func(*core.Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := det.EvaluateTensors(testT, 0)
+		ev, err := train.NewEvaluator(det.Network(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := ev.EvalSet(testT, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

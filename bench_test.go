@@ -22,7 +22,6 @@ import (
 	"hotspot/internal/layout"
 	"hotspot/internal/litho"
 	"hotspot/internal/raster"
-	"hotspot/internal/tensor"
 )
 
 // benchOpts returns the shared experiment options: ~0.4% of the paper's
@@ -121,12 +120,14 @@ func BenchmarkDCTBlock25(b *testing.B) {
 	for i := range block {
 		block[i] = rng.Float64()
 	}
-	dst, tmp := make([]float64, 7*7), make([]float64, 25*tensor.TileWidth(7))
+	tr, err := dct.NewTruncated(25, 25, 7, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst, tmp := make([]float64, 7*7), make([]float64, tr.TmpLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dct.ForwardTruncated2DInto(dst, tmp, block, 25, 25, 7, 7); err != nil {
-			b.Fatal(err)
-		}
+		tr.Forward(dst, tmp, block, 25)
 	}
 }
 

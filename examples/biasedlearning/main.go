@@ -62,7 +62,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m0, err := train.EvalSet(net, testT, 0)
+	ev, err := train.NewEvaluator(net, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m0, err := ev.EvalSet(testT, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func main() {
 		if _, err := train.MGD(net, trainSet, valSet, fine); err != nil {
 			log.Fatal(err)
 		}
-		mb, err := train.EvalSet(net, testT, 0)
+		mb, err := ev.EvalSet(testT, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

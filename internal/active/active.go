@@ -64,7 +64,7 @@ type Labeler func(i int, c geom.Clip) (bool, error)
 // Selection strategies.
 const (
 	// StrategyHybrid selects by uncertainty margin + greedy k-center
-	// diversity (SelectHybrid) — the default.
+	// diversity (selector.selectHybrid) — the default.
 	StrategyHybrid = "hybrid"
 	// StrategyRandom selects uniformly at random (round-keyed, SelectRandom)
 	// — the baseline the accuracy-vs-budget curves compare against.

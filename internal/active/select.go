@@ -32,7 +32,7 @@ type candidate struct {
 }
 
 // selector owns the candidate scratch of one loop so repeated rounds
-// reallocate nothing; SelectHybrid builds a throwaway one per call.
+// reallocate nothing.
 type selector struct {
 	pool *parallel.Pool
 	cand []candidate
@@ -40,25 +40,6 @@ type selector struct {
 
 func newSelector(pool *parallel.Pool) *selector {
 	return &selector{pool: pool}
-}
-
-// SelectHybrid returns up to batch pool indices chosen by hybrid
-// uncertainty + diversity: the candidates most uncertain by margin
-// |p − 0.5| are shortlisted, then a greedy k-center (farthest-first)
-// traversal over their cached feature tensors picks the batch, starting
-// from the most uncertain candidate and repeatedly adding the candidate
-// farthest (squared Euclidean) from the selected set.
-//
-// unlabeled lists pool indices; probs[j] is the hotspot probability of
-// pool clip unlabeled[j]; xs is indexed by pool index. candidates bounds
-// the shortlist (0 means 4×batch; always at least batch). Every ordering
-// is deterministic under any worker count: margins compare by value, exact
-// ties (bit-equal margins or distances) fall back to the round-keyed
-// splitmix64 token and then the pool index, and the parallel distance
-// updates write only index-owned slots with the argmax reduced in index
-// order on the calling goroutine.
-func SelectHybrid(xs []*tensor.Tensor, probs []float64, unlabeled []int, batch, candidates int, roundKey uint64, workers int) ([]int, error) {
-	return newSelector(parallel.New(workers)).selectHybrid(xs, probs, unlabeled, batch, candidates, roundKey)
 }
 
 // SelectRandom returns up to batch pool indices in round-keyed uniform
@@ -81,6 +62,21 @@ func SelectRandom(unlabeled []int, batch int, roundKey uint64) []int {
 	return ord
 }
 
+// selectHybrid returns up to batch pool indices chosen by hybrid
+// uncertainty + diversity: the candidates most uncertain by margin
+// |p − 0.5| are shortlisted, then a greedy k-center (farthest-first)
+// traversal over their cached feature tensors picks the batch, starting
+// from the most uncertain candidate and repeatedly adding the candidate
+// farthest (squared Euclidean) from the selected set.
+//
+// unlabeled lists pool indices; probs[j] is the hotspot probability of
+// pool clip unlabeled[j]; xs is indexed by pool index. candidates bounds
+// the shortlist (0 means 4×batch; always at least batch). Every ordering
+// is deterministic under any worker count: margins compare by value, exact
+// ties (bit-equal margins or distances) fall back to the round-keyed
+// splitmix64 token and then the pool index, and the parallel distance
+// updates write only index-owned slots with the argmax reduced in index
+// order on the calling goroutine.
 func (s *selector) selectHybrid(xs []*tensor.Tensor, probs []float64, unlabeled []int, batch, candidates int, roundKey uint64) ([]int, error) {
 	if batch <= 0 || len(unlabeled) == 0 {
 		return nil, nil

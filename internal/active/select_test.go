@@ -4,8 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"hotspot/internal/parallel"
 	"hotspot/internal/tensor"
 )
+
+// selectHybrid runs one selection on a fresh selector over a pool of the
+// given worker count, as the loop's selector runs each round.
+func selectHybrid(xs []*tensor.Tensor, probs []float64, unlabeled []int, batch, candidates int, roundKey uint64, workers int) ([]int, error) {
+	return newSelector(parallel.New(workers)).selectHybrid(xs, probs, unlabeled, batch, candidates, roundKey)
+}
 
 // synthTensors builds n deterministic feature tensors of the given shape,
 // each from its own index-keyed stream.
@@ -54,25 +61,49 @@ func equalInts(a, b []int) bool {
 
 // TestSelectHybridWorkerParity: the selected sequence is bit-identical
 // under worker counts 1, 4 and 8 — the selection half of the loop's
-// determinism contract.
+// determinism contract. Each worker count keeps one selector for two
+// rounds, as the loop does, so the second round runs on reused scratch.
 func TestSelectHybridWorkerParity(t *testing.T) {
 	const n, batch = 60, 8
 	xs := synthTensors(n, 4, 3, 3)
 	probs := synthProbs(n, 42)
-	want, err := SelectHybrid(xs, probs, indices(n), batch, 0, mix64(7, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != batch {
-		t.Fatalf("selected %d, want %d", len(want), batch)
-	}
-	for _, workers := range []int{4, 8} {
-		got, err := SelectHybrid(xs, probs, indices(n), batch, 0, mix64(7, 0), workers)
-		if err != nil {
-			t.Fatal(err)
+	rounds := func(workers int) [][]int {
+		sel := newSelector(parallel.New(workers))
+		unlabeled := indices(n)
+		var picks [][]int
+		for round := uint64(0); round < 2; round++ {
+			p := make([]float64, len(unlabeled))
+			for j, i := range unlabeled {
+				p[j] = probs[i]
+			}
+			got, err := sel.selectHybrid(xs, p, unlabeled, batch, 0, mix64(7, round))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != batch {
+				t.Fatalf("workers=%d round %d: selected %d, want %d", workers, round, len(got), batch)
+			}
+			picks = append(picks, got)
+			taken := make(map[int]bool)
+			for _, i := range got {
+				taken[i] = true
+			}
+			var rest []int
+			for _, i := range unlabeled {
+				if !taken[i] {
+					rest = append(rest, i)
+				}
+			}
+			unlabeled = rest
 		}
-		if !equalInts(got, want) {
-			t.Fatalf("workers=%d selected %v, workers=1 selected %v", workers, got, want)
+		return picks
+	}
+	want := rounds(1)
+	for _, workers := range []int{4, 8} {
+		for r, got := range rounds(workers) {
+			if !equalInts(got, want[r]) {
+				t.Fatalf("workers=%d round %d selected %v, workers=1 selected %v", workers, r, got, want[r])
+			}
 		}
 	}
 }
@@ -84,7 +115,7 @@ func TestSelectHybridStartsMostUncertain(t *testing.T) {
 	xs := synthTensors(n, 2, 2, 2)
 	probs := synthProbs(n, 3)
 	probs[13] = 0.5 // exactly on the boundary: margin 0, strictly smallest
-	sel, err := SelectHybrid(xs, probs, indices(n), 4, 0, mix64(1, 0), 2)
+	sel, err := selectHybrid(xs, probs, indices(n), 4, 0, mix64(1, 0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +139,7 @@ func TestSelectHybridDuplicateClips(t *testing.T) {
 	for i := range probs {
 		probs[i] = 0.5 // equal margins: uncertainty does not separate them
 	}
-	want, err := SelectHybrid(xs, probs, indices(n), 9, 0, mix64(99, 0), 1)
+	want, err := selectHybrid(xs, probs, indices(n), 9, 0, mix64(99, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +156,7 @@ func TestSelectHybridDuplicateClips(t *testing.T) {
 		t.Fatalf("first 7 picks took %d from the duplicate group, want exactly 1: %v", fromGroup, want)
 	}
 	for _, workers := range []int{4, 8} {
-		got, err := SelectHybrid(xs, probs, indices(n), 9, 0, mix64(99, 0), workers)
+		got, err := selectHybrid(xs, probs, indices(n), 9, 0, mix64(99, 0), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,18 +176,18 @@ func TestSelectHybridTieMargins(t *testing.T) {
 	for i := range probs {
 		probs[i] = 0.7 // identical margins everywhere
 	}
-	a, err := SelectHybrid(xs, probs, indices(n), 5, 10, mix64(5, 0), 3)
+	a, err := selectHybrid(xs, probs, indices(n), 5, 10, mix64(5, 0), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectHybrid(xs, probs, indices(n), 5, 10, mix64(5, 0), 3)
+	b, err := selectHybrid(xs, probs, indices(n), 5, 10, mix64(5, 0), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalInts(a, b) {
 		t.Fatalf("same round key selected %v then %v", a, b)
 	}
-	c, err := SelectHybrid(xs, probs, indices(n), 5, 10, mix64(6, 0), 3)
+	c, err := selectHybrid(xs, probs, indices(n), 5, 10, mix64(6, 0), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +202,7 @@ func TestSelectHybridBatchCoversPool(t *testing.T) {
 	const n = 6
 	xs := synthTensors(n, 2, 2, 2)
 	probs := synthProbs(n, 8)
-	sel, err := SelectHybrid(xs, probs, indices(n), 10, 0, mix64(2, 0), 2)
+	sel, err := selectHybrid(xs, probs, indices(n), 10, 0, mix64(2, 0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

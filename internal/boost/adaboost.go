@@ -24,15 +24,6 @@ func (e *Ensemble) Score(x []float64) float64 {
 // Predict returns the boolean class (margin > 0).
 func (e *Ensemble) Predict(x []float64) bool { return e.Score(x) > 0 }
 
-// Prob squashes the margin to (0, 1) with a logistic link, giving a
-// probability-like confidence used for threshold shifting in evaluations.
-func (e *Ensemble) Prob(x []float64) float64 {
-	return 1 / (1 + math.Exp(-2*e.Score(x)))
-}
-
-// Rounds returns the ensemble size.
-func (e *Ensemble) Rounds() int { return len(e.Stumps) }
-
 // classBalancedWeights gives each class half the total weight regardless of
 // its count — the standard cost-sensitive initialization for hotspot data,
 // where non-hotspots outnumber hotspots by an order of magnitude and plain

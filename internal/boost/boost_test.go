@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestStumpPredict(t *testing.T) {
@@ -73,8 +72,8 @@ func TestAdaBoostSeparable(t *testing.T) {
 		t.Fatalf("separable accuracy %.3f", acc)
 	}
 	// A separable problem should terminate early on a perfect stump.
-	if ens.Rounds() > 3 {
-		t.Fatalf("expected early stop, got %d rounds", ens.Rounds())
+	if len(ens.Stumps) > 3 {
+		t.Fatalf("expected early stop, got %d rounds", len(ens.Stumps))
 	}
 }
 
@@ -87,7 +86,7 @@ func TestAdaBoostInterval(t *testing.T) {
 	if acc := accuracy(ens.Predict, X, y); acc < 0.95 {
 		t.Fatalf("interval accuracy %.3f, want >= 0.95", acc)
 	}
-	if ens.Rounds() < 2 {
+	if len(ens.Stumps) < 2 {
 		t.Fatal("interval target needs more than one stump")
 	}
 }
@@ -115,42 +114,6 @@ func TestAdaBoostErrors(t *testing.T) {
 	yc := []bool{true, false, true, false}
 	if _, err := TrainAdaBoost(Xc, yc, 5); err == nil {
 		t.Fatal("expected no-signal error")
-	}
-}
-
-func TestEnsembleProbMonotoneInScore(t *testing.T) {
-	ens := &Ensemble{
-		Stumps: []Stump{{Feature: 0, Threshold: 0, Polarity: 1}},
-		Alphas: []float64{1.0},
-	}
-	pHigh := ens.Prob([]float64{1})
-	pLow := ens.Prob([]float64{-1})
-	if pHigh <= 0.5 || pLow >= 0.5 {
-		t.Fatalf("prob link broken: %v, %v", pHigh, pLow)
-	}
-	if pHigh <= pLow {
-		t.Fatal("prob not monotone in score")
-	}
-}
-
-// Property: Prob is always in (0, 1) and Predict agrees with Prob > 0.5.
-func TestProbPredictConsistency(t *testing.T) {
-	X, y := intervalData(200, 4)
-	ens, err := TrainAdaBoost(X, y, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := []float64{r.Float64() * 2, r.Float64() * 2}
-		p := ens.Prob(x)
-		if p <= 0 || p >= 1 {
-			return false
-		}
-		return ens.Predict(x) == (p > 0.5)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -203,14 +166,14 @@ func TestSmoothBoostPartialFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sb.Rounds()
+	before := len(sb.Stumps)
 	if err := sb.PartialFit(X[50:], y[50:], 10); err != nil {
 		t.Fatal(err)
 	}
 	if sb.BufferSize() != 100 {
 		t.Fatalf("buffer size %d, want 100", sb.BufferSize())
 	}
-	if sb.Rounds() < before {
+	if len(sb.Stumps) < before {
 		t.Fatal("PartialFit dropped rounds")
 	}
 	if acc := accuracy(sb.Predict, X, y); acc < 0.95 {
@@ -251,7 +214,7 @@ func TestSmoothBoostWeightsAreCapped(t *testing.T) {
 			maxScore = s
 		}
 	}
-	if maxScore > float64(sb.Rounds())/2+1e-9 {
+	if maxScore > float64(len(sb.Stumps))/2+1e-9 {
 		t.Fatalf("score %v exceeds alpha budget", maxScore)
 	}
 }

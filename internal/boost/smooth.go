@@ -110,6 +110,3 @@ func (sb *SmoothBoost) PartialFit(X [][]float64, y []bool, rounds int) error {
 	sb.bufY = append(sb.bufY, labelsToPM(y)...)
 	return sb.boost(rounds)
 }
-
-// BufferSize returns the number of instances the model has absorbed.
-func (sb *SmoothBoost) BufferSize() int { return len(sb.bufX) }

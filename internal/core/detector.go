@@ -18,6 +18,7 @@ import (
 	"hotspot/internal/layout"
 	"hotspot/internal/nn"
 	"hotspot/internal/obs"
+	"hotspot/internal/tensor"
 	"hotspot/internal/train"
 )
 
@@ -196,28 +197,6 @@ func (d *Detector) Train(samples []layout.Sample, core geom.Rect) (*TrainReport,
 	}, nil
 }
 
-// TrainTensors runs biased learning on pre-extracted feature tensors.
-func (d *Detector) TrainTensors(samples []train.Sample) (*TrainReport, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: no training samples")
-	}
-	trainSet, valSet, err := train.Split(samples, d.cfg.ValFraction, d.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	watch := obs.NewStopwatch()
-	rounds, err := train.BiasedLearning(d.net, trainSet, valSet, d.biasedConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &TrainReport{
-		Rounds:       rounds,
-		TrainSamples: len(trainSet),
-		ValSamples:   len(valSet),
-		Elapsed:      watch.Elapsed(),
-	}, nil
-}
-
 // biasedConfig returns the training schedule with Config.Workers threaded
 // into the nested MGD configurations (when set).
 func (d *Detector) biasedConfig() train.BiasedConfig {
@@ -232,22 +211,22 @@ func (d *Detector) biasedConfig() train.BiasedConfig {
 	return cfg
 }
 
-// Predict returns the hotspot probability of one clip.
+// Predict returns the hotspot probability of one clip, scored on a fused
+// engine as Evaluate scores a test set.
 func (d *Detector) Predict(c geom.Clip, core geom.Rect) (float64, error) {
 	ft, err := feature.ExtractTensor(c, core, d.cfg.Feature)
 	if err != nil {
 		return 0, err
 	}
-	return train.PredictProb(d.net, ft)
-}
-
-// Detect applies the (optionally shifted) decision rule to one clip.
-func (d *Detector) Detect(c geom.Clip, core geom.Rect, shift float64) (bool, error) {
-	p, err := d.Predict(c, core)
+	ev, err := train.NewEvaluator(d.net, 1)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	return train.Decide(p, shift), nil
+	probs, err := ev.PredictProbs([]*tensor.Tensor{ft})
+	if err != nil {
+		return 0, err
+	}
+	return probs[0], nil
 }
 
 // Evaluate scores a labelled test set and returns the Table 2 row. Feature
@@ -288,11 +267,6 @@ func (d *Detector) Evaluate(samples []layout.Sample, core geom.Rect, benchmark s
 		}
 	}
 	return eval.NewResult("Ours", benchmark, tp, fp, fn, watch.Elapsed())
-}
-
-// EvaluateTensors scores pre-extracted tensors at a given boundary shift.
-func (d *Detector) EvaluateTensors(samples []train.Sample, shift float64) (train.Metrics, error) {
-	return train.EvalSet(d.net, samples, shift)
 }
 
 // Save persists the trained network.

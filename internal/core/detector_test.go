@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -111,12 +112,16 @@ func TestDetectorTrainsAndPredicts(t *testing.T) {
 	if p < 0 || p > 1 {
 		t.Fatalf("probability %v out of range", p)
 	}
-	hot, err := det.Detect(samples[0].Clip, core, 0)
+	ft, err := feature.ExtractTensor(samples[0].Clip, core, cfg.Feature)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hot != (p > 0.5) {
-		t.Fatal("Detect inconsistent with Predict")
+	want, err := train.PredictProb(det.Network(), ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(p) != math.Float64bits(want) {
+		t.Fatalf("Predict %v, layered forward %v", p, want)
 	}
 }
 
@@ -127,9 +132,6 @@ func TestDetectorTrainErrors(t *testing.T) {
 	}
 	if _, err := det.Train(nil, geom.R(0, 0, 480, 480)); err == nil {
 		t.Fatal("expected empty-train error")
-	}
-	if _, err := det.TrainTensors(nil); err == nil {
-		t.Fatal("expected empty-tensor error")
 	}
 	if _, err := det.Evaluate(nil, geom.R(0, 0, 480, 480), "x"); err == nil {
 		t.Fatal("expected empty-eval error")
@@ -205,11 +207,15 @@ func TestEvaluateTensorsShift(t *testing.T) {
 		}
 		tens = append(tens, train.Sample{X: ft, Hotspot: s.Hotspot})
 	}
-	m0, err := det.EvaluateTensors(tens, 0)
+	ev, err := train.NewEvaluator(det.Network(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mShift, err := det.EvaluateTensors(tens, 0.3)
+	m0, err := ev.EvalSet(tens, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mShift, err := ev.EvalSet(tens, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

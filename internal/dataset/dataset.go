@@ -124,15 +124,6 @@ func CCSMatrix(samples []layout.Sample, core geom.Rect, cfg feature.CCSConfig, w
 	return X, y, nil
 }
 
-// Labels extracts the label vector of a sample list.
-func Labels(samples []layout.Sample) []bool {
-	y := make([]bool, len(samples))
-	for i, s := range samples {
-		y[i] = s.Hotspot
-	}
-	return y
-}
-
 // dihedral transforms a rect under one of the 8 square symmetries within a
 // win×win frame: bit 0 mirrors x, bit 1 mirrors y, bit 2 transposes.
 func dihedral(r geom.Rect, win, op int) geom.Rect {

@@ -149,16 +149,6 @@ func TestCCSMatrix(t *testing.T) {
 	}
 }
 
-func TestLabels(t *testing.T) {
-	ds := testDataset(t)
-	y := Labels(ds.Train)
-	for i := range y {
-		if y[i] != ds.Train[i].Hotspot {
-			t.Fatal("labels mismatch")
-		}
-	}
-}
-
 func TestAugmentedTensorSamples(t *testing.T) {
 	ds := testDataset(t)
 	cfg := feature.TensorConfig{Blocks: 4, K: 8, ResNM: 4, Normalize: true}

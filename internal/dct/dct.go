@@ -178,26 +178,3 @@ func (t *Truncated) Forward(dst, tmp, src []float64, stride int) {
 		}
 	}
 }
-
-// ForwardTruncated2DInto writes the kh×kw corner of the 2-D DCT of the
-// row-major h×w block src into dst (len kh*kw), with tmp
-// (len h*TileWidth(kw)) as row-transform scratch. Nothing is allocated
-// once the shape's basis tables exist. It validates every length and runs
-// Truncated.Forward.
-func ForwardTruncated2DInto(dst, tmp, src []float64, h, w, kh, kw int) error {
-	if len(src) != h*w {
-		return fmt.Errorf("dct: block length %d does not match %dx%d", len(src), h, w)
-	}
-	t, err := NewTruncated(h, w, kh, kw)
-	if err != nil {
-		return err
-	}
-	if len(dst) != kh*kw {
-		return fmt.Errorf("dct: dst length %d does not match corner %dx%d", len(dst), kh, kw)
-	}
-	if len(tmp) != t.TmpLen() {
-		return fmt.Errorf("dct: tmp length %d does not match %dx%d scratch", len(tmp), h, tensor.TileWidth(kw))
-	}
-	t.Forward(dst, tmp, src, w)
-	return nil
-}

@@ -290,7 +290,7 @@ func TestZigZagFlattenRoundTrip(t *testing.T) {
 		for i := range block {
 			block[i] = r.NormFloat64()
 		}
-		scan, err := ZigZagFlatten(block, h, w)
+		scan, err := zigZagFlatten(block, h, w)
 		if err != nil {
 			return false
 		}
@@ -328,7 +328,7 @@ func TestZigZagTruncatedUnflatten(t *testing.T) {
 }
 
 func TestZigZagErrors(t *testing.T) {
-	if _, err := ZigZagFlatten(make([]float64, 5), 2, 2); err == nil {
+	if _, err := zigZagFlatten(make([]float64, 5), 2, 2); err == nil {
 		t.Fatal("expected length error")
 	}
 	if _, err := ZigZagUnflatten(make([]float64, 10), 3, 3); err == nil {
@@ -389,7 +389,7 @@ func TestTruncationEnergyDominance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := ZigZagFlatten(coef, h, w)
+	scan, err := zigZagFlatten(coef, h, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 				if pad == 0 {
 					into := make([]float64, c.kh*c.kw)
 					tmp := make([]float64, c.h*tensor.TileWidth(c.kw))
-					if err := ForwardTruncated2DInto(into, tmp, img[off:off+c.h*c.w], c.h, c.w, c.kh, c.kw); err != nil {
+					if err := forwardTruncated2DInto(into, tmp, img[off:off+c.h*c.w], c.h, c.w, c.kh, c.kw); err != nil {
 						t.Fatal(err)
 					}
 					for i := range want {
@@ -80,22 +80,22 @@ func TestForwardTruncated2DIntoErrors(t *testing.T) {
 	// The 3-column corner's row scratch is padded to the tile's 4 columns.
 	good := func() ([]float64, []float64) { return make([]float64, 9), make([]float64, 8*4) }
 	dst, tmp := good()
-	if err := ForwardTruncated2DInto(dst, tmp, src[:63], 8, 8, 3, 3); err == nil {
+	if err := forwardTruncated2DInto(dst, tmp, src[:63], 8, 8, 3, 3); err == nil {
 		t.Error("expected error for short src")
 	}
-	if err := ForwardTruncated2DInto(dst, tmp, src, 8, 8, 0, 3); err == nil {
+	if err := forwardTruncated2DInto(dst, tmp, src, 8, 8, 0, 3); err == nil {
 		t.Error("expected error for kh=0")
 	}
-	if err := ForwardTruncated2DInto(dst, tmp, src, 8, 8, 9, 3); err == nil {
+	if err := forwardTruncated2DInto(dst, tmp, src, 8, 8, 9, 3); err == nil {
 		t.Error("expected error for kh>h")
 	}
-	if err := ForwardTruncated2DInto(dst[:8], tmp, src, 8, 8, 3, 3); err == nil {
+	if err := forwardTruncated2DInto(dst[:8], tmp, src, 8, 8, 3, 3); err == nil {
 		t.Error("expected error for short dst")
 	}
-	if err := ForwardTruncated2DInto(dst, tmp[:31], src, 8, 8, 3, 3); err == nil {
+	if err := forwardTruncated2DInto(dst, tmp[:31], src, 8, 8, 3, 3); err == nil {
 		t.Error("expected error for short tmp")
 	}
-	if err := ForwardTruncated2DInto(dst, tmp, src, 8, 8, 3, 3); err != nil {
+	if err := forwardTruncated2DInto(dst, tmp, src, 8, 8, 3, 3); err != nil {
 		t.Errorf("valid call: %v", err)
 	}
 }

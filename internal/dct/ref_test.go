@@ -1,11 +1,15 @@
 package dct
 
-import "fmt"
+import (
+	"fmt"
 
-// The allocating transforms below have only test callers: production code
-// transforms blocks through Truncated and decodes through Inverse2D. They
-// stay here as plain-loop references for the round-trip, Parseval and
-// truncation tests.
+	"hotspot/internal/tensor"
+)
+
+// The transforms below have only test callers: production code transforms
+// blocks through Truncated and decodes through Inverse2D and
+// ZigZagUnflatten. They stay here as references for the round-trip,
+// Parseval, truncation and zig-zag tests.
 
 // forward1D computes the orthonormal DCT-II of src into a new slice.
 func forward1D(src []float64) []float64 {
@@ -76,14 +80,14 @@ func forward2D(src []float64, h, w int) ([]float64, error) {
 	return out, nil
 }
 
-// forwardTruncated2D is ForwardTruncated2DInto into fresh buffers.
+// forwardTruncated2D is forwardTruncated2DInto into fresh buffers.
 func forwardTruncated2D(src []float64, h, w, kh, kw int) ([]float64, error) {
 	t, err := NewTruncated(h, w, kh, kw)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, kh*kw)
-	if err := ForwardTruncated2DInto(out, make([]float64, t.TmpLen()), src, h, w, kh, kw); err != nil {
+	if err := forwardTruncated2DInto(out, make([]float64, t.TmpLen()), src, h, w, kh, kw); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -116,4 +120,40 @@ func truncatedLoops(dst, tmp, src []float64, stride, h, w, kh, kw int) {
 			dst[u*kw+v] = s
 		}
 	}
+}
+
+// forwardTruncated2DInto writes the kh×kw corner of the 2-D DCT of the
+// row-major h×w block src into dst (len kh*kw), with tmp
+// (len h*TileWidth(kw)) as row-transform scratch. Nothing is allocated
+// once the shape's basis tables exist. It validates every length and runs
+// Truncated.Forward.
+func forwardTruncated2DInto(dst, tmp, src []float64, h, w, kh, kw int) error {
+	if len(src) != h*w {
+		return fmt.Errorf("dct: block length %d does not match %dx%d", len(src), h, w)
+	}
+	t, err := NewTruncated(h, w, kh, kw)
+	if err != nil {
+		return err
+	}
+	if len(dst) != kh*kw {
+		return fmt.Errorf("dct: dst length %d does not match corner %dx%d", len(dst), kh, kw)
+	}
+	if len(tmp) != t.TmpLen() {
+		return fmt.Errorf("dct: tmp length %d does not match %dx%d scratch", len(tmp), h, tensor.TileWidth(kw))
+	}
+	t.Forward(dst, tmp, src, w)
+	return nil
+}
+
+// zigZagFlatten reorders an h×w row-major block into zig-zag scan order.
+func zigZagFlatten(block []float64, h, w int) ([]float64, error) {
+	if len(block) != h*w {
+		return nil, fmt.Errorf("dct: zig-zag block length %d does not match %dx%d", len(block), h, w)
+	}
+	order := ZigZagOrder(h, w)
+	out := make([]float64, len(block))
+	for i, idx := range order {
+		out[i] = block[idx]
+	}
+	return out, nil
 }

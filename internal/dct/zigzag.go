@@ -48,20 +48,7 @@ func ZigZagOrder(h, w int) []int {
 	return order
 }
 
-// ZigZagFlatten reorders an h×w row-major block into zig-zag scan order.
-func ZigZagFlatten(block []float64, h, w int) ([]float64, error) {
-	if len(block) != h*w {
-		return nil, fmt.Errorf("dct: zig-zag block length %d does not match %dx%d", len(block), h, w)
-	}
-	order := ZigZagOrder(h, w)
-	out := make([]float64, len(block))
-	for i, idx := range order {
-		out[i] = block[idx]
-	}
-	return out, nil
-}
-
-// ZigZagUnflatten inverts ZigZagFlatten. If the input has fewer than h*w
+// ZigZagUnflatten inverts the zig-zag scan of an h×w block. If the input has fewer than h*w
 // entries (a truncated scan), the missing high-frequency coefficients are
 // zero-filled, which is exactly the decoder side of Equation (2).
 func ZigZagUnflatten(scan []float64, h, w int) ([]float64, error) {

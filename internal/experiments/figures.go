@@ -251,8 +251,12 @@ func Fig4(opts Options) (Fig4Result, string, error) {
 		return Fig4Result{}, "", err
 	}
 
+	ev, err := train.NewEvaluator(net, cfg.Workers)
+	if err != nil {
+		return Fig4Result{}, "", err
+	}
 	var res Fig4Result
-	m0, err := train.EvalSet(net, testT, 0)
+	m0, err := ev.EvalSet(testT, 0)
 	if err != nil {
 		return Fig4Result{}, "", err
 	}
@@ -267,7 +271,7 @@ func Fig4(opts Options) (Fig4Result, string, error) {
 		if _, err := train.MGD(net, trainSet, valSet, fineCfg); err != nil {
 			return Fig4Result{}, "", err
 		}
-		m, err := train.EvalSet(net, testT, 0)
+		m, err := ev.EvalSet(testT, 0)
 		if err != nil {
 			return Fig4Result{}, "", err
 		}

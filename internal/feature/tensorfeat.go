@@ -151,12 +151,6 @@ func (c TensorConfig) NewBlockEncoder(blockPx int) (*BlockEncoder, error) {
 	}, nil
 }
 
-// BlockPx returns the encoder's pixel block side.
-func (e *BlockEncoder) BlockPx() int { return e.blockPx }
-
-// K returns the coefficient count written per block.
-func (e *BlockEncoder) K() int { return e.k }
-
 // EncodeInto writes the block's K scaled zig-zag coefficients into dst.
 // block must hold blockPx² row-major pixels and dst at least K values.
 func (e *BlockEncoder) EncodeInto(dst, block []float64) error {

@@ -73,14 +73,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	return out
 }
 
-// Overlaps reports whether r and o share any area.
-func (r Rect) Overlaps(o Rect) bool { return !r.Intersect(o).Empty() }
-
-// Contains reports whether the point (x, y) lies inside r.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1
-}
-
 // ContainsRect reports whether o lies entirely inside r.
 func (r Rect) ContainsRect(o Rect) bool {
 	if o.Empty() {
@@ -108,15 +100,6 @@ func (r Rect) Union(o Rect) Rect {
 // Translate returns r shifted by (dx, dy).
 func (r Rect) Translate(dx, dy int) Rect {
 	return Rect{r.X0 + dx, r.Y0 + dy, r.X1 + dx, r.Y1 + dy}
-}
-
-// Inflate returns r grown by d on every side (shrunk when d < 0).
-func (r Rect) Inflate(d int) Rect {
-	out := Rect{r.X0 - d, r.Y0 - d, r.X1 + d, r.Y1 + d}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
 }
 
 // String implements fmt.Stringer.

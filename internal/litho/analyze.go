@@ -208,12 +208,3 @@ func label4(im *raster.Image) ([]int, int) {
 	}
 	return labels, next
 }
-
-// IsHotspot is the convenience oracle: simulate and return only the label.
-func (s *Simulator) IsHotspot(mask *raster.Image, region Region) (bool, error) {
-	rep, err := s.Analyze(mask, region)
-	if err != nil {
-		return false, err
-	}
-	return rep.Hotspot, nil
-}

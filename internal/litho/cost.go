@@ -45,10 +45,9 @@ func DefaultLabelCost() float64 { return DefaultConfig().LabelCost() }
 // computation except the charge decision itself, which is a pure function
 // of the charge sequence.
 type Budget struct {
-	mu     sync.Mutex
-	total  float64 // <= 0 means unlimited
-	spent  float64
-	labels int64
+	mu    sync.Mutex
+	total float64 // <= 0 means unlimited
+	spent float64
 
 	spentMS   *obs.Counter
 	labelsTot *obs.Counter
@@ -85,20 +84,12 @@ func (b *Budget) TryCharge(seconds float64) bool {
 		return false
 	}
 	b.spent += seconds
-	b.labels++
 	b.spentMS.Add(int64(math.Round(seconds * 1000)))
 	b.labelsTot.Inc()
 	if b.remaining != nil {
 		b.remaining.Set(b.total - b.spent)
 	}
 	return true
-}
-
-// Total returns the configured budget in seconds (<= 0 when unlimited).
-func (b *Budget) Total() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
 }
 
 // Spent returns the ODST seconds charged so far.
@@ -116,11 +107,4 @@ func (b *Budget) Remaining() float64 {
 		return math.Inf(1)
 	}
 	return b.total - b.spent
-}
-
-// Labels returns the number of labels charged so far.
-func (b *Budget) Labels() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.labels
 }

@@ -40,9 +40,6 @@ func TestBudgetCharging(t *testing.T) {
 	if got := b.Remaining(); got != 5 {
 		t.Fatalf("Remaining = %v, want 5", got)
 	}
-	if got := b.Labels(); got != 2 {
-		t.Fatalf("Labels = %d, want 2", got)
-	}
 	// A cheaper label still fits in the remainder.
 	if !b.TryCharge(5) {
 		t.Fatal("budget refused a charge that exactly exhausts it")
@@ -80,6 +77,9 @@ func TestBudgetMetrics(t *testing.T) {
 	if !b.TryCharge(DefaultLabelCost()) || !b.TryCharge(DefaultLabelCost()) {
 		t.Fatal("charges refused")
 	}
+	if b.TryCharge(11) {
+		t.Fatal("charge past the limit accepted")
+	}
 	if d := reg.Counter("hsd_litho_odst_milliseconds_total").Value() - msBefore; d != 20000 {
 		t.Fatalf("odst ms counter delta = %d, want 20000", d)
 	}
@@ -100,7 +100,7 @@ func TestBudgetNegativeCharge(t *testing.T) {
 	if b.TryCharge(-1) {
 		t.Fatal("negative charge accepted")
 	}
-	if b.Spent() != 0 || b.Labels() != 0 {
+	if b.Spent() != 0 {
 		t.Fatal("refused charge mutated the meter")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"hotspot/internal/fft"
 	"hotspot/internal/raster"
 )
 
@@ -243,63 +242,4 @@ func gaussianBlur(im *raster.Image, sigmaPx float64) *raster.Image {
 		}
 	}
 	return out
-}
-
-// AerialFFT computes the same aerial image as Aerial but convolves with
-// explicit 2-D kernel grids through internal/fft instead of the separable
-// two-pass filter. It exists for two reasons: it validates the fast path
-// (the package tests assert agreement), and it accepts non-separable
-// kernels via SimulateKernels for users replacing the Gaussian optics with
-// tabulated SOCS kernels.
-func (s *Simulator) AerialFFT(mask *raster.Image, defocus float64) (*raster.Image, error) {
-	widen := 1 + float64(s.cfg.Optics.DefocusSpread*defocus)
-	kernels := make([]*raster.Image, len(s.cfg.Optics.Kernels))
-	for i, k := range s.cfg.Optics.Kernels {
-		kernels[i] = gaussianKernelImage(k.SigmaNM * widen / float64(s.cfg.ResNM))
-	}
-	return s.SimulateKernels(mask, kernels, s.weights)
-}
-
-// SimulateKernels computes I = Σ w_i (mask ⊛ K_i)² for arbitrary kernel
-// grids (odd dimensions recommended so the centre is well-defined).
-func (s *Simulator) SimulateKernels(mask *raster.Image, kernels []*raster.Image, weights []float64) (*raster.Image, error) {
-	if len(kernels) == 0 || len(kernels) != len(weights) {
-		return nil, fmt.Errorf("litho: need matching kernels and weights, got %d/%d", len(kernels), len(weights))
-	}
-	out := raster.NewImage(mask.W, mask.H)
-	for i, k := range kernels {
-		field, err := fft.ConvolveSame2D(mask.Pix, mask.H, mask.W, k.Pix, k.H, k.W)
-		if err != nil {
-			return nil, err
-		}
-		w := weights[i]
-		for j, v := range field {
-			out.Pix[j] += float64(w * v * v)
-		}
-	}
-	return out, nil
-}
-
-// gaussianKernelImage renders a normalized 2-D Gaussian kernel truncated at
-// 3σ as an image grid.
-func gaussianKernelImage(sigmaPx float64) *raster.Image {
-	radius := int(math.Ceil(3 * sigmaPx))
-	if radius < 1 {
-		radius = 1
-	}
-	side := 2*radius + 1
-	k := raster.NewImage(side, side)
-	sum := 0.0
-	for y := 0; y < side; y++ {
-		for x := 0; x < side; x++ {
-			dx, dy := float64(x-radius), float64(y-radius)
-			v := math.Exp(-(float64(dx*dx) + float64(dy*dy)) / (2 * sigmaPx * sigmaPx))
-			k.Set(x, y, v)
-			sum += v
-		}
-	}
-	for i := range k.Pix {
-		k.Pix[i] /= sum
-	}
-	return k
 }

@@ -261,25 +261,6 @@ func TestAnalyzeRegionValidation(t *testing.T) {
 	}
 }
 
-func TestIsHotspotAgreesWithAnalyze(t *testing.T) {
-	s := mustSim(t)
-	mask := rasterizeClip(t, geom.NewClip(geom.R(0, 0, 512, 512), []geom.Rect{
-		geom.R(200, 64, 224, 448), // 24 nm: hotspot
-	}))
-	region := Region{X0: 8, Y0: 8, X1: mask.W - 8, Y1: mask.H - 8}
-	hot, err := s.IsHotspot(mask, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Analyze(mask, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hot != rep.Hotspot {
-		t.Fatal("IsHotspot disagrees with Analyze")
-	}
-}
-
 func TestDefectKindString(t *testing.T) {
 	if DefectNone.String() != "none" || DefectOpen.String() != "open" || DefectBridge.String() != "bridge" {
 		t.Fatal("DefectKind strings wrong")

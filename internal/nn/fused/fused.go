@@ -36,7 +36,7 @@
 //
 // Bit-for-bit contract: every kernel here accumulates each output element
 // in exactly the per-element order and grouping of the layer-by-layer path
-// (tensor.matmulInto's 4-way unrolled dense kernel, its row-skipping
+// (the tensor package's 4-way unrolled dense matmul kernel, its row-skipping
 // sparse variant behind the same tensor.SparseSkip gate, MatVecInto's
 // sequential dot products — each lane of a dot tile is one such chain —
 // and MaxPool2's comparison order), so fused
@@ -443,14 +443,6 @@ func (e *Engine) OutShape() []int { return append([]int(nil), e.outShape...) }
 
 // OutLen returns the number of output scalars.
 func (e *Engine) OutLen() int { return len(e.out) }
-
-// Ops returns the number of fused plan steps (for introspection and tests;
-// fewer steps than network layers means fusion happened).
-func (e *Engine) Ops() int { return len(e.ops) }
-
-// ArenaLen returns the total number of float64 slots the plan reserved —
-// the engine's entire working memory.
-func (e *Engine) ArenaLen() int { return len(e.arena) }
 
 // Accepts reports whether x has the input shape the engine was compiled
 // for, without allocating.

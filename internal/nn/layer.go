@@ -27,9 +27,6 @@ func newParam(name string, w *tensor.Tensor) *Param {
 	return &Param{Name: name, W: w, Grad: tensor.New(w.Shape()...)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // Layer is one differentiable stage of the network.
 type Layer interface {
 	// Name returns a human-readable identifier ("conv1-1", "fc2", ...).
@@ -112,13 +109,6 @@ func (n *Network) Params() []*Param {
 // holds one sample and is never zeroed.
 func (n *Network) Shadow() (*Network, error) {
 	return n.derive(func(p *Param) *Param { return newParam(p.Name, p.W) }, true)
-}
-
-// ZeroGrads clears every parameter gradient.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
 }
 
 // ReseedDropout resets every dropout layer's mask stream to a value derived

@@ -104,13 +104,6 @@ func (s *Summary) Count() int64 {
 	return s.count
 }
 
-// Sum returns the lifetime sum of observations.
-func (s *Summary) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
-}
-
 // Quantile returns the nearest-rank p-quantile (0 <= p <= 1) over the
 // current window, or 0 with no observations. The rank is the ceiling rank
 // min(n-1, ceil(p*n)-1): over a full 1024-sample window p99 reads index

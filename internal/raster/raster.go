@@ -8,7 +8,6 @@
 package raster
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -50,14 +49,6 @@ func (im *Image) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the average pixel value (0 for an empty image).
-func (im *Image) Mean() float64 {
-	if len(im.Pix) == 0 {
-		return 0
-	}
-	return im.Sum() / float64(len(im.Pix))
 }
 
 // Threshold returns a binary image: 1 where im >= th, else 0.
@@ -273,36 +264,4 @@ func (im *Image) WritePGM(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadPGM parses a binary 8-bit PGM written by WritePGM (or any P5 file
-// with maxval 255), inverting the top-down row order back to y-up.
-func ReadPGM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	var w, h, maxval int
-	if _, err := fmt.Fscan(br, &magic, &w, &h, &maxval); err != nil {
-		return nil, fmt.Errorf("raster: bad PGM header: %w", err)
-	}
-	if magic != "P5" {
-		return nil, fmt.Errorf("raster: unsupported PGM magic %q", magic)
-	}
-	if w <= 0 || h <= 0 || maxval != 255 {
-		return nil, fmt.Errorf("raster: unsupported PGM geometry %dx%d maxval %d", w, h, maxval)
-	}
-	// Exactly one whitespace byte separates the header from pixel data.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, err
-	}
-	im := NewImage(w, h)
-	row := make([]byte, w)
-	for y := h - 1; y >= 0; y-- {
-		if _, err := io.ReadFull(br, row); err != nil {
-			return nil, fmt.Errorf("raster: truncated PGM: %w", err)
-		}
-		for x, b := range row {
-			im.Set(x, y, float64(b)/255)
-		}
-	}
-	return im, nil
 }

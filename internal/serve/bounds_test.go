@@ -16,13 +16,24 @@ import (
 
 // TestBitmapPixelRange: a bitmap pixel outside [0, 1] is rejected with a
 // 400 that names it, instead of being scored into a plausible-looking
-// probability. Each value fills a whole bitmap, and once more only its
-// last pixel.
+// probability, and so is a subnormal one, which would put the scoring on
+// the CPU's slow path. Each value fills a whole bitmap, and once more only
+// its last pixel.
 func TestBitmapPixelRange(t *testing.T) {
 	cfg := testConfig()
 	_, ts := newTestServer(t, cfg, 5)
 	side := cfg.CoreSide / cfg.Feature.ResNM
-	for _, v := range []float64{1e308, 2, -1} {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{1e308, "outside [0, 1]"},
+		{2, "outside [0, 1]"},
+		{-1, "outside [0, 1]"},
+		{5e-324, "subnormal"},
+		{0x1p-1023, "subnormal"},
+	} {
+		v := tc.v
 		for _, only := range []string{"all", "last"} {
 			t.Run(fmt.Sprintf("%g/%s", v, only), func(t *testing.T) {
 				pix := make([]float64, side*side)
@@ -38,8 +49,8 @@ func TestBitmapPixelRange(t *testing.T) {
 				if resp.StatusCode != http.StatusBadRequest {
 					t.Fatalf("status %d (%s), want 400", resp.StatusCode, raw)
 				}
-				if !strings.Contains(string(raw), "outside [0, 1]") {
-					t.Fatalf("error %s does not name the pixel range", raw)
+				if !strings.Contains(string(raw), tc.want) {
+					t.Fatalf("error %s does not say %q", raw, tc.want)
 				}
 			})
 		}

@@ -133,9 +133,6 @@ type MetricsSnapshot struct {
 	Stages map[string]StageStats
 }
 
-// HitRate returns the cache hit fraction (0 when no lookups happened).
-func (s MetricsSnapshot) HitRate() float64 { return hitRate(s.CacheHits, s.CacheMisses) }
-
 func (m *metrics) snapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		Requests:    make(map[string]map[int]int64),

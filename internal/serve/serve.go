@@ -330,10 +330,16 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		}
 		im := raster.Reuse(s.images.get(), bm.W, bm.H)
 		for i, v := range bm.Pix {
-			// The negated range test also rejects NaN.
+			// The negated range test also rejects NaN. A subnormal pixel
+			// would send every product it feeds down the CPU's slow path,
+			// and no raster's coverage fraction is one.
 			if !(v >= 0 && v <= 1) {
 				s.images.put(im)
 				return nil, fmt.Errorf("bitmap pixel %d is %v, outside [0, 1]", i, v)
+			}
+			if v != 0 && v < 0x1p-1022 {
+				s.images.put(im)
+				return nil, fmt.Errorf("bitmap pixel %d is %v, subnormal", i, v)
 			}
 			im.Pix[i] = v
 		}

@@ -1,31 +1,5 @@
 package tensor
 
-import "fmt"
-
-// Im2Col unfolds a (C, H, W) input into a (C*KH*KW, OH*OW) matrix of
-// receptive-field columns for a convolution with the given kernel size,
-// stride and zero padding. Column j holds the flattened patch that the
-// kernel sees at output position j (row-major over the output grid), so a
-// convolution becomes a single matrix product: weights (OC, C*KH*KW) times
-// the returned matrix.
-func Im2Col(in *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
-	if in.Rank() != 3 {
-		return nil, fmt.Errorf("tensor: im2col needs rank-3 (C,H,W) input, got %v", in.shape)
-	}
-	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
-		return nil, fmt.Errorf("tensor: im2col invalid params kh=%d kw=%d stride=%d pad=%d", kh, kw, stride, pad)
-	}
-	c, h, w := in.shape[0], in.shape[1], in.shape[2]
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("tensor: im2col kernel %dx%d too large for input %dx%d with pad %d", kh, kw, h, w, pad)
-	}
-	out := New(c*kh*kw, oh*ow)
-	im2colInto(out.data, in.data, c, h, w, kh, kw, stride, pad, oh, ow)
-	return out, nil
-}
-
 // im2colInto writes the unfolded columns of in into out. With stride 1 the
 // valid receptive-field entries of an output row form one contiguous run
 // of an input row (see strideOneRun), so each row is a zero fill, a copy
@@ -83,27 +57,7 @@ func strideOneRun(w, ow, pad, kx int) (lo, hi int) {
 	return lo, hi
 }
 
-// Col2Im folds a (C*KH*KW, OH*OW) column matrix back into a (C, H, W)
-// tensor, accumulating overlapping contributions. It is the adjoint of
-// Im2Col and is used to back-propagate gradients through a convolution.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
-	if cols.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: col2im needs rank-2 input, got %v", cols.shape)
-	}
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("tensor: col2im invalid geometry")
-	}
-	if cols.shape[0] != c*kh*kw || cols.shape[1] != oh*ow {
-		return nil, fmt.Errorf("tensor: col2im shape %v does not match geometry (%d, %d)", cols.shape, c*kh*kw, oh*ow)
-	}
-	out := New(c, h, w)
-	col2imInto(out.data, cols.data, c, h, w, kh, kw, stride, pad, oh, ow)
-	return out, nil
-}
-
-// col2imInto adds the columns back into out (C, H, W) in Im2Col's loop
+// col2imInto adds the columns back into out (C, H, W) in im2colInto's loop
 // order, so every pixel receives its contributions in the same sequence
 // whatever the stride. With stride 1 each output row adds its one valid
 // run (strideOneRun) without a bounds test per element.

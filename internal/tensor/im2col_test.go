@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,6 +40,26 @@ func naiveConv(in *Tensor, w *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
+// im2col returns Im2ColInto's columns of in in a new tensor.
+func im2col(in *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
+	oh := (in.Dim(1)+2*pad-kh)/stride + 1
+	ow := (in.Dim(2)+2*pad-kw)/stride + 1
+	if oh <= 0 || ow <= 0 {
+		return nil, fmt.Errorf("kernel %dx%d does not fit", kh, kw)
+	}
+	out := New(in.Dim(0)*kh*kw, oh*ow)
+	return out, Im2ColInto(out, in, kh, kw, stride, pad)
+}
+
+// dot returns the inner product of a and b viewed as flat vectors.
+func dot(a, b *Tensor) float64 {
+	s := 0.0
+	for i, v := range a.Data() {
+		s += v * b.Data()[i]
+	}
+	return s
+}
+
 func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
@@ -57,12 +78,12 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		for i := range weights.Data() {
 			weights.Data()[i] = rng.NormFloat64()
 		}
-		cols, err := Im2Col(in, kh, kw, stride, pad)
+		cols, err := im2col(in, kh, kw, stride, pad)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wRow := weights.MustReshape(1, c*kh*kw)
-		got, err := MatMul(wRow, cols)
+		got, err := matMul(wRow, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,31 +99,28 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 
 func TestIm2ColShape(t *testing.T) {
 	in := New(2, 12, 12)
-	cols, err := Im2Col(in, 3, 3, 1, 1)
-	if err != nil {
+	if err := Im2ColInto(New(2*3*3, 12*12), in, 3, 3, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if cols.Dim(0) != 2*3*3 || cols.Dim(1) != 12*12 {
-		t.Fatalf("im2col shape %v, want [18 144]", cols.Shape())
+	if err := Im2ColInto(New(2*3*3, 12*12-1), in, 3, 3, 1, 1); err == nil {
+		t.Fatal("expected [18 143] to be rejected for [18 144] columns")
 	}
 }
 
 func TestIm2ColErrors(t *testing.T) {
-	if _, err := Im2Col(New(2, 2), 3, 3, 1, 1); err == nil {
+	if err := Im2ColInto(New(9, 4), New(2, 2), 3, 3, 1, 1); err == nil {
 		t.Fatal("expected rank error")
 	}
-	if _, err := Im2Col(New(1, 4, 4), 0, 3, 1, 1); err == nil {
-		t.Fatal("expected bad kernel error")
+	if err := Im2ColInto(New(4, 2), New(1, 4, 4), 3, 3, 1, 1); err == nil {
+		t.Fatal("expected geometry error")
 	}
-	if _, err := Im2Col(New(1, 2, 2), 5, 5, 1, 0); err == nil {
+	if err := Im2ColInto(New(25, 1), New(1, 2, 2), 5, 5, 1, 0); err == nil {
 		t.Fatal("expected kernel-too-large error")
-	}
-	if _, err := Im2Col(New(1, 4, 4), 3, 3, 0, 1); err == nil {
-		t.Fatal("expected bad stride error")
 	}
 }
 
-// Col2Im must be the adjoint of Im2Col: <Im2Col(x), y> == <x, Col2Im(y)>.
+// Col2ImInto must be the adjoint of Im2ColInto:
+// <Im2Col(x), y> == <x, Col2Im(y)>.
 // This is precisely what backprop through the convolution requires.
 func TestCol2ImIsAdjoint(t *testing.T) {
 	f := func(seed int64) bool {
@@ -117,7 +135,7 @@ func TestCol2ImIsAdjoint(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = r.NormFloat64()
 		}
-		cols, err := Im2Col(x, kh, kw, stride, pad)
+		cols, err := im2col(x, kh, kw, stride, pad)
 		if err != nil {
 			return true // geometry invalid for these params; skip
 		}
@@ -125,13 +143,11 @@ func TestCol2ImIsAdjoint(t *testing.T) {
 		for i := range y.Data() {
 			y.Data()[i] = r.NormFloat64()
 		}
-		lhs, _ := cols.Dot(y)
-		back, err := Col2Im(y, c, h, w, kh, kw, stride, pad)
-		if err != nil {
+		back := New(c, h, w)
+		if err := Col2ImInto(back, y, kh, kw, stride, pad); err != nil {
 			return false
 		}
-		rhs, _ := x.Dot(back)
-		return almostEqual(lhs, rhs, 1e-8)
+		return almostEqual(dot(cols, y), dot(x, back), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -139,10 +155,10 @@ func TestCol2ImIsAdjoint(t *testing.T) {
 }
 
 func TestCol2ImErrors(t *testing.T) {
-	if _, err := Col2Im(New(3), 1, 4, 4, 3, 3, 1, 1); err == nil {
+	if err := Col2ImInto(New(1, 4, 4), New(3), 3, 3, 1, 1); err == nil {
 		t.Fatal("expected rank error")
 	}
-	if _, err := Col2Im(New(5, 5), 1, 4, 4, 3, 3, 1, 1); err == nil {
+	if err := Col2ImInto(New(1, 4, 4), New(5, 5), 3, 3, 1, 1); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }

@@ -10,7 +10,7 @@ package tensor
 
 import (
 	"fmt"
-	"math"
+
 	"strings"
 )
 
@@ -150,24 +150,6 @@ func (t *Tensor) Sub(o *Tensor) error {
 	return nil
 }
 
-// Mul stores t * o (Hadamard product) into t.
-func (t *Tensor) Mul(o *Tensor) error {
-	if !SameShape(t, o) {
-		return fmt.Errorf("tensor: mul shape mismatch %v vs %v", t.shape, o.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return nil
-}
-
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
 // AddScaled stores t + s*o into t; the fused update used by optimizers.
 func (t *Tensor) AddScaled(s float64, o *Tensor) error {
 	if !SameShape(t, o) {
@@ -189,15 +171,6 @@ func (t *Tensor) Fill(v float64) {
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
 // Max returns the maximum element; it panics on an empty tensor.
 func (t *Tensor) Max() float64 {
 	if len(t.data) == 0 {
@@ -210,51 +183,6 @@ func (t *Tensor) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the minimum element; it panics on an empty tensor.
-func (t *Tensor) Min() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) (float64, error) {
-	if len(t.data) != len(o.data) {
-		return 0, fmt.Errorf("tensor: dot length mismatch %d vs %d", len(t.data), len(o.data))
-	}
-	s := 0.0
-	for i, v := range t.data {
-		s += float64(v * o.data[i])
-	}
-	return s, nil
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += float64(v * v)
-	}
-	return math.Sqrt(s)
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // SameShape reports whether a and b have identical shapes.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hotspot/internal/nn"
+	"hotspot/internal/tensor"
 )
 
 // BiasedConfig parameterizes Algorithm 2 (biased learning).
@@ -69,6 +70,13 @@ func BiasedLearning(net *nn.Network, trainSet, valSet []Sample, cfg BiasedConfig
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	var ev *Evaluator
+	if len(valSet) > 0 {
+		var err error
+		if ev, err = NewEvaluator(net, cfg.Initial.Workers); err != nil {
+			return nil, err
+		}
+	}
 	results := make([]RoundResult, 0, cfg.Rounds)
 	eps := cfg.InitialEps
 	var best *nn.Network
@@ -89,9 +97,8 @@ func BiasedLearning(net *nn.Network, trainSet, valSet []Sample, cfg BiasedConfig
 			return nil, fmt.Errorf("train: biased round %d (ε=%.2f): %w", round, eps, err)
 		}
 		var val Metrics
-		if len(valSet) > 0 {
-			val, err = EvalSet(net, valSet, 0)
-			if err != nil {
+		if ev != nil {
+			if val, err = ev.EvalSet(valSet, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -122,45 +129,24 @@ func MatchShiftToRecall(net *nn.Network, samples []Sample, targetRecall float64,
 	if len(grid) == 0 {
 		return 0, Metrics{}, false, fmt.Errorf("train: empty shift grid")
 	}
+	ev, err := NewEvaluator(net, 0)
+	if err != nil {
+		return 0, Metrics{}, false, err
+	}
 	// Score probabilities once; sweep thresholds over the cached scores.
-	probs := make([]float64, len(samples))
-	for i, s := range samples {
-		p, perr := PredictProb(net, s.X)
-		if perr != nil {
-			return 0, Metrics{}, false, perr
-		}
-		probs[i] = p
+	xs := make([]*tensor.Tensor, len(samples))
+	for i := range samples {
+		xs[i] = samples[i].X
+	}
+	probs, err := ev.PredictProbs(xs)
+	if err != nil {
+		return 0, Metrics{}, false, err
 	}
 	for _, g := range grid {
-		m = metricsAtShift(probs, samples, g)
+		m = metricsOf(samples, probs, g)
 		if m.Recall >= targetRecall {
 			return g, m, true, nil
 		}
 	}
 	return grid[len(grid)-1], m, false, nil
-}
-
-func metricsAtShift(probs []float64, samples []Sample, shift float64) Metrics {
-	var m Metrics
-	for i, s := range samples {
-		pred := Decide(probs[i], shift)
-		switch {
-		case pred && s.Hotspot:
-			m.TP++
-		case pred && !s.Hotspot:
-			m.FP++
-		case !pred && !s.Hotspot:
-			m.TN++
-		default:
-			m.FN++
-		}
-	}
-	if m.TP+m.FN > 0 {
-		m.Recall = float64(m.TP) / float64(m.TP+m.FN)
-	}
-	m.FalseAlarms = m.FP
-	if len(samples) > 0 {
-		m.Accuracy = float64(m.TP+m.TN) / float64(len(samples))
-	}
-	return m
 }

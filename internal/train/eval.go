@@ -28,9 +28,11 @@ type Metrics struct {
 	TP, FP, TN, FN int
 }
 
-// PredictProb runs one sample through the network in inference mode and
-// returns the softmax probability of the hotspot class (y(1) in the
-// paper's notation).
+// PredictProb runs one sample through the network's layered forward in
+// inference mode and returns the softmax probability of the hotspot class
+// (y(1) in the paper's notation). Production scores through an Evaluator;
+// this is the layered reference its parity tests and perfbench's serve
+// gate compare against.
 func PredictProb(net *nn.Network, x *tensor.Tensor) (float64, error) {
 	out, err := net.Forward(x, false)
 	if err != nil {
@@ -51,37 +53,11 @@ func PredictProb(net *nn.Network, x *tensor.Tensor) (float64, error) {
 // boundary; shift > 0 trades false alarms for recall.
 func Decide(probHot, shift float64) bool { return probHot > 0.5-shift }
 
-// EvalSet computes Metrics over a sample set with the given boundary shift,
-// serially on the calling goroutine. For parallel scoring use an Evaluator.
-func EvalSet(net *nn.Network, samples []Sample, shift float64) (Metrics, error) {
-	return evalSetOn(parallel.New(1), samples, shift, func(_ int, x *tensor.Tensor) (float64, error) {
-		return PredictProb(net, x)
-	})
-}
-
 // errEmptySet rejects an evaluation over no samples.
 var errEmptySet = errors.New("train: empty evaluation set")
 
-// evalSetOn scores samples across the pool; predict's worker argument owns
-// that worker's scratch (a layered shadow) exclusively for the duration of
-// the call. Predictions land in index-addressed slots, so the folded
-// counts — and with them every derived metric — are identical under any
-// worker count.
-func evalSetOn(pool *parallel.Pool, samples []Sample, shift float64, predict func(worker int, x *tensor.Tensor) (float64, error)) (Metrics, error) {
-	if len(samples) == 0 {
-		return Metrics{}, errEmptySet
-	}
-	probs, err := parallel.Map(pool, len(samples), func(worker, i int) (float64, error) {
-		return predict(worker, samples[i].X)
-	})
-	if err != nil {
-		return Metrics{}, err
-	}
-	return metricsOf(samples, probs, shift), nil
-}
-
 // metricsOf folds per-sample hotspot probabilities, in sample order, into
-// Metrics at the given boundary shift.
+// Metrics at the given boundary shift. An empty set has accuracy 0.
 func metricsOf(samples []Sample, probs []float64, shift float64) Metrics {
 	var m Metrics
 	for i, p := range probs {
@@ -101,7 +77,9 @@ func metricsOf(samples []Sample, probs []float64, shift float64) Metrics {
 		m.Recall = float64(m.TP) / float64(m.TP+m.FN)
 	}
 	m.FalseAlarms = m.FP
-	m.Accuracy = float64(m.TP+m.TN) / float64(len(samples))
+	if len(samples) > 0 {
+		m.Accuracy = float64(m.TP+m.TN) / float64(len(samples))
+	}
 	return m
 }
 
@@ -276,8 +254,8 @@ func probHot(out []float64) float64 {
 }
 
 // EvalSet computes Metrics over a sample set with the given boundary
-// shift, scoring the samples as PredictProbs does. Results are identical
-// to the serial EvalSet.
+// shift, scoring the samples as PredictProbs does, so the metrics are the
+// same under any worker count.
 func (e *Evaluator) EvalSet(samples []Sample, shift float64) (Metrics, error) {
 	if len(samples) == 0 {
 		return Metrics{}, errEmptySet

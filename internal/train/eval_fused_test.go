@@ -11,6 +11,23 @@ import (
 	"hotspot/internal/tensor"
 )
 
+// layeredEvalSet is the layered reference for Evaluator.EvalSet: every
+// sample through PredictProb, serially, folded by metricsOf.
+func layeredEvalSet(net *nn.Network, samples []Sample, shift float64) (Metrics, error) {
+	if len(samples) == 0 {
+		return Metrics{}, errEmptySet
+	}
+	probs := make([]float64, len(samples))
+	for i, s := range samples {
+		p, err := PredictProb(net, s.X)
+		if err != nil {
+			return Metrics{}, err
+		}
+		probs[i] = p
+	}
+	return metricsOf(samples, probs, shift), nil
+}
+
 // TestEvaluatorFusedBitParity pins the evaluator's fused engines against
 // the serial layered reference at the bit level: PredictProbs must equal
 // PredictProb per sample, and EvalSet must equal the serial EvalSet, at
@@ -31,7 +48,7 @@ func TestEvaluatorFusedBitParity(t *testing.T) {
 		}
 		layered[i] = p
 	}
-	mLayered, err := EvalSet(net, samples, 0.1)
+	mLayered, err := layeredEvalSet(net, samples, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +180,7 @@ func TestEvaluatorsFusedConcurrent(t *testing.T) {
 			t.Fatalf("evaluator %d: %v", g, err)
 		}
 	}
-	want, err := EvalSet(base, samples, 0)
+	want, err := layeredEvalSet(base, samples, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +210,7 @@ func TestEvaluatorChunkParity(t *testing.T) {
 			}
 			want[i] = p
 		}
-		mWant, err := EvalSet(net, samples, 0.02)
+		mWant, err := layeredEvalSet(net, samples, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,7 +156,7 @@ func TestEvaluatorMatchesEvalSet(t *testing.T) {
 	}
 	check := func(stage string) {
 		for _, shift := range []float64{0, 0.1} {
-			want, err := EvalSet(net, samples, shift)
+			want, err := layeredEvalSet(net, samples, shift)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -273,6 +273,14 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 		ranges = foldRanges(masterParams)
 	}
 	batchIdx := make([]int, cfg.BatchSize)
+	// Validation scores on fused engines compiled from net itself, so
+	// they see every step and the best-snapshot restore in place.
+	var ev *Evaluator
+	if cfg.ValEvery > 0 {
+		if ev, err = NewEvaluator(net, cfg.Workers); err != nil {
+			return nil, err
+		}
+	}
 
 	// Two fan-out closures, built once, serve every wave: the positions'
 	// gradients, then their fold into the master gradients.
@@ -378,14 +386,7 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 
 		if cfg.ValEvery > 0 && iter%cfg.ValEvery == 0 {
 			val := epoch.Span().Stage("validate", nil)
-			var m Metrics
-			if nW > 1 {
-				m, err = evalSetOn(pool, valSet, 0, func(worker int, x *tensor.Tensor) (float64, error) {
-					return PredictProb(shadows[worker], x)
-				})
-			} else {
-				m, err = EvalSet(net, valSet, 0)
-			}
+			m, err := ev.EvalSet(valSet, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -149,7 +149,7 @@ func TestMGDLearnsToyProblem(t *testing.T) {
 	if len(hist) == 0 {
 		t.Fatal("no validation history")
 	}
-	m, err := EvalSet(net, valSet, 0)
+	m, err := layeredEvalSet(net, valSet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestMGDBalancedSampling(t *testing.T) {
 	if _, err := MGD(net, trainSet, valSet, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, err := EvalSet(net, valSet, 0)
+	m, err := layeredEvalSet(net, valSet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,11 @@ func TestMGDBalancedSampling(t *testing.T) {
 func TestEvalSetConfusionConsistency(t *testing.T) {
 	samples := toyProblem(80, 6)
 	net := toyNet(t, 51)
-	m, err := EvalSet(net, samples, 0)
+	ev, err := NewEvaluator(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ev.EvalSet(samples, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +275,11 @@ func TestEvalSetConfusionConsistency(t *testing.T) {
 	if math.Abs(m.Accuracy-wantAcc) > 1e-12 {
 		t.Fatal("accuracy inconsistent with confusion matrix")
 	}
-	if _, err := EvalSet(net, nil, 0); err == nil {
+	if _, err := ev.EvalSet(nil, 0); err == nil {
 		t.Fatal("expected empty-set error")
+	}
+	if e := metricsOf(nil, nil, 0); e != (Metrics{}) {
+		t.Fatalf("metrics of an empty set %+v, want zero (accuracy 0, not NaN)", e)
 	}
 }
 
@@ -300,9 +307,9 @@ func TestShiftMonotonicity(t *testing.T) {
 		}
 		probs[i] = p
 	}
-	prev := metricsAtShift(probs, samples, 0)
+	prev := metricsOf(samples, probs, 0)
 	for _, shift := range []float64{0.05, 0.1, 0.2, 0.3, 0.45} {
-		m := metricsAtShift(probs, samples, shift)
+		m := metricsOf(samples, probs, shift)
 		if m.Recall < prev.Recall || m.FalseAlarms < prev.FalseAlarms {
 			t.Fatalf("shift %v not monotone: recall %v->%v, FA %v->%v",
 				shift, prev.Recall, m.Recall, prev.FalseAlarms, m.FalseAlarms)
@@ -320,7 +327,7 @@ func TestMatchShiftToRecall(t *testing.T) {
 	if _, err := MGD(net, trainSet, valSet, cfg); err != nil {
 		t.Fatal(err)
 	}
-	base, err := EvalSet(net, valSet, 0)
+	base, err := layeredEvalSet(net, valSet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +349,19 @@ func TestMatchShiftToRecall(t *testing.T) {
 	}
 	if _, _, _, err := MatchShiftToRecall(net, valSet, 0.5, nil); err == nil {
 		t.Fatal("expected empty-grid error")
+	}
+	// The metrics at the matched shift are the layered reference's.
+	want, err := layeredEvalSet(net, valSet, shift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMetrics(m, want) {
+		t.Fatalf("metrics at shift %v: %+v, layered %+v", shift, m, want)
+	}
+	// An empty set matches a zero target at the first shift, accuracy 0.
+	shift, m, ok, err = MatchShiftToRecall(net, nil, 0, grid)
+	if err != nil || !ok || shift != grid[0] || m != (Metrics{}) {
+		t.Fatalf("empty set: shift %v, %+v, ok %v, err %v", shift, m, ok, err)
 	}
 }
 
@@ -396,7 +416,7 @@ func TestBiasedLearningRounds(t *testing.T) {
 	}
 	// KeepBest: the final network's recall is at least the initial round's
 	// (Theorem 1's direction, guaranteed here by best-model selection).
-	final, err := EvalSet(net, valSet, 0)
+	final, err := layeredEvalSet(net, valSet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

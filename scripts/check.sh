@@ -13,9 +13,8 @@
 #                            declarations, which asmdecl checks only on
 #                            amd64; and no fused multiply-add in the
 #                            arm64 assembly of any package under
-#                            internal/ but internal/fft, where the
-#                            compiler would otherwise contract x*y + z
-#                            (DESIGN.md §8)
+#                            internal/, where the compiler would
+#                            otherwise contract x*y + z (DESIGN.md §8)
 #   4. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
@@ -26,32 +25,35 @@
 #                            saves to the same bytes; then 10 s of
 #                            FuzzClipRequest over serve's request
 #                            decoding: no panic, and every accepted clip
-#                            is the served core with pixels in [0, 1]
+#                            is the served core with every pixel 0 or in
+#                            [0x1p-1022, 1]
 #                            (go test -fuzz takes one target per run)
 #   7. perfbench go test     the repository benchmark's own tests, so an
 #                            API change it depends on fails here and not
 #                            only when the benchmark next runs
-#   8. scripts/smoke         hsd-serve end-to-end smoke: one build, four
-#                            boots on ephemeral ports — predict, healthz,
-#                            metrics; the -pprof debug surface;
-#                            /debug/trace dark by default (404); -trace
-#                            with mixed fast/slow/429 traffic asserting
-#                            tail-keep retention, request/batch stage trees
-#                            with cross-linkage and the p99 trace-ID
-#                            exemplar on the metrics scrape — each ending in
-#                            a SIGINT drain and zero exit
-#   9. scripts/trainsmoke    hsd-train observability smoke: tiny suite,
-#                            -telemetry JSONL (manifest/epoch/result) and
-#                            -metrics-out stage summaries parse and assert
-#  10. scripts/scansmoke     hsd-scan full-layout smoke: tiny die, shifted
-#                            boundary, asserts region merge, one-DCT-per-
-#                            block accounting, the exact cache hit rate,
-#                            incremental re-scan dirty counts and the
-#                            hsd_scan_* metrics series
-#  11. scripts/activesmoke   hsd-active smoke: tiny pool, budget sized to
-#                            exhaust mid-batch, asserts exact ODST-seconds
-#                            accounting, truncation, the JSONL manifest and
-#                            the hsd_litho_*/hsd_active_* metrics series
+#   8. scripts/smoke         end-to-end smoke of the service binaries: one
+#                            build of hsd-serve, hsd-train, hsd-scan and
+#                            hsd-active into one temp dir, then
+#                            - hsd-serve, four boots on ephemeral ports —
+#                              predict, healthz, metrics; the -pprof debug
+#                              surface; /debug/trace dark by default (404);
+#                              -trace with mixed fast/slow/429 traffic
+#                              asserting tail-keep retention, request/batch
+#                              stage trees with cross-linkage and the p99
+#                              trace-ID exemplar on the metrics scrape —
+#                              each ending in a SIGINT drain and zero exit;
+#                            - hsd-train on a tiny suite: -telemetry JSONL
+#                              (manifest/epoch/result) and -metrics-out
+#                              stage summaries parse and assert;
+#                            - hsd-scan on a tiny die, shifted boundary:
+#                              region merge, one-DCT-per-block accounting,
+#                              the exact cache hit rate, incremental
+#                              re-scan dirty counts and the hsd_scan_*
+#                              metrics series;
+#                            - hsd-active on a tiny pool, budget sized to
+#                              exhaust mid-batch: exact ODST-seconds
+#                              accounting, truncation, the JSONL manifest
+#                              and the hsd_litho_*/hsd_active_* series
 #
 # Usage: scripts/check.sh [-short|-lint-only]
 #   -short      pass -short to go test (skips the slow experiment suites)
@@ -87,10 +89,8 @@ go vet ./...
 echo "==> GOARCH=arm64 go build ./... && go vet ./internal/tensor/ ./internal/nn/fused/"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/fused/
 
-# internal/fft's complex products wait on the keep-or-delete decision of
-# ROADMAP item 6.
-echo "==> no FMA in the arm64 assembly of ./internal/... but internal/fft"
-fma="$(GOARCH=arm64 go build -gcflags=-S $(go list ./internal/... | grep -v '/internal/fft$') 2>&1 |
+echo "==> no FMA in the arm64 assembly of ./internal/..."
+fma="$(GOARCH=arm64 go build -gcflags=-S $(go list ./internal/...) 2>&1 |
     grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
 if [[ -n "${fma}" ]]; then
     echo "arm64 fused multiply-adds; write the product as float64(x*y):" >&2
@@ -118,16 +118,7 @@ go test -run '^$' -fuzz '^FuzzClipRequest$' -fuzztime 10s ./internal/serve/
 echo "==> perfbench go test ./..."
 (cd perfbench && go test ./...)
 
-echo "==> hsd-serve smoke"
+echo "==> smoke: hsd-serve, hsd-train, hsd-scan, hsd-active"
 go run ./scripts/smoke
-
-echo "==> hsd-train smoke"
-go run ./scripts/trainsmoke
-
-echo "==> hsd-scan smoke"
-go run ./scripts/scansmoke
-
-echo "==> hsd-active smoke"
-go run ./scripts/activesmoke
 
 echo "check gate: all legs green"

@@ -1,6 +1,9 @@
-// Command smoke is the hsd-serve end-to-end smoke: it builds the server
-// binary once and boots it four times on an ephemeral port with a
-// random-weight network.
+// Command smoke is the end-to-end smoke of the four service binaries. It
+// builds hsd-serve, hsd-train, hsd-scan and hsd-active once, into one
+// temporary directory, and runs them in turn.
+//
+// hsd-serve boots four times on an ephemeral port with a random-weight
+// network:
 //
 //   - public: predict, healthz, metrics, and the debug surface dark
 //     without -pprof;
@@ -18,7 +21,10 @@
 //     via a q="max" trace-ID exemplar.
 //
 // Every boot ends with SIGINT and verifies a clean drain and zero exit.
-// scripts/check.sh runs it as the serving leg of the gate.
+// Then hsd-train checks its telemetry and metrics (trainStep), hsd-scan
+// its window, region, block-cache and rescan accounting (scanStep), and
+// hsd-active its exact budget accounting (activeStep). scripts/check.sh
+// runs it as the smoke leg of the gate.
 //
 // It is deliberately a Go program rather than shell: the checks (JSON
 // shape, probability range, metrics counters, exit status) are exact,
@@ -50,7 +56,7 @@ func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("smoke: hsd-serve predict/healthz/metrics/pprof/trace/shutdown OK")
+	fmt.Println("smoke: hsd-serve, hsd-train, hsd-scan and hsd-active OK")
 }
 
 // server is one booted hsd-serve process with its stdout scanner.
@@ -133,16 +139,51 @@ func run() error {
 	}
 	defer func() { _ = os.RemoveAll(tmp) }()
 
-	bin := filepath.Join(tmp, "hsd-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/hsd-serve")
+	build := exec.Command("go", "build", "-o", tmp+string(filepath.Separator),
+		"./cmd/hsd-serve", "./cmd/hsd-train", "./cmd/hsd-scan", "./cmd/hsd-active")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		return fmt.Errorf("build hsd-serve: %w", err)
+		return fmt.Errorf("build: %w", err)
 	}
 
+	serve := filepath.Join(tmp, "hsd-serve")
 	for _, step := range []func(string) error{publicSurface, debugSurface, darkTrace, litTrace} {
-		if err := step(bin); err != nil {
+		if err := step(serve); err != nil {
 			return err
+		}
+	}
+	fmt.Println("smoke: hsd-serve predict/healthz/metrics/pprof/trace/shutdown OK")
+	for _, step := range []func(string) error{trainStep, scanStep, activeStep} {
+		if err := step(tmp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runBin runs the built binary name from dir with args, its output on
+// ours, and fails unless it exits zero.
+func runBin(dir, name string, args ...string) error {
+	cmd := exec.Command(filepath.Join(dir, name), args...)
+	cmd.Stdout = os.Stdout
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return nil
+}
+
+// checkSeries asserts the metrics dump at path contains every series, each
+// an exact substring of the exposition text.
+func checkSeries(path string, series ...string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	text := string(raw)
+	for _, s := range series {
+		if !strings.Contains(text, s) {
+			return fmt.Errorf("%s: metrics dump missing %q in:\n%s", filepath.Base(path), s, text)
 		}
 	}
 	return nil
