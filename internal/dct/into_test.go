@@ -9,7 +9,8 @@ import (
 )
 
 // TestTruncatedMatchesLoops pins the dot-tile transform to the plain
-// sequential loops it replaced, bit for bit, on both tile kernel bodies.
+// sequential loops it replaced, bit for bit, on every tile kernel body the
+// host has.
 // Shapes cover corners that are and are not multiples of the tile's 4
 // lanes, and blocks read in place from a wider image (stride > w) whose
 // other pixels are poison values a misplaced read would carry into the
@@ -69,9 +70,8 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 			}
 		}
 	}
-	t.Run(tensor.TileKernel(), check)
-	if tensor.TileKernel() != "generic" {
-		tensor.WithGenericKernels(func() { t.Run("generic", check) })
+	for _, name := range tensor.Kernels() {
+		tensor.WithKernel(name, func() { t.Run(name, check) })
 	}
 }
 

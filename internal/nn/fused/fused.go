@@ -420,9 +420,10 @@ func planConv(o *op) int {
 }
 
 // Vectorized names the conv kernel the engine runs on this host, as
-// tensor.TileKernel does: "avx2-4x4" for the assembly tile kernel (4
+// tensor.TileKernel does: "avx512-4x16" for the AVX-512 tile kernel (4
+// channels × 16 columns per step), "avx2-4x4" for the AVX2 one (4
 // channels × 4 columns), and "generic" for the pure-Go blocked kernels.
-// Both produce bit-identical outputs; the name is recorded by benchmark
+// All produce bit-identical outputs; the name is recorded by benchmark
 // reports so numbers are attributable to a kernel.
 func Vectorized() string { return tensor.TileKernel() }
 

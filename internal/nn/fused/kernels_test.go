@@ -97,19 +97,32 @@ func TestTable1ArenaPlan(t *testing.T) {
 	}
 }
 
-// TestGenericKernelParity runs the parity suites through the pure-Go tile
-// body, which an AVX2 host would otherwise never execute.
+// TestGenericKernelParity runs the parity suites through every tile body
+// the host has besides the one it runs (the pure-Go body, and the AVX2 one
+// on an AVX-512 host), which it would otherwise never execute: suite S on
+// body B is subtest S/B.
 func TestGenericKernelParity(t *testing.T) {
-	if tensor.TileKernel() == "generic" {
-		t.Skip("the parity tests already run the generic kernels on this host")
+	if len(tensor.Kernels()) == 1 {
+		t.Skip("the parity tests already run the only tile body on this host")
 	}
-	tensor.WithGenericKernels(func() {
-		t.Run("Table1Stages", TestParityTable1Stages)
-		t.Run("PaperNet", TestParityPaperNet)
-		t.Run("OddGeometries", TestParityOddGeometries)
-		t.Run("SparseWeights", TestParitySparseWeights)
-		t.Run("ForwardBatch", TestForwardBatchParity)
-		t.Run("ForwardGrid", TestForwardGridParity)
-		t.Run("GridUpdate", TestGridUpdateIncremental)
-	})
+	for _, suite := range []struct {
+		name string
+		f    func(*testing.T)
+	}{
+		{"Table1Stages", TestParityTable1Stages},
+		{"PaperNet", TestParityPaperNet},
+		{"OddGeometries", TestParityOddGeometries},
+		{"SparseWeights", TestParitySparseWeights},
+		{"ForwardBatch", TestForwardBatchParity},
+		{"ForwardGrid", TestForwardGridParity},
+		{"GridUpdate", TestGridUpdateIncremental},
+	} {
+		t.Run(suite.name, func(t *testing.T) {
+			for _, name := range tensor.Kernels() {
+				if name != tensor.TileKernel() {
+					tensor.WithKernel(name, func() { t.Run(name, suite.f) })
+				}
+			}
+		})
+	}
 }

@@ -360,8 +360,8 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 }
 
 // scoreRow scores windows (wx0..wx1) of window row wy off the Grid on one
-// worker's engine, tensor.TileRows windows per engine call, writing into
-// the row's probability slots.
+// worker's engine, in one engine call, writing into the row's probability
+// slots.
 //
 //hsd:hotpath
 func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {

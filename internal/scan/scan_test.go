@@ -30,8 +30,8 @@ func testNet(t *testing.T) *nn.Network {
 
 // testDie is a 2×1-cell city: 2400×1200 nm, a 24×12 block grid scanned by
 // 13×1 windows — small enough for exhaustive per-window comparison. 13 is
-// not a multiple of the four windows the row scorer batches, so the row
-// ends in a one-window chunk (checkRaggedRow).
+// not a multiple of the four windows the engine scores together, so the
+// row ends in a one-window group (checkRaggedRow).
 func testDie(t *testing.T) geom.Clip {
 	t.Helper()
 	die, err := layout.GenerateDie(layout.DieConfig{CellsX: 2, CellsY: 1, CellNM: 1200, Seed: 5})
@@ -41,8 +41,8 @@ func testDie(t *testing.T) geom.Clip {
 	return die
 }
 
-// checkRaggedRow fails unless the scan's rows end in a partial chunk of
-// the four windows scoreRow scores per call.
+// checkRaggedRow fails unless the scan's rows end in a partial group of
+// the four windows the engine scores together.
 func checkRaggedRow(t *testing.T, s *Scanner) {
 	t.Helper()
 	if wnx, _ := s.Windows(); wnx%tensor.TileRows == 0 {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 
 	"hotspot/internal/feature"
@@ -12,21 +14,14 @@ import (
 // handlePredict runs them. Nothing may panic, and an accepted clip must
 // come back as the served core, a square CoreSide/ResNM-px image with
 // every pixel 0 or in [0x1p-1022, 1] (never subnormal); it then goes back
-// to the pool. The server is the serve tests' small geometry (48-px
-// cores), so a valid bitmap seed stays small. The seed corpus in
+// to the pool. The server is smallServer's. The seed corpus in
 // testdata/fuzz/FuzzClipRequest holds the TestImageSideBounds bodies, a
-// core filling a 2048-px frame, a NaN pixel, a full bitmap whose last
-// pixel is subnormal, a valid clip and a valid bitmap.
+// core filling a 2048-px frame, a body with a bare NaN token (not JSON, so
+// the decoder rejects it), a full bitmap whose last pixel is subnormal, a
+// valid clip and a valid bitmap.
 func FuzzClipRequest(f *testing.F) {
-	cfg := DefaultConfig()
-	cfg.Feature = feature.TensorConfig{Blocks: 4, K: 8, ResNM: 4, Normalize: true}
-	cfg.CoreSide = 192
-	s, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(s.Close)
-	side := cfg.CoreSide / cfg.Feature.ResNM
+	s := smallServer(f)
+	side := s.cfg.CoreSide / s.cfg.Feature.ResNM
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var cr ClipRequest
 		if json.Unmarshal(body, &cr) != nil || checkRects(len(cr.Rects)) != nil {
@@ -46,4 +41,44 @@ func FuzzClipRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCoreImageNonFinitePixel reaches the NaN branch of the bitmap pixel
+// check, which no request body can (JSON has no NaN or infinity): a full
+// served-core bitmap whose last pixel is NaN, +Inf or −Inf gets the named
+// range error. A range test written as v < 0 || v > 1 would let NaN
+// through.
+func TestCoreImageNonFinitePixel(t *testing.T) {
+	s := smallServer(t)
+	side := s.cfg.CoreSide / s.cfg.Feature.ResNM
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		pix := make([]float64, side*side)
+		for i := range pix {
+			pix[i] = 0.5
+		}
+		last := len(pix) - 1
+		pix[last] = v
+		im, err := s.coreImage(ClipRequest{Bitmap: &BitmapJSON{W: side, H: side, Pix: pix}})
+		if err == nil {
+			s.images.put(im)
+			t.Fatalf("last pixel %v accepted", v)
+		}
+		if want := fmt.Sprintf("bitmap pixel %d is %v, outside [0, 1]", last, v); err.Error() != want {
+			t.Fatalf("last pixel %v: error %q, want %q", v, err, want)
+		}
+	}
+}
+
+// smallServer is a server with the serve tests' small geometry, 48-px
+// cores, so a full bitmap stays small.
+func smallServer(tb testing.TB) *Server {
+	cfg := DefaultConfig()
+	cfg.Feature = feature.TensorConfig{Blocks: 4, K: 8, ResNM: 4, Normalize: true}
+	cfg.CoreSide = 192
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	return s
 }

@@ -15,14 +15,49 @@ const TileRows = 4
 // ones; the results in those columns are never emitted.
 func TileWidth(n int) int { return (n + 3) &^ 3 }
 
-// TileKernel names the tile kernel body this host runs: "avx2-4x4" for the
-// assembly kernels (4 rows × 4 columns) and "generic" for the pure-Go
-// bodies. Both produce bit-identical results.
-func TileKernel() string {
-	if useAVX2 {
-		return "avx2-4x4"
+// kernelBody is one body of the tile kernels. The amd64 probe reports the
+// best one the host runs, and each body implies the ones before it: an
+// AVX-512 host runs the AVX2 dot tile too.
+type kernelBody uint8
+
+const (
+	kernelGeneric kernelBody = iota // block4 and dot4, pure Go
+	kernelAVX2                      // convTileAVX2 and dotTileAVX2
+	kernelAVX512                    // convTileAVX512 and dotTileAVX2
+)
+
+// kernelNames are the bodies' TileKernel names, indexed by kernelBody.
+var kernelNames = [...]string{"generic", "avx2-4x4", "avx512-4x16"}
+
+// kernel is the body the tile kernels run: the probed one, except while
+// WithKernel runs a test on another.
+var kernel = probed
+
+// TileKernel names the tile kernel body this host runs: "avx512-4x16" for
+// the AVX-512 conv tile (4 rows × 16 columns per step) with the AVX2 dot
+// tile, "avx2-4x4" for the AVX2 assembly kernels (4 rows × 4 columns) and
+// "generic" for the pure-Go bodies. All produce bit-identical results.
+func TileKernel() string { return kernelNames[kernel] }
+
+// Kernels lists, by TileKernel name, every tile kernel body this host can
+// run: "generic" first and the probed body last.
+func Kernels() []string { return append([]string(nil), kernelNames[:probed+1]...) }
+
+// WithKernel runs f with the tile kernels on the named body, one of
+// Kernels(), then restores the probed choice. Parity tests use it to cover
+// the bodies a host would otherwise never run; no tile kernel may run on
+// another goroutine meanwhile. It panics on a name this host cannot run.
+func WithKernel(name string, f func()) {
+	for b, n := range kernelNames[:probed+1] {
+		if n == name {
+			saved := kernel
+			kernel = kernelBody(b)
+			defer func() { kernel = saved }()
+			f()
+			return
+		}
 	}
-	return "generic"
+	panic("tensor: no tile kernel body " + name + " on this host")
 }
 
 // ConvTile computes one 4-row product tile: row r of t (len(t)/4 virtual
@@ -30,21 +65,26 @@ func TileKernel() string {
 // set, where coefficient row p of B is base[off[p]:] and base holds
 // max(off) + len(t)/4 elements. The per-element operation order is
 // matmulBiasInto's dense kernel's, so a tile row equals that kernel's
-// output row bit for bit. It runs the AVX2 kernel where the host has it and
-// the order-identical Go body elsewhere.
+// output row bit for bit. It runs the host's assembly body where it has
+// one and the order-identical Go body elsewhere.
 //
 //hsd:noalloc
 func ConvTile(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64, relu bool) {
-	if useAVX2 {
-		r := int64(0)
-		if relu {
-			r = 1
-		}
-		convTileAVX2(&t[0], &a0[0], &a1[0], &a2[0], &a3[0], &base[0], &off[0],
+	if kernel == kernelGeneric {
+		block4(t, a0, a1, a2, a3, base, off, b0, b1, b2, b3, relu)
+		return
+	}
+	r := int64(0)
+	if relu {
+		r = 1
+	}
+	if kernel == kernelAVX512 {
+		convTileAVX512(&t[0], &a0[0], &a1[0], &a2[0], &a3[0], &base[0], &off[0],
 			len(off), len(t)/TileRows, b0, b1, b2, b3, r)
 		return
 	}
-	block4(t, a0, a1, a2, a3, base, off, b0, b1, b2, b3, relu)
+	convTileAVX2(&t[0], &a0[0], &a1[0], &a2[0], &a3[0], &base[0], &off[0],
+		len(off), len(t)/TileRows, b0, b1, b2, b3, r)
 }
 
 // block4 is the pure-Go body of the tile kernel, with ConvTile's contract.
@@ -120,14 +160,14 @@ func BiasReLURow(d []float64, bias float64, relu bool) {
 // accumulated in p order with a separate multiply and add per term. aT
 // holds (n−1)·ld + 4 elements and b1..b3 at least n each; both are checked
 // before the kernel runs, so a short slice panics instead of being read
-// past its end. It runs the AVX2 kernel where the host has it and the
-// order-identical Go body elsewhere.
+// past its end. It runs the AVX2 kernel where the host has it (AVX-512
+// hosts included) and the order-identical Go body elsewhere.
 //
 //hsd:noalloc
 func DotTile(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
 	n := len(b0)
 	_, _, _, _ = aT[(n-1)*ld+3], b1[n-1], b2[n-1], b3[n-1]
-	if useAVX2 {
+	if kernel != kernelGeneric {
 		dotTileAVX2(s, &aT[0], ld, &b0[0], &b1[0], &b2[0], &b3[0], n)
 		return
 	}

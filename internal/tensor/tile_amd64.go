@@ -1,10 +1,12 @@
 package tensor
 
-// useAVX2 gates the assembly tile kernels. The probe checks CPUID for AVX2
-// and XGETBV for OS-enabled YMM state, so the binary stays correct on any
-// amd64 machine; non-AVX2 hosts take the same pure-Go bodies as other
-// architectures.
-var useAVX2 = cpuHasAVX2()
+// probed is the tile kernel body this host runs. The probe checks CPUID
+// for the instruction sets and XGETBV for the register state the OS
+// enables, so the binary stays correct on any amd64 machine: a host
+// without AVX2 takes the same pure-Go bodies as other architectures, and
+// one without AVX-512 (or whose OS does not save the ZMM and opmask
+// registers) keeps the AVX2 bodies.
+var probed = kernelBody(cpuKernel())
 
 // convTileAVX2 computes one 4-row product tile: for r in 0..3 and each
 // virtual column j in [0, width),
@@ -26,6 +28,15 @@ var useAVX2 = cpuHasAVX2()
 //go:noescape
 func convTileAVX2(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0, b1, b2, b3 float64, relu int64)
 
+// convTileAVX512 is convTileAVX2 on ZMM registers: the same contract and
+// the same per-lane operation sequence, sixteen columns per step (two
+// 8-lane registers per row), then at most one 8-column and one 4-column
+// step for the rest of the width. Its output equals block4's bit for bit
+// (NaN payloads aside).
+//
+//go:noescape
+func convTileAVX512(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0, b1, b2, b3 float64, relu int64)
+
 // dotTileAVX2 computes a 4×4 block of dot products: for r, c in 0..3,
 //
 //	s[4·r + c] = Σ_{p<n} aT[p·ld + c] · br[p]
@@ -38,17 +49,6 @@ func convTileAVX2(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0, 
 //go:noescape
 func dotTileAVX2(s *[16]float64, aT *float64, ld int, b0, b1, b2, b3 *float64, n int)
 
-// cpuHasAVX2 reports AVX2 support with OS-enabled YMM state (CPUID +
-// XGETBV; implemented in tile_amd64.s).
-func cpuHasAVX2() bool
-
-// WithGenericKernels runs f with the tile kernels on their pure-Go bodies,
-// then restores the probed choice. Parity tests use it to cover the bodies
-// an AVX2 host would otherwise never run; no tile kernel may run on another
-// goroutine meanwhile.
-func WithGenericKernels(f func()) {
-	saved := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = saved }()
-	f()
-}
+// cpuKernel returns the best tile kernel body the host runs, a kernelBody
+// (CPUID + XGETBV; implemented in tile_amd64.s).
+func cpuKernel() int

@@ -7,7 +7,7 @@ import (
 )
 
 // tileSpecials are the operand values most likely to expose a difference
-// in operation order, rounding or rectification between the two bodies of
+// in operation order, rounding or rectification between the bodies of
 // a tile kernel: signed zeros, infinities, subnormals and values whose
 // products overflow.
 var tileSpecials = []float64{
@@ -24,7 +24,7 @@ type operandRegime struct {
 	val  func(k int) float64
 }
 
-// tileRegimes are the four operand regimes both asm-vs-Go tests use: plain
+// tileRegimes are the four operand regimes the asm-vs-Go tests use: plain
 // normals, dense and sparse scatterings of special values, and values
 // small enough that every product is subnormal.
 func tileRegimes(rng *rand.Rand) []operandRegime {
@@ -51,7 +51,7 @@ func tileRegimes(rng *rand.Rand) []operandRegime {
 type resultClasses struct{ nan, inf, zero, sub int }
 
 // match reports whether the asm result got equals the Go result want bit
-// for bit. NaN results are compared by class only: the two bodies may
+// for bit. NaN results are compared by class only: the bodies may
 // produce different NaN payloads and signs.
 func (c *resultClasses) match(got, want float64) bool {
 	switch {
@@ -78,12 +78,10 @@ func (c *resultClasses) complete(t *testing.T) {
 	}
 }
 
-// kernelBodies runs f once on the host's tile kernels and, on an AVX2
-// host, once more on the pure-Go bodies.
+// kernelBodies runs f once on every tile kernel body the host has.
 func kernelBodies(t *testing.T, f func(t *testing.T)) {
-	t.Run(TileKernel(), f)
-	if useAVX2 {
-		WithGenericKernels(func() { t.Run("generic", f) })
+	for _, name := range Kernels() {
+		WithKernel(name, func() { t.Run(name, f) })
 	}
 }
 
@@ -234,7 +232,7 @@ func TestMatMulBTAddTilesMatchesReference(t *testing.T) {
 
 // TestMatMulBTTilesStoresZeroedSums pins the store form of the weight
 // gradient against the add form into a zeroed out, bit for bit and for
-// both kernel bodies, in every operand regime — −0 operands and all-zero
+// every kernel body, in every operand regime — −0 operands and all-zero
 // rows included: a dot sum starts at +0 and is never −0, so storing it
 // equals adding it to +0.
 func TestMatMulBTTilesStoresZeroedSums(t *testing.T) {

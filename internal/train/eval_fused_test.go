@@ -313,6 +313,72 @@ func TestPredictBatchOn(t *testing.T) {
 	}
 }
 
+// TestPredictGridOnFullRow scores whole window rows off a Grid — nine
+// windows, so one engine call spans three groups of four and ends in a
+// partial one — bit for bit against PredictProb on each window's input
+// tensor, and checks a full row allocates nothing.
+func TestPredictGridOnFullRow(t *testing.T) {
+	const c, n, nbx, nby = 2, 4, 12, 6
+	net := dropoutNet(t, 131)
+	ev, err := NewEvaluator(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.NewGrid(nbx, nby); err == nil || !strings.Contains(err.Error(), "before Prepare") {
+		t.Fatalf("NewGrid before Prepare: err %v", err)
+	}
+	if err := ev.Prepare([]int{c, n, n}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ev.NewGrid(nbx, nby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(137))
+	die := make([]float64, c*nby*nbx) // value (ch, by, bx) at (ch·nby + by)·nbx + bx
+	for i := range die {
+		die[i] = rng.NormFloat64()
+	}
+	for by := 0; by < nby; by++ {
+		for bx := 0; bx < nbx; bx++ {
+			cell, stride := g.Cell(bx, by)
+			for ch := 0; ch < c; ch++ {
+				cell[ch*stride] = die[(ch*nby+by)*nbx+bx]
+			}
+		}
+	}
+	g.Update(0, 0, nbx, nby)
+	probs := make([]float64, nbx-n+1)
+	for wy := 0; wy <= nby-n; wy++ {
+		if err := ev.PredictGridOn(wy%2, g, 0, wy, probs); err != nil {
+			t.Fatal(err)
+		}
+		for wx, got := range probs {
+			x := tensor.New(c, n, n)
+			for ch := 0; ch < c; ch++ {
+				for y := 0; y < n; y++ {
+					copy(x.Data()[(ch*n+y)*n:(ch*n+y+1)*n], die[(ch*nby+wy+y)*nbx+wx:])
+				}
+			}
+			want, err := PredictProb(net, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("window (%d, %d): grid %v != layered %v", wx, wy, got, want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := ev.PredictGridOn(1, g, 0, 1, probs); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PredictGridOn allocates %.1f times per row, want 0", allocs)
+	}
+}
+
 // randToyInput builds a deterministic random tensor for shape tests.
 func randToyInput(c, h, w int, seed int64) *tensor.Tensor {
 	x := tensor.New(c, h, w)

@@ -193,15 +193,16 @@ func TestEvaluatorMatchesEvalSet(t *testing.T) {
 	}
 }
 
-// TestMGDGenericKernelParity trains on the pure-Go tile bodies, which an
-// AVX2 host would otherwise never run, with one and with two workers: both
+// TestMGDGenericKernelParity trains on every tile body the host has besides
+// the one it runs (the pure-Go body, and the AVX2 one on an AVX-512 host),
+// which it would otherwise never run, with one and with two workers: each
 // must reproduce the host kernels' trained weights bit for bit. The net's
 // odd geometry (3- and 5-channel convs over 5×5 maps, so neither the
 // channel counts nor oh·ow are multiples of 4) takes every aliased and
 // padded tile path, including the second conv's input gradient.
 func TestMGDGenericKernelParity(t *testing.T) {
-	if tensor.TileKernel() == "generic" {
-		t.Skip("every MGD test already runs the generic kernels on this host")
+	if len(tensor.Kernels()) == 1 {
+		t.Skip("every MGD test already runs the only tile body on this host")
 	}
 	rng := rand.New(rand.NewSource(41))
 	samples := make([]Sample, 24)
@@ -248,15 +249,20 @@ func TestMGDGenericKernelParity(t *testing.T) {
 		return w
 	}
 	want := train(1)
-	tensor.WithGenericKernels(func() {
-		for _, workers := range []int{1, 2} {
-			for i, v := range train(workers) {
-				if math.Float64bits(v) != math.Float64bits(want[i]) {
-					t.Fatalf("generic kernels, %d workers: weight %d = %v, host kernels %v", workers, i, v, want[i])
+	for _, name := range tensor.Kernels() {
+		if name == tensor.TileKernel() {
+			continue
+		}
+		tensor.WithKernel(name, func() {
+			for _, workers := range []int{1, 2} {
+				for i, v := range train(workers) {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("%s kernels, %d workers: weight %d = %v, host kernels %v", name, workers, i, v, want[i])
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestMGDRepeatedCallsMatchFresh runs MGD on one network with 2, 3, 2 and

@@ -11,10 +11,14 @@
 #                            internal/nn/fused: the tile_noasm.go stubs
 #                            must keep matching the amd64 assembly
 #                            declarations, which asmdecl checks only on
-#                            amd64; and no fused multiply-add in the
-#                            arm64 assembly of any package under
-#                            internal/, where the compiler would
-#                            otherwise contract x*y + z (DESIGN.md §8)
+#                            amd64; no fused multiply-add in the arm64
+#                            assembly of any package under internal/,
+#                            where the compiler would otherwise contract
+#                            x*y + z; and no FMA form (VFMADD*, VFMSUB*,
+#                            VFNMADD*, VFNMSUB*) in any tracked
+#                            hand-written internal/ .s file, whose tile
+#                            kernels keep separate multiplies and adds
+#                            (DESIGN.md §8)
 #   4. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
@@ -94,6 +98,14 @@ fma="$(GOARCH=arm64 go build -gcflags=-S $(go list ./internal/...) 2>&1 |
     grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
 if [[ -n "${fma}" ]]; then
     echo "arm64 fused multiply-adds; write the product as float64(x*y):" >&2
+    echo "${fma}" >&2
+    exit 1
+fi
+
+echo "==> no FMA in the hand-written assembly of ./internal/..."
+fma="$(git ls-files 'internal/*.s' | xargs -r grep -HnE '^[^/]*\bV(FN?MADD|FN?MSUB)' || true)"
+if [[ -n "${fma}" ]]; then
+    echo "FMA instructions in hand-written assembly; keep VMULPD and VADDPD separate:" >&2
     echo "${fma}" >&2
     exit 1
 fi
