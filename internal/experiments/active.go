@@ -171,7 +171,7 @@ func runActiveArm(cfg ActiveCurveConfig, fcfg feature.TensorConfig, pool *active
 	}
 	tune := active.DefaultTune()
 	tune.Initial.MaxIters = cfg.Iters
-	tune.Initial.DecayStep = maxInt(1, cfg.Iters/2)
+	tune.Initial.DecayStep = max(1, cfg.Iters/2)
 	cost := litho.DefaultLabelCost()
 	// Enough rounds to drain the budget even when late batches truncate.
 	rounds := int(math.Ceil(budget/(cost*float64(cfg.Batch)))) + 1

@@ -122,13 +122,13 @@ func DetectorConfig(opts Options) core.Config {
 	cfg.Net.Seed = opts.Seed + 32
 	initial := &cfg.Biased.Initial
 	initial.MaxIters = opts.Iters
-	initial.ValEvery = maxInt(50, opts.Iters/12)
-	initial.DecayStep = maxInt(100, opts.Iters/3)
+	initial.ValEvery = max(50, opts.Iters/12)
+	initial.DecayStep = max(100, opts.Iters/3)
 	initial.Seed = opts.Seed + 64
 	fine := &cfg.Biased.FineTune
-	fine.MaxIters = maxInt(100, opts.Iters/5)
-	fine.ValEvery = maxInt(25, fine.MaxIters/6)
-	fine.DecayStep = maxInt(50, fine.MaxIters/2)
+	fine.MaxIters = max(100, opts.Iters/5)
+	fine.ValEvery = max(25, fine.MaxIters/6)
+	fine.DecayStep = max(50, fine.MaxIters/2)
 	fine.Seed = opts.Seed + 128
 	cfg.Workers = opts.Workers
 	return cfg
@@ -145,13 +145,6 @@ func TensorSets(ds *dataset.Dataset, cfg core.Config) (trainT, testT []train.Sam
 		return nil, nil, err
 	}
 	return trainT, testT, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Benchmarks lists the Table 2 benchmark names in paper order.

@@ -255,17 +255,3 @@ func mergePair(a, b Rect) (Rect, bool) {
 	}
 	return Rect{}, false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -177,8 +177,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	c.ensureInputGradBuffers()
 	// dx = Col2Im(Wᵀ · g), on a transposed copy of W. A bias-free tile
 	// product over Wᵀ equals MatMulATInto over W bit for bit: the same
-	// per-element order on either kernel variant, and the density gate
-	// counts the same zeros.
+	// per-element order.
 	kk, n := c.inC*c.kh*c.kw, len(g)/c.outC
 	w := c.weight.W.Data()
 	for i := 0; i < c.outC; i++ {

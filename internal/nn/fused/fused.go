@@ -36,13 +36,11 @@
 //
 // Bit-for-bit contract: every kernel here accumulates each output element
 // in exactly the per-element order and grouping of the layer-by-layer path
-// (the tensor package's 4-way unrolled dense matmul kernel, its row-skipping
-// sparse variant behind the same tensor.SparseSkip gate, MatVecInto's
-// sequential dot products — each lane of a dot tile is one such chain —
-// and MaxPool2's comparison order), so fused
-// probabilities are bit-identical to nn.Network.Forward — the parity tests
-// in this package and in internal/train pin that equality on every Table 1
-// geometry and on stride/pad edge cases.
+// (the tensor package's tile kernel, MatVecInto's sequential dot products —
+// each lane of a dot tile is one such chain — and MaxPool2's comparison
+// order), so fused probabilities are bit-identical to nn.Network.Forward —
+// the parity tests in this package and in internal/train pin that equality
+// on every Table 1 geometry and on stride/pad edge cases.
 //
 // An Engine aliases the source network's parameter tensors rather than
 // copying them: weight updates (optimizer steps, checkpoint reloads that
@@ -84,7 +82,6 @@ type op struct {
 	ph, pw               int
 	inLen, outLen        int
 	relu, pool           bool
-	sparse               bool // opConv: this call's density gate (ForwardBatch)
 
 	w, bias []float64 // parameter aliases (opConv, opDense)
 
@@ -481,8 +478,7 @@ type source struct {
 // ForwardBatch runs the compiled plan on every input of xs and writes
 // sample i's output to out[i·OutLen() : (i+1)·OutLen()], bit for bit what
 // Forward returns for that input alone. It checks every input's shape
-// before it computes anything, decides each conv's density gate once per
-// call (on the first sample), runs the conv and pool steps sample by
+// before it computes anything, runs the conv and pool steps sample by
 // sample and the dense tail over TileRows samples at a time. It performs
 // no allocations.
 func (e *Engine) ForwardBatch(out []float64, xs []*tensor.Tensor) error {
@@ -497,7 +493,7 @@ func (e *Engine) ForwardBatch(out []float64, xs []*tensor.Tensor) error {
 	}
 	for lo := 0; lo < len(xs); lo += tensor.TileRows {
 		hi := min(lo+tensor.TileRows, len(xs))
-		if err := e.forwardGroup(out[lo*n:hi*n], source{xs: xs[lo:hi]}, hi-lo, lo == 0); err != nil {
+		if err := e.forwardGroup(out[lo*n:hi*n], source{xs: xs[lo:hi]}, hi-lo); err != nil {
 			return err
 		}
 	}
@@ -510,28 +506,26 @@ func (e *Engine) ForwardBatch(out []float64, xs []*tensor.Tensor) error {
 // for the group. A Grid window runs the shared prefix on the ring path
 // (gridPrefix) and the steps after it as a tensor input would, or, without
 // a shared prefix, is staged as an input tensor. Unused lanes are zeroed;
-// their results are never emitted. In a call's first group (gate set), the
-// first sample decides each conv's density gate.
+// their results are never emitted.
 //
 //hsd:noalloc
-func (e *Engine) forwardGroup(out []float64, src source, count int, gate bool) error {
+func (e *Engine) forwardGroup(out []float64, src source, count int) error {
 	n := len(e.out)
 	for s := 0; s < count; s++ {
-		first := gate && s == 0
 		var x *tensor.Tensor
 		from := 0
 		switch {
 		case src.g == nil:
 			x = src.xs[s]
 		case e.depth > 0:
-			e.gridPrefix(src.g, src.wx+s, src.wy, first)
+			e.gridPrefix(src.g, src.wx+s, src.wy)
 			from = e.depth
 		default:
 			src.g.window(e.stage.Data(), e.inShape[1]*e.inShape[2], e.inShape[2], 0, src.wx+s, src.wy)
 			x = e.stage
 		}
 		for i := from; i < e.tail; i++ {
-			if err := e.step(&e.ops[i], x, first); err != nil {
+			if err := e.step(&e.ops[i], x); err != nil {
 				return err
 			}
 		}
@@ -574,18 +568,12 @@ func (e *Engine) forwardGroup(out []float64, src source, count int, gate bool) e
 	return nil
 }
 
-// step runs one per-sample op on input x. With gate set, a conv first
-// decides its density gate for the rest of the call: the scan reads the
-// weights right before the kernel does, so it also brings them into cache
-// for it.
+// step runs one per-sample op on input x.
 //
 //hsd:noalloc
-func (e *Engine) step(o *op, x *tensor.Tensor, gate bool) error {
+func (e *Engine) step(o *op, x *tensor.Tensor) error {
 	switch o.kind {
 	case opConv:
-		if gate {
-			o.sparse = tensor.SparseSkip(o.w[:o.outC*len(o.off)])
-		}
 		if o.stride == 1 {
 			padInput(o, e.input(o, x))
 		} else {

@@ -189,7 +189,7 @@ type Grid struct {
 // die-level plan Update computes it by: offsets into the plane it reads
 // (the input plane or the previous map, whose border is this conv's pad).
 type gridMap struct {
-	o       op // geometry and aliased weights; sparse is Update's gate
+	o       op // geometry and aliased weights
 	cum     int
 	src     []float64
 	sw      int // src row width
@@ -258,9 +258,8 @@ func (g *Grid) Cell(bx, by int) (plane []float64, stride int) {
 // Update recomputes the maps after the input blocks [x0, x1)×[y0, y1)
 // changed (the range is clamped to the die): each shared conv's map over
 // that range grown by the conv's cumulative pad, which is every map
-// position whose value reads a changed block. Each conv decides its
-// density gate once per call, from its weights as they are then, and runs
-// the kernels a window's conv runs. It allocates nothing.
+// position whose value reads a changed block, on the tile kernel a
+// window's conv runs. It allocates nothing.
 //
 //hsd:noalloc
 func (g *Grid) Update(x0, y0, x1, y1 int) {
@@ -270,7 +269,6 @@ func (g *Grid) Update(x0, y0, x1, y1 int) {
 	}
 	for s := range g.maps {
 		m := &g.maps[s]
-		m.o.sparse = tensor.SparseSkip(m.o.w[:m.o.outC*len(m.off)])
 		ux0, ux1 := max(x0-m.cum, 0), min(x1+m.cum, g.nbx)
 		uy0, uy1 := max(y0-m.cum, 0), min(y1+m.cum, g.nby)
 		g.updateRows(m, ux0, uy0, ux1, uy1)
@@ -307,8 +305,7 @@ func (g *Grid) updateRows(m *gridMap, x0, y0, x1, y1 int) {
 // from the die map, and the rest of the plan run as ForwardBatch runs it.
 // A plan without a shared prefix stages each window as an input tensor.
 // g must come from an engine compiled from the same network for the same
-// input shape. It decides each conv's density gate once per call and
-// performs no allocations.
+// input shape. It performs no allocations.
 func (e *Engine) ForwardGrid(out []float64, g *Grid, wx, wy int) error {
 	if !e.sameGrid(g) {
 		return fmt.Errorf("fused: grid built for another network or input shape")
@@ -327,7 +324,7 @@ func (e *Engine) ForwardGrid(out []float64, g *Grid, wx, wy int) error {
 	}
 	for lo := 0; lo < count; lo += tensor.TileRows {
 		hi := min(lo+tensor.TileRows, count)
-		if err := e.forwardGroup(out[lo*n:hi*n], source{g: g, wx: wx + lo, wy: wy}, hi-lo, lo == 0); err != nil {
+		if err := e.forwardGroup(out[lo*n:hi*n], source{g: g, wx: wx + lo, wy: wy}, hi-lo); err != nil {
 			return err
 		}
 	}
@@ -351,20 +348,15 @@ func (e *Engine) sameGrid(g *Grid) bool {
 
 // gridPrefix runs the shared prefix for window (wx, wy) of g: the
 // window's input rows into the first conv's plane, then each shared conv
-// on its ring path. With gate set, each conv first decides its density
-// gate, as step does.
+// on its ring path.
 //
 //hsd:noalloc
-func (e *Engine) gridPrefix(g *Grid, wx, wy int, gate bool) {
+func (e *Engine) gridPrefix(g *Grid, wx, wy int) {
 	o := &e.ops[0]
 	wp := o.inW + 2*o.pad
 	g.window(o.base, (o.inH+2*o.pad)*wp, wp, o.pad*wp+o.pad, wx, wy)
 	for s := range e.rings {
-		o := &e.ops[s]
-		if gate {
-			o.sparse = tensor.SparseSkip(o.w[:o.outC*len(o.off)])
-		}
-		ringConv(o, &e.rings[s], &g.maps[s], wx, wy)
+		ringConv(&e.ops[s], &e.rings[s], &g.maps[s], wx, wy)
 	}
 }
 

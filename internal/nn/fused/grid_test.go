@@ -54,7 +54,7 @@ func windowTensor(g *Grid, die []float64, wx, wy int) *tensor.Tensor {
 
 // gridNets are the nets the grid path is pinned on, with their shared
 // depth: the paper net and the scan tests' four-map net (depth 2), a
-// sparse-gated pooled conv and a 5×5 pooled conv (depth 1), a strided
+// mostly-zero pooled conv and a 5×5 pooled conv (depth 1), a strided
 // first conv (depth 0), three unpooled same convs of pads 1, 2, 1 (depth
 // 3), and every (C, H, W) case of oddGeometryNets and batchNets.
 func gridNets(t *testing.T) []struct {
@@ -95,7 +95,7 @@ func gridNets(t *testing.T) []struct {
 	depths := map[string]int{
 		"stride2-pad0-odd-input": 0, "k5-pad2": 1, "pool-odd-extent": 1,
 		"standalone-relu-and-pool": 1, "remainder-rows": 0, "dense-on-rank3-input": 0,
-		"stacked-convs-mixed-strides": 1, "papernet": 2, "sparse-gated": 1, "conv-only": 1,
+		"stacked-convs-mixed-strides": 1, "papernet": 2, "mostly-zero": 1, "conv-only": 1,
 	}
 	for _, c := range append(oddGeometryNets(t), batchNets(t)...) {
 		if len(c.inShape) == 3 {
@@ -283,7 +283,7 @@ func TestForwardGridErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := Compile(nets[1].net, nets[1].inShape)
+	mostlyZero, err := Compile(nets[1].net, nets[1].inShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestForwardGridErrors(t *testing.T) {
 		want   string
 	}{
 		{otherEng, n, 0, 0, "grid built for another network"},
-		{sparse, n, 0, 0, "grid built for another network"},
+		{mostlyZero, n, 0, 0, "grid built for another network"},
 		{eng, n + 1, 0, 0, "not a multiple of 2"},
 		{eng, 4 * n, 0, 0, "windows 0..3 of row 0 outside the 3x2-window grid"},
 		{eng, n, 0, 2, "outside"},

@@ -23,29 +23,16 @@ func convRun(o *op) {
 
 // convTile computes output channels i..i+3 of conv o into the rows of t,
 // len(t)/TileRows virtual columns each, where coefficient row p is
-// base[off[p]:]. Kernel selection replicates the layered path's density
-// gate exactly: o.sparse is the same tensor.SparseSkip decision over the
-// same weight data, made once per call, so the fused and layered paths
-// always take structurally matching kernels and produce bit-identical
-// outputs. Every column is its own sum, so a tile over any run of columns
-// computes them exactly as a tile over all of them does.
+// base[off[p]:]: one tensor.ConvTile with bias and ReLU folded into its
+// epilogue, the kernel and per-element order the layered Conv2D's product
+// runs, so the fused and layered paths produce bit-identical outputs.
+// Every column is its own sum, so a tile over any run of columns computes
+// them exactly as a tile over all of them does. When outC is not a
+// multiple of four, the last tile's unused rows recompute the last live
+// channel and are never emitted.
 //
 //hsd:noalloc
 func convTile(t []float64, o *op, base []float64, off []int, i int) {
-	if o.sparse {
-		convSparse(t, o, base, off, i)
-		return
-	}
-	convDense(t, o, base, off, i)
-}
-
-// convDense is the blocked dense kernel: tensor.ConvTile with bias and
-// ReLU folded into its epilogue. When outC is not a multiple of four, the
-// last tile's unused rows recompute the last live channel and are never
-// emitted.
-//
-//hsd:noalloc
-func convDense(t []float64, o *op, base []float64, off []int, i int) {
 	m, k := o.outC, len(off)
 	r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
 	tensor.ConvTile(t,
@@ -70,31 +57,6 @@ func emitRow(o *op, c int, row []float64) {
 	dst := o.out[c*n : c*n+n]
 	for oy := 0; oy < o.oh; oy++ {
 		copy(dst[oy*o.ow:oy*o.ow+o.ow], row[oy*o.vw:oy*o.vw+o.ow])
-	}
-}
-
-// convSparse mirrors tensor's row-skipping sparse kernel with the fused
-// epilogue: per-channel accumulation one coefficient at a time, zeros
-// skipped. Only live channels are computed.
-//
-//hsd:noalloc
-func convSparse(t []float64, o *op, base []float64, off []int, i int) {
-	k, w := len(off), len(t)/tensor.TileRows
-	for r := 0; r < tensor.TileRows && i+r < o.outC; r++ {
-		d := t[r*w : r*w+w]
-		for j := range d {
-			d[j] = 0
-		}
-		for p, av := range o.w[(i+r)*k : (i+r)*k+k] {
-			if av == 0 {
-				continue
-			}
-			brow := base[off[p] : off[p]+w]
-			for j, bv := range brow {
-				d[j] += float64(av * bv)
-			}
-		}
-		tensor.BiasReLURow(d, o.bias[i+r], o.relu)
 	}
 }
 

@@ -13,7 +13,7 @@ const DefaultWindow = 1024
 
 // Summary tracks a sliding window of float64 observations (latencies in
 // seconds, by convention) and serves exact nearest-rank quantiles over
-// that window, plus a lifetime count and sum. It generalizes the ring
+// that window, plus a lifetime count. It generalizes the ring
 // buffer the serving layer used privately before the obs package existed.
 // Safe for concurrent use.
 type Summary struct {
@@ -23,7 +23,6 @@ type Summary struct {
 	n       int      // filled entries, <= len(buf)
 	next    int      // next write index
 	count   int64
-	sum     float64
 	scratch []float64 // reused quantile sort buffer
 }
 
@@ -67,7 +66,6 @@ func (s *Summary) observeLocked(v float64, exemplar string) {
 		s.n++
 	}
 	s.count++
-	s.sum += v
 }
 
 // ObserveDuration records d in seconds.

@@ -1,14 +1,15 @@
 // The flight recorder: bounded in-memory retention of finished traces
 // with a tail-keep policy. Three overlapping keeps, all deterministic:
 //
-//   - recent: a ring of the last Recent traces, any outcome, so a dump
-//     right after an incident shows the immediate past;
-//   - error:  a ring of the last Errors traces whose status was >= 400 or
-//     that carried an explicit error — a 429 or 504 is never dropped by
-//     boring traffic that follows it (until Errors more errors arrive);
-//   - slow:   the slowest SlowN traces per root span name ("endpoint"),
-//     held in ascending duration order, so the requests behind the p99
-//     summaries are inspectable individually.
+//   - recent: a ring of the last DefaultRecent traces, any outcome, so a
+//     dump right after an incident shows the immediate past;
+//   - error:  a ring of the last DefaultErrors traces whose status was
+//     >= 400 or that carried an explicit error — a 429 or 504 is never
+//     dropped by boring traffic that follows it (until DefaultErrors more
+//     errors arrive);
+//   - slow:   the slowest DefaultSlowN traces per root span name
+//     ("endpoint"), held in ascending duration order, so the requests
+//     behind the p99 summaries are inspectable individually.
 //
 // Everything else — the boring middle — is dropped, and the dump reports
 // how many. Buffers are preallocated at construction: record and keepSlow

@@ -65,25 +65,16 @@ func mix64(key, v uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Defaults for Config fields left zero.
+// The flight recorder's retention sizes.
 const (
 	DefaultRecent = 64 // last-N ring, any outcome
 	DefaultErrors = 64 // errored-trace ring (status >= 400 or SetError)
-	DefaultSlowN  = 8  // slowest-N kept per root span name
+	DefaultSlowN  = 8  // slowest-N kept per root span name ("endpoint")
 )
 
-// Config sizes a Tracer's flight recorder and keys its ID generator.
-// The zero value is a usable default.
+// Config keys a Tracer's ID generator. The zero value is a usable
+// default.
 type Config struct {
-	// Recent is the size of the last-N ring that keeps the most recent
-	// traces regardless of outcome. 0 means DefaultRecent.
-	Recent int
-	// Errors is the size of the ring that keeps errored traces (HTTP
-	// status >= 400 or an explicit SetError). 0 means DefaultErrors.
-	Errors int
-	// SlowN is how many of the slowest traces to keep per root span name
-	// (per endpoint, in serving terms). 0 means DefaultSlowN.
-	SlowN int
 	// Seed keys the splitmix64 ID generator. Two tracers with the same
 	// seed emit the same ID sequence.
 	Seed uint64
@@ -98,20 +89,13 @@ type Tracer struct {
 	rec *recorder
 }
 
-// New builds a lit tracer with cfg's retention policy.
+// New builds a lit tracer whose flight recorder keeps DefaultRecent
+// recent traces, DefaultErrors errored ones and the DefaultSlowN slowest
+// per root span name.
 func New(cfg Config) *Tracer {
-	if cfg.Recent <= 0 {
-		cfg.Recent = DefaultRecent
-	}
-	if cfg.Errors <= 0 {
-		cfg.Errors = DefaultErrors
-	}
-	if cfg.SlowN <= 0 {
-		cfg.SlowN = DefaultSlowN
-	}
 	return &Tracer{
 		key: mix64(cfg.Seed, 0x74726163), // "trac": domain-separate the ID key from the raw seed
-		rec: newRecorder(cfg.Recent, cfg.Errors, cfg.SlowN),
+		rec: newRecorder(DefaultRecent, DefaultErrors, DefaultSlowN),
 	}
 }
 

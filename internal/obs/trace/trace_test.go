@@ -133,11 +133,12 @@ func TestStageOneReading(t *testing.T) {
 }
 
 // TestRecorderTailKeep drives a controlled trace mix through a tiny
-// recorder and checks the three keeps: the last-N ring drops the boring
-// middle, errors survive being pushed out of recent, and the slowest-N
-// per endpoint survive regardless of age.
+// recorder (4 recent, 2 errored, 2 slowest) and checks the three keeps:
+// the last-N ring drops the boring middle, errors survive being pushed out
+// of recent, and the slowest-N per endpoint survive regardless of age.
 func TestRecorderTailKeep(t *testing.T) {
-	tr := New(Config{Recent: 4, Errors: 2, SlowN: 2, Seed: 1})
+	tr := New(Config{Seed: 1})
+	tr.rec = newRecorder(4, 2, 2)
 
 	// One early error and one early very-slow request, then a flood of
 	// boring fast traffic that evicts both from the recent ring.

@@ -33,10 +33,10 @@ func (s *Scanner) Rescan(e layout.Edit) (*Result, error) {
 	// overlaps. Geometry outside the region is untouched, so all other
 	// blocks' pixels — and cached coefficient vectors — are still exact.
 	f := s.die.Frame
-	bx0 := maxInt(0, (dirty.X0-f.X0)/s.blockNM)
-	by0 := maxInt(0, (dirty.Y0-f.Y0)/s.blockNM)
-	bx1 := minInt(s.nbx, (dirty.X1-f.X0+s.blockNM-1)/s.blockNM)
-	by1 := minInt(s.nby, (dirty.Y1-f.Y0+s.blockNM-1)/s.blockNM)
+	bx0 := max(0, (dirty.X0-f.X0)/s.blockNM)
+	by0 := max(0, (dirty.Y0-f.Y0)/s.blockNM)
+	bx1 := min(s.nbx, (dirty.X1-f.X0+s.blockNM-1)/s.blockNM)
+	by1 := min(s.nby, (dirty.Y1-f.Y0+s.blockNM-1)/s.blockNM)
 
 	return s.pass(true, bx0, by0, bx1, by1)
 }

@@ -277,7 +277,7 @@ func (s *Scanner) pass(dirty bool, bx0, by0, bx1, by1 int) (*Result, error) {
 	err := s.pool.For(tilesX*tilesY, func(worker, t int) error {
 		tx, ty := t%tilesX, t/tilesX
 		tbx0, tby0 := bx0+tx*s.tileBlocks, by0+ty*s.tileBlocks
-		tbx1, tby1 := minInt(tbx0+s.tileBlocks, bx1), minInt(tby0+s.tileBlocks, by1)
+		tbx1, tby1 := min(tbx0+s.tileBlocks, bx1), min(tby0+s.tileBlocks, by1)
 		tile := ex.Span().Stage("tile", nil)
 		tsp := tile.Span()
 		tsp.SetInt("tx", int64(tx))
@@ -294,10 +294,10 @@ func (s *Scanner) pass(dirty bool, bx0, by0, bx1, by1 int) (*Result, error) {
 
 	// Affected windows: window (wx, wy) gathers blocks [wx, wx+n)×[wy,
 	// wy+n), so it needs re-scoring iff that range meets the block range.
-	wx0 := maxInt(0, bx0-s.n+1)
-	wy0 := maxInt(0, by0-s.n+1)
-	wx1 := minInt(s.wnx, bx1)
-	wy1 := minInt(s.wny, by1)
+	wx0 := max(0, bx0-s.n+1)
+	wy0 := max(0, by0-s.n+1)
+	wx1 := min(s.wnx, bx1)
+	wy1 := min(s.wny, by1)
 	in := root.Span().Stage("infer", inferSum)
 	err = s.pool.For(wy1-wy0, func(worker, j int) error {
 		row := in.Span().Stage("row", nil)
@@ -360,8 +360,8 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 }
 
 // scoreRow scores windows (wx0..wx1) of window row wy off the Grid on one
-// worker's engine, in one engine call, writing into the row's probability
-// slots.
+// worker's engine, tensor.TileRows windows per engine call, writing into
+// the row's probability slots.
 //
 //hsd:hotpath
 func (s *Scanner) scoreRow(worker, wy, wx0, wx1 int) error {
@@ -405,18 +405,4 @@ func (s *Scanner) finish(st Stats, root trace.Stage) *Result {
 	sp.SetFloat("cache_hit_rate", st.CacheHitRate)
 	root.End()
 	return res
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,29 +5,15 @@ import (
 	"testing"
 )
 
-// benchOperands builds conv-shaped matmul operands (the paper net's
-// conv2-2 forward: (32, 288) x (288, 36)) with the given fraction of zeros
-// in a — the operand the sparse skip inspects.
-func benchOperands(zeroFrac float64) (out, a, b *Tensor) {
+// BenchmarkMatMulIntoDense times the reference product on conv-shaped
+// dense operands (the paper net's conv2-2 forward: (32, 288) x (288, 36)),
+// as a trained conv's weights are.
+func BenchmarkMatMulIntoDense(bn *testing.B) {
 	const m, k, n = 32, 288, 36
 	rng := rand.New(rand.NewSource(7))
-	a = New(m, k)
-	for i := range a.Data() {
-		if rng.Float64() < zeroFrac {
-			a.Data()[i] = 0
-		} else {
-			a.Data()[i] = rng.NormFloat64()
-		}
-	}
-	b = New(k, n)
-	for i := range b.Data() {
-		b.Data()[i] = rng.NormFloat64()
-	}
-	return New(m, n), a, b
-}
-
-func benchMatMul(bn *testing.B, zeroFrac float64) {
-	out, a, b := benchOperands(zeroFrac)
+	a, b, out := New(m, k), New(k, n), New(m, n)
+	fillRand(a, rng)
+	fillRand(b, rng)
 	bn.ReportAllocs()
 	bn.ResetTimer()
 	for i := 0; i < bn.N; i++ {
@@ -37,33 +23,14 @@ func benchMatMul(bn *testing.B, zeroFrac float64) {
 	}
 }
 
-// Dense activations are the common case on the forward path (a holds
-// trained weights) — the sparse skip must not cost anything here.
-func BenchmarkMatMulIntoDense(b *testing.B) { benchMatMul(b, 0) }
-
-// Post-ReLU gradient rows are roughly half zeros; the skip should win.
-func BenchmarkMatMulIntoHalfSparse(b *testing.B) { benchMatMul(b, 0.5) }
-
-func BenchmarkMatMulIntoVerySparse(b *testing.B) { benchMatMul(b, 0.9) }
-
-func benchMatMulAT(bn *testing.B, zeroFrac float64) {
-	// MatMulATInto computes aᵀ·b for a (k, m) and b (k, n); in conv
-	// backward a is the output gradient, which ReLU sparsifies.
+// BenchmarkMatMulATIntoDense times MatMulATInto, aᵀ·b for a (k, m) and
+// b (k, n), the reference of the conv input gradient, on dense operands.
+func BenchmarkMatMulATIntoDense(bn *testing.B) {
 	const k, m, n = 32, 288, 36
 	rng := rand.New(rand.NewSource(9))
-	a := New(k, m)
-	for i := range a.Data() {
-		if rng.Float64() < zeroFrac {
-			a.Data()[i] = 0
-		} else {
-			a.Data()[i] = rng.NormFloat64()
-		}
-	}
-	b := New(k, n)
-	for i := range b.Data() {
-		b.Data()[i] = rng.NormFloat64()
-	}
-	out := New(m, n)
+	a, b, out := New(k, m), New(k, n), New(m, n)
+	fillRand(a, rng)
+	fillRand(b, rng)
 	bn.ReportAllocs()
 	bn.ResetTimer()
 	for i := 0; i < bn.N; i++ {
@@ -72,6 +39,3 @@ func benchMatMulAT(bn *testing.B, zeroFrac float64) {
 		}
 	}
 }
-
-func BenchmarkMatMulATIntoDense(b *testing.B)      { benchMatMulAT(b, 0) }
-func BenchmarkMatMulATIntoHalfSparse(b *testing.B) { benchMatMulAT(b, 0.5) }

@@ -15,8 +15,8 @@ func fillRand(t *Tensor, rng *rand.Rand) {
 
 // TestMatMulBiasIntoMatchesTwoPass pins the bit-for-bit contract of the
 // fused bias epilogue: MatMulBiasInto must equal MatMulInto followed by a
-// row-wise bias broadcast, element for element, on both the dense-unrolled
-// and the sparse row-skipping kernel paths.
+// row-wise bias broadcast, element for element, on dense and on
+// mostly-zero coefficients.
 func TestMatMulBiasIntoMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct{ m, k, n int }{
@@ -27,13 +27,12 @@ func TestMatMulBiasIntoMatchesTwoPass(t *testing.T) {
 		{3, 5, 7},      // remainder loops (k % 4 != 0)
 		{1, 1, 1},
 	}
-	for _, sparse := range []bool{false, true} {
+	for _, mostlyZero := range []bool{false, true} {
 		for _, s := range shapes {
 			a, b := New(s.m, s.k), New(s.k, s.n)
 			fillRand(a, rng)
 			fillRand(b, rng)
-			if sparse {
-				// Zero out enough of a to trip the sparse gate.
+			if mostlyZero {
 				for i := range a.data {
 					if rng.Float64() < 0.9 {
 						a.data[i] = 0
@@ -61,8 +60,8 @@ func TestMatMulBiasIntoMatchesTwoPass(t *testing.T) {
 			}
 			for i := range got.data {
 				if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-					t.Fatalf("shape %v sparse=%v: element %d differs: %v vs %v",
-						s, sparse, i, got.data[i], want.data[i])
+					t.Fatalf("shape %v mostlyZero=%v: element %d differs: %v vs %v",
+						s, mostlyZero, i, got.data[i], want.data[i])
 				}
 			}
 		}
@@ -84,78 +83,5 @@ func TestMatMulBiasIntoShapeErrors(t *testing.T) {
 	}
 	if err := MatMulBiasInto(out, a, b, New(2)); err != nil {
 		t.Fatalf("valid shapes rejected: %v", err)
-	}
-}
-
-// TestSparseGateMatchesFullCount pins the early-exit gate to the full
-// zero count it replaced (zeros > 0.6·n in floating point) for every length
-// 0–200, at densities on both sides of the 60% threshold, at exactly the
-// threshold count and one either side, and with the zeros placed first,
-// last and scattered (so the early exit fires at every position).
-func TestSparseGateMatchesFullCount(t *testing.T) {
-	fullCount := func(a []float64) bool {
-		zeros := 0
-		for _, v := range a {
-			if v == 0 {
-				zeros++
-			}
-		}
-		return float64(zeros) > sparseSkipThreshold*float64(len(a))
-	}
-	rng := rand.New(rand.NewSource(17))
-	a := make([]float64, 200)
-	for n := 0; n <= 200; n++ {
-		at := int(sparseSkipThreshold * float64(n))
-		counts := []int{0, n, at, at + 1, at - 1, n / 2, n * 7 / 10, n * 9 / 10}
-		for _, zeros := range counts {
-			if zeros < 0 || zeros > n {
-				continue
-			}
-			for layout := 0; layout < 3; layout++ {
-				x := a[:n]
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
-				switch layout {
-				case 0: // zeros first
-					for i := 0; i < zeros; i++ {
-						x[i] = 0
-					}
-				case 1: // zeros last
-					for i := n - zeros; i < n; i++ {
-						x[i] = 0
-					}
-				default: // scattered
-					for _, i := range rng.Perm(n)[:zeros] {
-						x[i] = 0
-					}
-				}
-				if got, want := sparseWorthwhile(x), fullCount(x); got != want {
-					t.Fatalf("n=%d zeros=%d layout=%d: gate %v, full count %v", n, zeros, layout, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestSparseSkipMatchesKernelGate pins the exported gate to the internal
-// heuristic the kernels use.
-func TestSparseSkipMatchesKernelGate(t *testing.T) {
-	dense := make([]float64, 100)
-	for i := range dense {
-		dense[i] = 1
-	}
-	if SparseSkip(dense) {
-		t.Fatal("dense data classified sparse")
-	}
-	mostlyZero := make([]float64, 100)
-	for i := 0; i < 10; i++ {
-		mostlyZero[i] = 1
-	}
-	if !SparseSkip(mostlyZero) {
-		t.Fatal("90%-zero data classified dense")
-	}
-	if SparseSkip(mostlyZero) != sparseWorthwhile(mostlyZero) {
-		t.Fatal("exported gate diverges from kernel gate")
 	}
 }

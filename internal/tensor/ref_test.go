@@ -3,9 +3,8 @@ package tensor
 import "fmt"
 
 // The products below have only test callers: production multiplies on the
-// tile kernels (MatMulTiles, MatMulBTTiles, MatMulBTAddTiles, DotTile) and
-// on matmulBiasInto's sparse path. They stay here as the references the
-// tile kernels are tested against.
+// tile kernels (MatMulTiles, MatMulBTTiles, MatMulBTAddTiles, DotTile).
+// They stay here as the references the tile kernels are tested against.
 
 // MatMulInto computes out = a · b for rank-2 operands, reusing out's buffer.
 func MatMulInto(out, a, b *Tensor) error {
@@ -34,6 +33,49 @@ func matMul(a, b *Tensor) (*Tensor, error) {
 // bias.
 func matmulInto(out, a, b []float64, m, k, n int) {
 	matmulBiasInto(out, a, b, nil, m, k, n)
+}
+
+// matmulBiasInto writes a(m×k)·b(k×n) into out using an ikj loop order so
+// the inner loop streams both b and out rows, the coefficient dimension
+// 4-way unrolled: each element starts at +0 and gains one group sum
+// a[p]·b[p] + a[p+1]·b[p+1] + a[p+2]·b[p+2] + a[p+3]·b[p+3] per four
+// coefficients, then the k mod 4 remaining products one at a time. When
+// bias is non-nil, bias[i] is added to every element of output row i once
+// the row's dot products are complete, so each element is (full dot
+// product) + bias, exactly the sum the two-pass form produces. This is the
+// per-element order the tile kernels keep.
+func matmulBiasInto(out, a, b, bias []float64, m, k, n int) {
+	for i := range out[:m*n] {
+		out[i] = 0
+	}
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := out[i*n : (i+1)*n]
+		p := 0
+		for ; p+3 < k; p += 4 {
+			av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+			b0 := b[p*n : (p+1)*n]
+			b1 := b[(p+1)*n : (p+2)*n]
+			b2 := b[(p+2)*n : (p+3)*n]
+			b3 := b[(p+3)*n : (p+4)*n]
+			for j := range orow {
+				orow[j] += float64(av0*b0[j]) + float64(av1*b1[j]) + float64(av2*b2[j]) + float64(av3*b3[j])
+			}
+		}
+		for ; p < k; p++ {
+			av := arow[p]
+			brow := b[p*n : (p+1)*n]
+			for j, bv := range brow {
+				orow[j] += float64(av * bv)
+			}
+		}
+		if bias != nil {
+			bv := bias[i]
+			for j := range orow {
+				orow[j] += bv
+			}
+		}
+	}
 }
 
 // MatMulBiasInto computes out = a · b and adds bias[i] to every element of
@@ -89,24 +131,7 @@ func MatMulATInto(out, a, b *Tensor) error {
 	for i := range od[:m*n] {
 		od[i] = 0
 	}
-	if sparseWorthwhile(a.data[:k*m]) {
-		for p := 0; p < k; p++ {
-			arow := a.data[p*m : (p+1)*m]
-			brow := b.data[p*n : (p+1)*n]
-			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := od[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += float64(av * bv)
-				}
-			}
-		}
-		return nil
-	}
-	// Dense path: 4-way unrolled over k, mirroring matmulInto's dense
-	// kernel (same calibration, same determinism argument).
+	// 4-way unrolled over k, in matmulBiasInto's per-element order.
 	p := 0
 	for ; p+3 < k; p += 4 {
 		a0 := a.data[p*m : (p+1)*m]

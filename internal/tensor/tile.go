@@ -63,10 +63,13 @@ func WithKernel(name string, f func()) {
 // ConvTile computes one 4-row product tile: row r of t (len(t)/4 virtual
 // columns, a positive multiple of 4) is ar · B + br, rectified when relu is
 // set, where coefficient row p of B is base[off[p]:] and base holds
-// max(off) + len(t)/4 elements. The per-element operation order is
-// matmulBiasInto's dense kernel's, so a tile row equals that kernel's
-// output row bit for bit. It runs the host's assembly body where it has
-// one and the order-identical Go body elsewhere.
+// max(off) + len(t)/4 elements. Each element starts at +0 and gains one
+// group sum ar[p]·B[p] + ar[p+1]·B[p+1] + ar[p+2]·B[p+2] + ar[p+3]·B[p+3]
+// per four coefficients, then the remaining products one at a time, then
+// br: the order of an ikj product with its coefficient loop 4-way
+// unrolled, which the tensor tests keep as the reference. It runs the
+// host's assembly body where it has one and the order-identical Go body
+// elsewhere.
 //
 //hsd:noalloc
 func ConvTile(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64, relu bool) {
@@ -88,11 +91,10 @@ func ConvTile(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float
 }
 
 // block4 is the pure-Go body of the tile kernel, with ConvTile's contract.
-// The coefficient dimension advances in the same 4-wide groups, with the
-// same per-element addition grouping, as matmulBiasInto's dense kernel —
-// that grouping is load-bearing for the bit-for-bit parity contract — and
-// every loaded coefficient element feeds four accumulating rows instead of
-// one.
+// The coefficient dimension advances in ConvTile's 4-wide groups, with its
+// per-element addition grouping — that grouping is load-bearing for the
+// bit-for-bit parity contract — and every loaded coefficient element feeds
+// four accumulating rows instead of one.
 func block4(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64, relu bool) {
 	w := len(t) / TileRows
 	d0, d1, d2, d3 := t[:w], t[w:2*w], t[2*w:3*w], t[3*w:4*w]
@@ -128,17 +130,16 @@ func block4(t, a0, a1, a2, a3, base []float64, off []int, b0, b1, b2, b3 float64
 			d3[j] += float64(av3 * bv)
 		}
 	}
-	BiasReLURow(d0, b0, relu)
-	BiasReLURow(d1, b1, relu)
-	BiasReLURow(d2, b2, relu)
-	BiasReLURow(d3, b3, relu)
+	biasReLURow(d0, b0, relu)
+	biasReLURow(d1, b1, relu)
+	biasReLURow(d2, b2, relu)
+	biasReLURow(d3, b3, relu)
 }
 
-// BiasReLURow adds bias to a finished product row and, when relu is set,
-// rectifies in the same pass. The value is (full dot product) + bias — the
-// order matmulBiasInto produces — and the rectifier uses the same strict
-// v > 0 comparison as nn.ReLU.
-func BiasReLURow(d []float64, bias float64, relu bool) {
+// biasReLURow adds bias to a finished product row and, when relu is set,
+// rectifies in the same pass. The value is (full dot product) + bias, and
+// the rectifier uses the same strict v > 0 comparison as nn.ReLU.
+func biasReLURow(d []float64, bias float64, relu bool) {
 	if relu {
 		for j, v := range d {
 			v += bias
@@ -192,12 +193,10 @@ func dot4(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
 }
 
 // MatMulTiles sets out (m×n) to a·b, adding bias[i] to row i when bias is
-// non-nil, for a (m×k) and b (k×n) with m, k, n ≥ 1. The result is
-// bit-identical to matmulBiasInto's: the same density gate over a sends
-// sparse coefficients to its row-skipping kernel, and dense ones run on
-// 4-row tiles with its per-element order. Without a bias the tile epilogue
-// adds −0, the additive identity (x + −0 = x for every x, −0 included), so
-// each stored value is the bare product.
+// non-nil, for a (m×k) and b (k×n) with m, k, n ≥ 1, on 4-row tiles in
+// ConvTile's per-element order. Without a bias the tile epilogue adds −0,
+// the additive identity (x + −0 = x for every x, −0 included), so each
+// stored value is the bare product.
 //
 // The caller owns the scratch: off holds p·n for p < k, tile holds
 // TileRows·TileWidth(n) elements, and b holds (k−1)·n + TileWidth(n), so
@@ -206,10 +205,6 @@ func dot4(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
 //hsd:hotpath
 //hsd:noalloc
 func MatMulTiles(out, a, b, bias []float64, off []int, tile []float64, m, k, n int) {
-	if sparseWorthwhile(a[:m*k]) {
-		matmulBiasInto(out, a, b, bias, m, k, n)
-		return
-	}
 	w := TileWidth(n)
 	t := tile[:TileRows*w]
 	b = b[:(k-1)*n+w]

@@ -88,7 +88,9 @@ func kernelBodies(t *testing.T, f func(t *testing.T)) {
 // tileOperand returns a rows×cols operand from rg, with slack extra
 // elements poisoned with NaN: a tile kernel reads them but must never let
 // them reach a stored result. zeros > 0 zeroes that fraction of the
-// elements, enough above 0.6 to send the product to the sparse kernel.
+// elements: a mostly-zero operand, whose zero products the kernels add in
+// the reference order like any other (0·∞ is NaN, and ±0 products keep
+// their sign rules).
 func tileOperand(rg operandRegime, rows, cols, slack int, zeros float64, rng *rand.Rand) []float64 {
 	d := make([]float64, rows*cols+slack)
 	for i := range d[:rows*cols] {
@@ -135,7 +137,7 @@ func tileShapes(yield func(outC, n, kk int)) {
 
 // TestMatMulTilesForwardMatchesReference pins the conv forward product on
 // tiles, W·cols + b, against the ikj reference matmulBiasInto, for dense
-// and for >60%-zero weights.
+// and for mostly-zero (80%) weights.
 func TestMatMulTilesForwardMatchesReference(t *testing.T) {
 	kernelBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(81))
@@ -165,8 +167,7 @@ func TestMatMulTilesForwardMatchesReference(t *testing.T) {
 
 // TestMatMulTilesInputGradMatchesReference pins the conv input-gradient
 // product on tiles, Wᵀ·g over a transposed copy of W with no bias, against
-// MatMulATInto on W itself, for dense and for >60%-zero weights: the two
-// see the same zero count, so they take the same kernel variant.
+// MatMulATInto on W itself, for dense and for mostly-zero (80%) weights.
 func TestMatMulTilesInputGradMatchesReference(t *testing.T) {
 	kernelBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(83))

@@ -100,12 +100,11 @@ type Evaluator struct {
 	workers []evalWorker
 }
 
-// evalWorker is one worker's compiled engine and the logits of the inputs
-// it scores in one engine call: tensor.TileRows inputs, or a window row of
-// the widest Grid NewGrid built.
+// evalWorker is one worker's compiled engine and the logits of the
+// tensor.TileRows inputs it scores in one engine call.
 type evalWorker struct {
 	eng    *fused.Engine
-	logits []float64
+	logits [2 * tensor.TileRows]float64
 }
 
 // NewEvaluator builds an evaluator over net with the given worker count
@@ -144,7 +143,6 @@ func (e *Evaluator) Prepare(inShape []int) error {
 			return fmt.Errorf("train: evaluator: classifier emits %d outputs, want 2", eng.OutLen())
 		}
 		workers[w].eng = eng
-		workers[w].logits = make([]float64, 2*tensor.TileRows)
 	}
 	e.workers = workers
 	return nil
@@ -204,33 +202,20 @@ func (e *Evaluator) PredictBatchOn(worker int, xs []*tensor.Tensor, probs []floa
 
 // NewGrid builds the fused.Grid of an nbx×nby-block die for the engines
 // Prepare compiled: windows of their input shape, scored with
-// PredictGridOn on any worker. It sizes every worker's logits for a full
-// window row of the die. The network's weights must not change between a
-// Grid's Update and the scoring it serves. Not safe concurrently with
-// evaluation.
+// PredictGridOn on any worker. The network's weights must not change
+// between a Grid's Update and the scoring it serves.
 func (e *Evaluator) NewGrid(nbx, nby int) (*fused.Grid, error) {
 	if e.workers == nil {
 		return nil, errUnprepared
 	}
-	g, err := fused.NewGrid(e.workers[0].eng, nbx, nby)
-	if err != nil {
-		return nil, err
-	}
-	row := 2 * (nbx - e.workers[0].eng.InShape()[2] + 1)
-	for w := range e.workers {
-		if len(e.workers[w].logits) < row {
-			e.workers[w].logits = make([]float64, row)
-		}
-	}
-	return g, nil
+	return fused.NewGrid(e.workers[0].eng, nbx, nby)
 }
 
 // PredictGridOn scores the len(probs) consecutive windows of g's row wy
 // from window wx on worker w's engine and writes their hotspot
-// probabilities to probs. Up to a full window row of the die runs in one
-// fused.Engine.ForwardGrid call, so the engine decides its density gates
-// once per row, not once per tensor.TileRows windows. The fan-out contract
-// is PredictOn's; g must come from NewGrid, and no Update may run
+// probabilities to probs: one fused.Engine.ForwardGrid call per
+// tensor.TileRows windows, as PredictBatchOn does for tensors. The fan-out
+// contract is PredictOn's; g must come from NewGrid, and no Update may run
 // meanwhile. Probabilities are bit-identical to PredictProb on the
 // windows' input tensors. It allocates nothing.
 func (e *Evaluator) PredictGridOn(worker int, g *fused.Grid, wx, wy int, probs []float64) error {
@@ -238,9 +223,8 @@ func (e *Evaluator) PredictGridOn(worker int, g *fused.Grid, wx, wy int, probs [
 		return errUnprepared
 	}
 	w := &e.workers[worker]
-	step := len(w.logits) / 2
-	for lo := 0; lo < len(probs); lo += step {
-		hi := min(lo+step, len(probs))
+	for lo := 0; lo < len(probs); lo += tensor.TileRows {
+		hi := min(lo+tensor.TileRows, len(probs))
 		logits := w.logits[:2*(hi-lo)]
 		if err := w.eng.ForwardGrid(logits, g, wx+lo, wy); err != nil {
 			return err

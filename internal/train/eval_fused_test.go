@@ -314,9 +314,9 @@ func TestPredictBatchOn(t *testing.T) {
 }
 
 // TestPredictGridOnFullRow scores whole window rows off a Grid — nine
-// windows, so one engine call spans three groups of four and ends in a
-// partial one — bit for bit against PredictProb on each window's input
-// tensor, and checks a full row allocates nothing.
+// windows, so a row takes engine calls of four, four and one — bit for bit
+// against PredictProb on each window's input tensor, and checks a full row
+// allocates nothing.
 func TestPredictGridOnFullRow(t *testing.T) {
 	const c, n, nbx, nby = 2, 4, 12, 6
 	net := dropoutNet(t, 131)

@@ -10,10 +10,19 @@
 # BENCHMARK.json's run_seconds long.
 #
 # It prints, per end-to-end metric, both medians, the parent's
-# interquartile range and the pairs the candidate won, then each run's
-# checksum, failed ops and host_steal_share; that table goes to stderr and
-# the same record as JSON to stdout. The exit status is 1 when any pair's
-# output checksums differ or any run fails an op.
+# interquartile range, the pairs the candidate won and the pairs it won
+# among those not steal-skewed, then each run's checksum, failed ops and
+# host_steal_share; that table goes to stderr and the same record as JSON
+# to stdout. The exit status is 1 when any pair's output checksums differ
+# or any run fails an op.
+#
+# A pair is steal-skewed when its two runs' host_steal_share differ by
+# more than steal_skew (below): the host took more CPU from one side than
+# from the other, which can move a verdict on its own. Such pairs are
+# still counted in pairs_won and the medians; they are marked STEAL SKEWED
+# in the per-run table, left out of won_unskewed (pairs_won_unskewed in
+# the JSON) and listed in the record's skewed_pairs. Traced runs report no
+# steal, so their pairs are never flagged.
 #
 # --trace runs each side with perfbench's --trace 1. A traced run reports
 # BENCHMARK.json's per_layer metrics instead of the end-to-end ones, and
@@ -60,6 +69,11 @@ metrics="$(sed -n "/\"${section}\"/,/\\]/p" BENCHMARK.json |
     grep -o '"name": "[^"]*".*"better": "[a-z]*"' |
     sed -E 's/"name": "([^"]*)".*"better": "([a-z]*)"/\1 \2/')"
 metric_list="$(tr '\n' ';' <<<"${metrics}")"
+# The largest host_steal_share difference a pair may have and still be
+# compared cleanly. On a 2-vCPU Xeon, A/B runs of unchanged code read
+# 0.005–0.028, while the candidate runs of one steal-skewed session read
+# 0.083–0.17.
+steal_skew=0.02
 
 out=".bench_build/benchpair"
 mkdir -p "${out}"
@@ -109,7 +123,8 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 awk -F'\t' -v metrics="${metric_list}" -v workload="${workload}" -v seconds="${seconds}" \
-    -v parent="${parent}" -v candidate="${candidate}" -v pairs="${pairs}" -v trace="${trace}" '
+    -v parent="${parent}" -v candidate="${candidate}" -v pairs="${pairs}" -v trace="${trace}" \
+    -v steal_skew="${steal_skew}" '
 # quantile of the sorted array v[1..n], linearly interpolated.
 function quantile(v, n, p,    h, lo) {
     h = (n - 1) * p + 1
@@ -135,8 +150,16 @@ BEGIN {
 }
 END {
     differ = 0; fails = 0
-    printf "%s: %s (parent) vs %s (candidate), %d pairs of %d s runs%s\n", workload, substr(parent, 1, 12), substr(candidate, 1, 12), pairs, seconds, trace ? ", traced" : "" > "/dev/stderr"
-    printf "%-24s %14s %14s %12s %8s %10s\n", "metric", "parent_med", "cand_med", "parent_iqr", "ratio", "pairs_won" > "/dev/stderr"
+    # A pair is steal-skewed when both runs report a steal share and the
+    # two differ by more than steal_skew.
+    nskew = 0; skewed = ""
+    for (p = 1; p <= pairs; p++) {
+        d = steal["parent", p] - steal["candidate", p]
+        skew[p] = steal["parent", p] != "" && steal["candidate", p] != "" && (d > steal_skew || -d > steal_skew)
+        if (skew[p]) { skewed = skewed (nskew ? "," : "") p; nskew++ }
+    }
+    printf "%s: %s (parent) vs %s (candidate), %d pairs of %d s runs%s, %d steal-skewed\n", workload, substr(parent, 1, 12), substr(candidate, 1, 12), pairs, seconds, trace ? ", traced" : "", nskew > "/dev/stderr"
+    printf "%-24s %14s %14s %12s %8s %10s %12s\n", "metric", "parent_med", "cand_med", "parent_iqr", "ratio", "pairs_won", "won_unskewed" > "/dev/stderr"
     json = sprintf("{\"workload\":\"%s\",\"parent\":\"%s\",\"candidate\":\"%s\",\"pairs\":%d,\"seconds\":%d,\"trace\":%s,\"metrics\":{", workload, parent, candidate, pairs, seconds, trace ? "true" : "false")
     sep = ""
     for (m = 1; m <= nm; m++) {
@@ -148,12 +171,12 @@ END {
         sorted(a, pairs, sa); sorted(b, pairs, sb)
         pm = quantile(sa, pairs, 0.5); cm = quantile(sb, pairs, 0.5)
         iqr = quantile(sa, pairs, 0.75) - quantile(sa, pairs, 0.25)
-        won = 0
+        won = 0; wonu = 0
         for (p = 1; p <= pairs; p++)
-            if ((better[m] == "higher" && b[p] > a[p]) || (better[m] == "lower" && b[p] < a[p])) won++
+            if ((better[m] == "higher" && b[p] > a[p]) || (better[m] == "lower" && b[p] < a[p])) { won++; if (!skew[p]) wonu++ }
         ratio = pm != 0 ? cm / pm : 0
-        printf "%-24s %14.6g %14.6g %12.6g %8.3f %7d/%d\n", name[m], pm, cm, iqr, ratio, won, pairs > "/dev/stderr"
-        json = json sprintf("%s\"%s\":{\"better\":\"%s\",\"parent_median\":%.6g,\"candidate_median\":%.6g,\"parent_iqr\":%.6g,\"ratio\":%.4f,\"pairs_won\":%d}", sep, name[m], better[m], pm, cm, iqr, ratio, won)
+        printf "%-24s %14.6g %14.6g %12.6g %8.3f %7d/%d %9d/%d\n", name[m], pm, cm, iqr, ratio, won, pairs, wonu, pairs - nskew > "/dev/stderr"
+        json = json sprintf("%s\"%s\":{\"better\":\"%s\",\"parent_median\":%.6g,\"candidate_median\":%.6g,\"parent_iqr\":%.6g,\"ratio\":%.4f,\"pairs_won\":%d,\"pairs_won_unskewed\":%d}", sep, name[m], better[m], pm, cm, iqr, ratio, won, wonu)
         sep = ","
     }
     json = json "},\"runs\":["
@@ -162,7 +185,7 @@ END {
         eq = sum["parent", p] == sum["candidate", p] && sum["parent", p] != ""
         if (!eq) differ = 1
         fails += failed["parent", p] + failed["candidate", p]
-        printf "%-5d %-6d %-18s %-18s %3d/%-3d %-12s %-12s%s\n", p, seed[p], sum["parent", p], sum["candidate", p], failed["parent", p], failed["candidate", p], steal_str(steal["parent", p]), steal_str(steal["candidate", p]), eq ? "" : "  CHECKSUM DIFFERS" > "/dev/stderr"
+        printf "%-5d %-6d %-18s %-18s %3d/%-3d %-12s %-12s%s%s\n", p, seed[p], sum["parent", p], sum["candidate", p], failed["parent", p], failed["candidate", p], steal_str(steal["parent", p]), steal_str(steal["candidate", p]), skew[p] ? "  STEAL SKEWED" : "", eq ? "" : "  CHECKSUM DIFFERS" > "/dev/stderr"
         for (s = 0; s < 2; s++) {
             side = s == 0 ? "parent" : "candidate"
             json = json sprintf("%s{\"pair\":%d,\"seed\":%d,\"side\":\"%s\",\"checksum\":\"%s\",\"failed\":%d,\"host_steal_share\":%s,\"metrics\":{", p + s > 1 ? "," : "", p, seed[p], side, sum[side, p], failed[side, p], steal_str(steal[side, p], 1))
@@ -171,6 +194,6 @@ END {
             json = json "}}"
         }
     }
-    print json sprintf("],\"checksums_equal\":%s,\"failed_ops\":%d}", differ ? "false" : "true", fails)
+    print json sprintf("],\"steal_skew\":%s,\"skewed_pairs\":[%s],\"checksums_equal\":%s,\"failed_ops\":%d}", steal_skew, skewed, differ ? "false" : "true", fails)
     exit differ || fails > 0
 }' "${rows}"
