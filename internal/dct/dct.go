@@ -137,29 +137,50 @@ func (t *Truncated) TmpLen() int { return t.h * tensor.TileWidth(t.kw) }
 // using tmp (TmpLen elements) as scratch. A block inside a larger image is
 // read in place by passing the image's row stride.
 //
-// Both passes run on the dot tile: the row pass dots four block rows with
-// four basis rows at a time, the column pass four basis rows with four
-// tmp columns. Each coefficient is still one sequential dot product,
-// started at +0 and accumulated in index order, so the result is the one
-// the plain loops produce (see DESIGN.md §12).
+// rep, when non-nil, marks the block's repeated rows: rep[y], for
+// 0 < y < h, reports that row y holds the same bits as row y−1 (rep[0] is
+// not read, so a block's first row is always transformed). The row pass
+// then transforms only the other rows and copies each repeated row's
+// transform from the row above: equal bits in give equal bits out. A nil
+// rep transforms every row.
+//
+// Both passes run on the dot tile: the row pass dots four distinct block
+// rows with four basis rows at a time, the column pass four basis rows
+// with four tmp columns. Each coefficient is still one sequential dot
+// product, started at +0 and accumulated in index order, so the result is
+// the one the plain loops produce (see DESIGN.md §12).
 //
 //hsd:noalloc
-func (t *Truncated) Forward(dst, tmp, src []float64, stride int) {
-	h, w, kh, kw := t.h, t.w, t.kh, t.kw
+func (t *Truncated) Forward(dst, tmp, src []float64, stride int, rep []bool) {
+	h, kh, kw := t.h, t.kh, t.kw
 	ld := tensor.TileWidth(kw)
 	var s [16]float64
-	// Row pass: tmp[y][v] = Σ_x src[y][x]·Cw[v][x]. Rows past the last
-	// live one repeat it, and the padding columns multiply zero basis
-	// entries; neither is read into dst.
-	for y := 0; y < h; y += tensor.TileRows {
-		r1, r2, r3 := min(y+1, h-1), min(y+2, h-1), min(y+3, h-1)
-		b0, b1 := src[y*stride:y*stride+w], src[r1*stride:r1*stride+w]
-		b2, b3 := src[r2*stride:r2*stride+w], src[r3*stride:r3*stride+w]
-		for v := 0; v < ld; v += tensor.TileRows {
-			tensor.DotTile(&s, t.cwT[v:], ld, b0, b1, b2, b3)
-			for r := 0; r < tensor.TileRows && y+r < h; r++ {
-				o := tmp[(y+r)*ld+v : (y+r)*ld+v+4]
-				o[0], o[1], o[2], o[3] = s[4*r], s[4*r+1], s[4*r+2], s[4*r+3]
+	// Row pass: tmp[y][v] = Σ_x src[y][x]·Cw[v][x] for the distinct rows,
+	// gathered four to a tile. A short last tile repeats its last row, and
+	// the padding columns multiply zero basis entries; neither is read
+	// into dst.
+	var rows [tensor.TileRows]int
+	n := 0
+	for y := 0; y < h; y++ {
+		if y > 0 && rep != nil && rep[y] {
+			continue
+		}
+		rows[n] = y
+		if n++; n == tensor.TileRows {
+			t.rowTile(tmp, src, stride, &rows, &s)
+			n = 0
+		}
+	}
+	if n > 0 {
+		for r := n; r < tensor.TileRows; r++ {
+			rows[r] = rows[n-1]
+		}
+		t.rowTile(tmp, src, stride, &rows, &s)
+	}
+	if rep != nil {
+		for y := 1; y < h; y++ {
+			if rep[y] {
+				copy(tmp[y*ld:y*ld+ld], tmp[(y-1)*ld:y*ld])
 			}
 		}
 	}
@@ -175,6 +196,24 @@ func (t *Truncated) Forward(dst, tmp, src []float64, stride int) {
 					dst[(u+r)*kw+v+c] = s[tensor.TileRows*r+c]
 				}
 			}
+		}
+	}
+}
+
+// rowTile runs the row pass over the four block rows rows[0..3], writing
+// each row's kw transformed columns (padded to TileWidth(kw)) into its
+// row of tmp. A row listed twice is written twice with the same bits.
+//
+//hsd:noalloc
+func (t *Truncated) rowTile(tmp, src []float64, stride int, rows *[tensor.TileRows]int, s *[16]float64) {
+	w, ld := t.w, tensor.TileWidth(t.kw)
+	b0, b1 := src[rows[0]*stride:rows[0]*stride+w], src[rows[1]*stride:rows[1]*stride+w]
+	b2, b3 := src[rows[2]*stride:rows[2]*stride+w], src[rows[3]*stride:rows[3]*stride+w]
+	for v := 0; v < ld; v += tensor.TileRows {
+		tensor.DotTile(s, t.cwT[v:], ld, b0, b1, b2, b3)
+		for r, y := range rows {
+			o := tmp[y*ld+v : y*ld+v+4]
+			o[0], o[1], o[2], o[3] = s[4*r], s[4*r+1], s[4*r+2], s[4*r+3]
 		}
 	}
 }

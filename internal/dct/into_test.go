@@ -1,6 +1,7 @@
 package dct
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,11 +11,26 @@ import (
 
 // TestTruncatedMatchesLoops pins the dot-tile transform to the plain
 // sequential loops it replaced, bit for bit, on every tile kernel body the
-// host has.
-// Shapes cover corners that are and are not multiples of the tile's 4
-// lanes, and blocks read in place from a wider image (stride > w) whose
-// other pixels are poison values a misplaced read would carry into the
-// result.
+// host has, with and without row marks. Shapes cover corners that are and
+// are not multiples of the tile's 4 lanes. Each block sits below a block
+// of random rows in an image whose other pixels are poison values a
+// misplaced read would carry into the result, read in place at strides
+// w, w+1 and w+5. Its row y is one of a few source rows, chosen by
+// pattern:
+//   - all rows distinct;
+//   - every row equal;
+//   - runs of 1, 2 and 3 rows;
+//   - alternating rows, equal to the row two above but never to the one
+//     above, so nothing is marked;
+//   - rows of +0 and rows that differ from them only by a −0, which are
+//     equal under == but not bit for bit, so they are not marked either;
+//   - and each of those with the block's first row equal to the last row
+//     of the block above, which the image's marks then mark: Forward
+//     must still transform it, since the block's tmp has no row above it.
+//
+// The marks are recomputed row by row from the image's bits, and the test
+// checks that they mark what each pattern repeats. The row scratch starts
+// as NaN, so a marked row the pass fails to copy shows in the result.
 func TestTruncatedMatchesLoops(t *testing.T) {
 	cases := []struct{ h, w, kh, kw int }{
 		{25, 25, 8, 8},
@@ -26,45 +42,40 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 		{5, 5, 1, 1},
 		{4, 13, 4, 13},
 	}
+	patterns := []struct {
+		name string
+		src  func(y int) int // source row of block row y
+	}{
+		{"distinct", func(y int) int { return 5 + y }},
+		{"equal", func(int) int { return 0 }},
+		{"runs", func(y int) int { return []int{0, 1, 1, 2, 2, 2}[y%6] }},
+		{"alternating", func(y int) int { return y % 2 }},
+		{"signed zeros", func(y int) int { return 3 + y/2%2 }},
+	}
 	check := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for _, c := range cases {
-			for _, pad := range []int{0, 1, 5} {
-				stride := c.w + pad
-				img := make([]float64, (c.h+2)*stride)
-				for i := range img {
-					img[i] = math.Inf(1)
-				}
-				off := stride + pad/2 // block starts one row down, pad/2 columns in
-				for y := 0; y < c.h; y++ {
-					for x := 0; x < c.w; x++ {
-						img[off+y*stride+x] = rng.NormFloat64()
+			// Sources 0–2 and 5 on are random, 3 is +0 and 4 is +0 but
+			// for one −0.
+			src := make([][]float64, 5+c.h)
+			for i := range src {
+				src[i] = make([]float64, c.w)
+				if i != 3 && i != 4 {
+					for x := range src[i] {
+						src[i][x] = rng.NormFloat64()
 					}
 				}
-				want := make([]float64, c.kh*c.kw)
-				truncatedLoops(want, make([]float64, c.h*c.kw), img[off:], stride, c.h, c.w, c.kh, c.kw)
-				tr, err := NewTruncated(c.h, c.w, c.kh, c.kw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([]float64, c.kh*c.kw)
-				tr.Forward(got, make([]float64, tr.TmpLen()), img[off:], stride)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%dx%d k=%dx%d stride %d: coefficient %d = %v, want %v",
-							c.h, c.w, c.kh, c.kw, stride, i, got[i], want[i])
-					}
-				}
-				if pad == 0 {
-					into := make([]float64, c.kh*c.kw)
-					tmp := make([]float64, c.h*tensor.TileWidth(c.kw))
-					if err := forwardTruncated2DInto(into, tmp, img[off:off+c.h*c.w], c.h, c.w, c.kh, c.kw); err != nil {
-						t.Fatal(err)
-					}
-					for i := range want {
-						if math.Float64bits(into[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%dx%d k=%dx%d Into: coefficient %d = %v, want %v", c.h, c.w, c.kh, c.kw, i, into[i], want[i])
-						}
+			}
+			src[4][c.w/2] = math.Copysign(0, -1)
+			tr, err := NewTruncated(c.h, c.w, c.kh, c.kw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range patterns {
+				for _, join := range []bool{false, true} {
+					for _, pad := range []int{0, 1, 5} {
+						what := fmt.Sprintf("%dx%d k=%dx%d %s join=%v stride %d", c.h, c.w, c.kh, c.kw, p.name, join, c.w+pad)
+						checkTruncated(t, what, tr, c.h, c.w, c.kh, c.kw, pad, join, src, p.src, rng)
 					}
 				}
 			}
@@ -73,6 +84,84 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 	for _, name := range tensor.Kernels() {
 		tensor.WithKernel(name, func() { t.Run(name, check) })
 	}
+}
+
+// checkTruncated lays an h×w block whose row y is src[id(y)] below a
+// block of random rows (whose last row repeats the block's first when join is
+// set) in a poisoned image of row stride w+pad, checks the row marks a
+// row-by-row recomputation gives the block, and checks Forward, without
+// and with them, and forwardTruncated2DInto on a contiguous block (pad
+// 0) against the plain loops, by bits.
+func checkTruncated(t *testing.T, what string, tr Truncated, h, w, kh, kw, pad int, join bool, src [][]float64, id func(y int) int, rng *rand.Rand) {
+	t.Helper()
+	stride := w + pad
+	img := make([]float64, (2*h+1)*stride)
+	for i := range img {
+		img[i] = math.Inf(1)
+	}
+	at := func(y int) []float64 { return img[y*stride : y*stride+w] } // image row y
+	for y := 0; y < h; y++ {
+		for x := range at(y) {
+			at(y)[x] = rng.NormFloat64()
+		}
+		copy(at(h+y), src[id(y)])
+	}
+	if join {
+		copy(at(h-1), at(h))
+	}
+	rep := markRows(img, stride, 2*h, w)[h:]
+	if rep[0] != join {
+		t.Fatalf("%s: first row marked %v", what, rep[0])
+	}
+	for y := 1; y < h; y++ {
+		// Distinct source rows differ in some bit.
+		if want := id(y) == id(y-1); rep[y] != want {
+			t.Fatalf("%s: row %d marked %v, want %v", what, y, rep[y], want)
+		}
+	}
+	block := img[h*stride:]
+	want := make([]float64, kh*kw)
+	truncatedLoops(want, make([]float64, h*kw), block, stride, h, w, kh, kw)
+	for _, marks := range [][]bool{nil, rep} {
+		got := make([]float64, kh*kw)
+		tmp := make([]float64, tr.TmpLen())
+		for i := range tmp {
+			tmp[i] = math.NaN()
+		}
+		tr.Forward(got, tmp, block, stride, marks)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s marked %v: coefficient %d = %v, want %v", what, marks != nil, i, got[i], want[i])
+			}
+		}
+	}
+	if pad == 0 {
+		into := make([]float64, kh*kw)
+		tmp := make([]float64, tr.TmpLen())
+		if err := forwardTruncated2DInto(into, tmp, block[:h*w], h, w, kh, kw); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(into[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s Into: coefficient %d = %v, want %v", what, i, into[i], want[i])
+			}
+		}
+	}
+}
+
+// markRows recomputes row marks row by row: rep[y] reports that row y of
+// the h×w block at src (row stride stride) holds row y−1's bits.
+func markRows(src []float64, stride, h, w int) []bool {
+	rep := make([]bool, h)
+	for y := 1; y < h; y++ {
+		rep[y] = true
+		for x := 0; x < w; x++ {
+			if math.Float64bits(src[y*stride+x]) != math.Float64bits(src[(y-1)*stride+x]) {
+				rep[y] = false
+			}
+		}
+	}
+	return rep
 }
 
 func TestForwardTruncated2DIntoErrors(t *testing.T) {

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"math"
 	"testing"
 
 	"hotspot/internal/geom"
@@ -118,6 +119,52 @@ func TestExtractAllocations(t *testing.T) {
 	reuse := raster.NewImage(im.W, im.H)
 	if n := testing.AllocsPerRun(5, func() { _, _ = RasterizeCore(reuse, clip, core, cfg) }); n != 0 {
 		t.Errorf("RasterizeCore into a reused image: %v allocations, want 0", n)
+	}
+}
+
+// TestExtractRowMarks: extraction writes the same bits whichever row marks
+// reach the block DCT — the image's own (serve marks its cores), the
+// block-row marks it takes of an unmarked image, or none, for blocks
+// taller than its stack buffer — and each tensor matches EncodeInto,
+// which transforms every row.
+func TestExtractRowMarks(t *testing.T) {
+	clip, core := servedClip()
+	for _, cfg := range []TensorConfig{DefaultTensorConfig(), {Blocks: 4, K: 32, ResNM: 4}} {
+		im, err := ExtractCoreImage(clip, core, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unmarked, err := ExtractTensorFromImage(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im.MarkRows()
+		marked, err := ExtractTensorFromImage(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := im.W / cfg.Blocks
+		enc, err := cfg.NewBlockEncoder(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block, vec := make([]float64, b*b), make([]float64, cfg.K)
+		for by := 0; by < cfg.Blocks; by++ {
+			for bx := 0; bx < cfg.Blocks; bx++ {
+				for y := 0; y < b; y++ {
+					copy(block[y*b:y*b+b], im.Pix[(by*b+y)*im.W+bx*b:])
+				}
+				if err := enc.EncodeInto(vec, block); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range vec[:cfg.K] {
+					u, m := unmarked.At(i, by, bx), marked.At(i, by, bx)
+					if math.Float64bits(u) != math.Float64bits(v) || math.Float64bits(m) != math.Float64bits(v) {
+						t.Fatalf("%d-px blocks, block (%d,%d) coeff %d: unmarked %v, marked %v, EncodeInto %v", b, bx, by, i, u, m, v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -161,7 +161,7 @@ func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 	if len(dst) < e.k {
 		return fmt.Errorf("feature: dst length %d below K=%d", len(dst), e.k)
 	}
-	e.EncodeStrided(dst, 1, block, b)
+	e.EncodeStrided(dst, 1, block, b, nil)
 	return nil
 }
 
@@ -170,11 +170,13 @@ func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 // and coefficient i is written to dst[i·dstStride]. The per-clip extractor
 // passes the core image's row stride and the tensor's channel plane, so no
 // block is copied in or out; the scan engine passes its tile's stride and
-// a cache slot. Short slices panic.
+// a cache slot. rep is nil or the marks of the blockPx image rows the
+// block spans (raster.MarkRows), as dct.Truncated.Forward takes them.
+// Short slices panic.
 //
 //hsd:noalloc
-func (e *BlockEncoder) EncodeStrided(dst []float64, dstStride int, pix []float64, stride int) {
-	e.dct.Forward(e.coef, e.tmp, pix, stride)
+func (e *BlockEncoder) EncodeStrided(dst []float64, dstStride int, pix []float64, stride int, rep []bool) {
+	e.dct.Forward(e.coef, e.tmp, pix, stride, rep)
 	for i, idx := range e.zigzag {
 		dst[i*dstStride] = e.coef[idx] * e.scale
 	}
@@ -256,8 +258,13 @@ func ExtractTensors(clips []geom.Clip, core geom.Rect, cfg TensorConfig, workers
 // through the shared BlockEncoder — the same kernel the scan engine's
 // block cache runs, which is what makes scan-vs-per-clip bit parity
 // structural rather than coincidental. Each block is read in place from
-// the image and its coefficients land straight in the tensor's channel
-// planes. The block loop is timed once per clip as the feature/dct stage.
+// the image, with the marks of the rows it spans, and its coefficients
+// land straight in the tensor's channel planes. The marks are the image's
+// own when it has them (serve marks its cores). An unmarked image, as
+// offline extraction draws, has each block row marked here into a stack
+// buffer, so the row pass skips repeats there too without allocating;
+// blocks over 64 px run every row. The block loop is timed once per clip
+// as the feature/dct stage.
 func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor, error) {
 	n := cfg.Blocks
 	enc, err := cfg.NewBlockEncoder(b)
@@ -266,10 +273,19 @@ func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor
 	}
 	out := tensor.New(cfg.K, n, n)
 	data := out.Data()
+	rep := im.Repeats()
+	var own [64]bool
 	st := trace.Time(dctSum)
 	for by := 0; by < n; by++ {
+		var brep []bool
+		if rep != nil {
+			brep = rep[by*b : by*b+b]
+		} else if b <= len(own) {
+			brep = own[:b]
+			raster.MarkRows(brep, im.Pix[by*b*im.W:], im.W)
+		}
 		for bx := 0; bx < n; bx++ {
-			enc.EncodeStrided(data[by*n+bx:], n*n, im.Pix[by*b*im.W+bx*b:], im.W)
+			enc.EncodeStrided(data[by*n+bx:], n*n, im.Pix[by*b*im.W+bx*b:], im.W, brep)
 		}
 	}
 	st.End()

@@ -220,10 +220,13 @@ func (prog *Program) resolveCall(pkg *Package, call *ast.CallExpr, concrete []ty
 	if tv, ok := pkg.Info.Types[fun]; ok && tv.IsType() {
 		return nil
 	}
-	if id, ok := fun.(*ast.Ident); ok {
-		if _, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
-			return nil
-		}
+	// Builtins: append, len, … and the qualified unsafe.Slice, unsafe.Add, ….
+	id, _ := fun.(*ast.Ident)
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if _, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
+		return nil
 	}
 	fn := funcOf(pkg.Info, call)
 	if fn == nil {

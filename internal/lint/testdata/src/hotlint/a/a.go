@@ -6,6 +6,7 @@ package a
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"hotspot/internal/lint/testdata/src/hotlint/b"
 )
@@ -44,8 +45,9 @@ func helper() int {
 var tick = make(chan int, 1)
 
 // Clean exercises every exempt idiom: evidenced appends, the exact-size
-// nil-conversion clone, the cap-guard grow, and error-construction cold
-// paths. None of it is a finding.
+// nil-conversion clone, the cap-guard grow, a qualified builtin
+// (unsafe.Slice, not a func value), and error-construction cold paths.
+// None of it is a finding.
 //
 //hsd:hotpath
 func Clean(xs []int) ([]int, error) {
@@ -55,6 +57,7 @@ func Clean(xs []int) ([]int, error) {
 	if len(clone) == 0 {
 		return nil, fmt.Errorf("empty input of cap %d", cap(xs))
 	}
+	_ = unsafe.Slice(&clone[0], len(clone))
 	if cap(out) < 8 {
 		out = append(out, 0)
 	}

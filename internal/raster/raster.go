@@ -8,17 +8,27 @@
 package raster
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"hotspot/internal/geom"
 )
 
 // Image is a dense row-major 2-D grid of float64 pixel values in [0, 1].
+//
+// An image may also carry row marks: for each row, whether it repeats the
+// row above bit for bit. MarkRows marks an image; a consumer that reads
+// the marks calls it once the pixels are written. The marks describe the
+// pixels they were computed from: Set, Reuse and every function returning
+// an image (RasterizeWindow included) leave it unmarked, and code that
+// writes Pix directly must call MarkRows again before the marks are read.
 type Image struct {
 	W, H int
 	Pix  []float64
+	rep  []bool // rep[y]: row y repeats row y−1; empty when unmarked
 }
 
 // NewImage returns a zero-filled W×H image.
@@ -32,10 +42,58 @@ func NewImage(w, h int) *Image {
 // At returns the pixel at (x, y); y indexes rows.
 func (im *Image) At(x, y int) float64 { return im.Pix[y*im.W+x] }
 
-// Set stores v at (x, y).
-func (im *Image) Set(x, y int, v float64) { im.Pix[y*im.W+x] = v }
+// Set stores v at (x, y) and drops the image's row marks.
+func (im *Image) Set(x, y int, v float64) {
+	im.Pix[y*im.W+x] = v
+	im.rep = im.rep[:0]
+}
 
-// Clone returns a deep copy.
+// MarkRows records which rows repeat the row above bit for bit, reusing
+// the storage of earlier marks.
+func (im *Image) MarkRows() {
+	if cap(im.rep) < im.H {
+		im.rep = make([]bool, im.H)
+	}
+	im.rep = im.rep[:im.H]
+	MarkRows(im.rep, im.Pix, im.W)
+}
+
+// Repeats returns the image's row marks, Repeats()[y] reporting that row
+// y holds the same bits as row y−1 (never for row 0), or nil when the
+// image is unmarked. The slice is the image's own; callers only read it.
+func (im *Image) Repeats() []bool {
+	if len(im.rep) == 0 {
+		return nil
+	}
+	return im.rep
+}
+
+// MarkRows sets rep[y], for each of the len(rep) rows of width w that pix
+// holds row-major, to whether row y holds the same bits as row y−1;
+// rep[0] is false. Bit equality tells −0 from +0 and compares NaNs by
+// payload, so equal marks mean equal inputs to any arithmetic on the rows.
+//
+//hsd:noalloc
+func MarkRows(rep []bool, pix []float64, w int) {
+	for y := range rep {
+		rep[y] = y > 0 && equalBits(pix[y*w:y*w+w], pix[(y-1)*w:y*w])
+	}
+}
+
+// equalBits reports whether two equal-length rows hold the same bits. It
+// compares their bytes with bytes.Equal, the runtime's vectorized memory
+// comparison: marking a 300×300 image takes about 17 µs that way against
+// 80 µs for a loop over Float64bits (2-vCPU Xeon), which is as long as
+// the serve cache's hash of the same pixels took.
+func equalBits(a, b []float64) bool {
+	if len(a) == 0 {
+		return true
+	}
+	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 8*len(a)),
+		unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), 8*len(b)))
+}
+
+// Clone returns an unmarked deep copy of the pixels.
 func (im *Image) Clone() *Image {
 	c := NewImage(im.W, im.H)
 	copy(c.Pix, im.Pix)
@@ -84,13 +142,14 @@ func checkWindow(x0, y0, x1, y1, w, h int) error {
 	return nil
 }
 
-// Reuse returns a zero-filled w×h image, drawn in dst's storage when dst
-// is non-nil and has room for w·h pixels and freshly allocated otherwise.
+// Reuse returns a zero-filled, unmarked w×h image, drawn in dst's storage
+// when dst is non-nil and has room for w·h pixels and freshly allocated
+// otherwise.
 func Reuse(dst *Image, w, h int) *Image {
 	if dst == nil || cap(dst.Pix) < w*h {
 		return NewImage(w, h)
 	}
-	dst.W, dst.H, dst.Pix = w, h, dst.Pix[:w*h]
+	dst.W, dst.H, dst.Pix, dst.rep = w, h, dst.Pix[:w*h], dst.rep[:0]
 	clear(dst.Pix)
 	return dst
 }

@@ -333,13 +333,14 @@ func (s *Scanner) fail(root trace.Stage, err error) error {
 }
 
 // encodeRegion rasterizes the block range [bx0,bx1)×[by0,by1) into the
-// worker's reused tile raster and encodes every block, read in place from
-// it, into its cache cell, coefficient i at channel i of the Grid's input
-// plane. Workers own disjoint block ranges, so cell writes never overlap;
-// pixel values are independent of the region bounds (area-accurate
-// rasterization is per-pixel local, and raster.RasterizeWindow draws the
-// pixels a full-die raster would hold), so the cached values are
-// independent of tiling and worker count.
+// worker's reused tile raster, marks its repeated rows, and encodes every
+// block, read in place from it with the tile's row marks, into its cache
+// cell, coefficient i at channel i of the Grid's input plane. Workers own
+// disjoint block ranges, so cell writes never overlap; pixel values are
+// independent of the region bounds (area-accurate rasterization is
+// per-pixel local, and raster.RasterizeWindow draws the pixels a full-die
+// raster would hold), so the cached values are independent of tiling and
+// worker count.
 //
 //hsd:hotpath
 func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
@@ -350,10 +351,13 @@ func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 		return err
 	}
 	ws.im = im
+	im.MarkRows()
+	rep := im.Repeats()
 	for by := by0; by < by1; by++ {
+		brep := rep[(by-by0)*b : (by-by0)*b+b]
 		for bx := bx0; bx < bx1; bx++ {
 			cell, stride := s.grid.Cell(bx, by)
-			ws.enc.EncodeStrided(cell, stride, im.Pix[(by-by0)*b*im.W+(bx-bx0)*b:], im.W)
+			ws.enc.EncodeStrided(cell, stride, im.Pix[(by-by0)*b*im.W+(bx-bx0)*b:], im.W, brep)
 		}
 	}
 	return nil

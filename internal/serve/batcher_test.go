@@ -144,12 +144,34 @@ func TestHashImageDistinguishes(t *testing.T) {
 	if hashImage(wide) == hashImage(tall) {
 		t.Fatal("shape is not part of the hash")
 	}
+	// Rows A, A, B and A, B, B have the same distinct rows, A then B;
+	// only the marks tell them apart.
+	aab, abb := raster.NewImage(2, 3), raster.NewImage(2, 3)
+	copy(aab.Pix, []float64{0.25, 0.5, 0.25, 0.5, 1, 0})
+	copy(abb.Pix, []float64{0.25, 0.5, 1, 0, 1, 0})
+	aab.MarkRows()
+	abb.MarkRows()
+	if hashImage(aab) == hashImage(abb) {
+		t.Fatal("the row marks are not part of the hash")
+	}
+	// 70 rows take two words of marks. With no row repeating the row
+	// above, marking the image changes nothing the hash reads.
+	rows := raster.NewImage(5, 70)
+	for i := range rows.Pix {
+		rows.Pix[i] = float64(i) / 350
+	}
+	unmarked := hashImage(rows)
+	rows.MarkRows()
+	if hashImage(rows) != unmarked {
+		t.Fatal("marks with no repeated row changed the hash")
+	}
 }
 
 // TestHashImageBitFlips: flipping any one of a sample of bits in any pixel
-// changes the hash — pixels 0..3 each feed one of the four lanes and pixel
-// 8 of the 3×3 image is the tail folded in after them — and no two flips
-// collide. Swapping W and H over the same pixels changes it too.
+// of an unmarked image changes the hash — each 3-pixel row of the 3×3
+// image is a row tail, its pixels fed to the first three lanes — and no
+// two flips collide. Swapping W and H over the same pixels changes it
+// too.
 func TestHashImageBitFlips(t *testing.T) {
 	base := raster.NewImage(3, 3)
 	for i := range base.Pix {

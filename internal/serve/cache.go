@@ -117,33 +117,61 @@ func hashFold(h, w uint64) uint64 {
 }
 
 // hashImage fingerprints a rasterized core window from the bit patterns
-// of its pixels and its dimensions, one 64-bit word at a time. Four
-// independent lanes each take every fourth pixel through an
-// xxHash64-style round, so the multiplies of neighbouring pixels overlap
-// instead of queueing behind one chain; the lanes are then merged, the
-// leftover pixels, W and H folded in, and the result avalanched.
-// Rasterization is deterministic, so two requests for the same geometry at
-// the same resolution hash identically; the bit-pattern basis means the
-// key — unlike any rounded representation — can never merge clips whose
-// tensors would differ except by a 64-bit collision. The key never leaves
-// the LRU.
+// of its distinct rows, its row marks and its dimensions, one 64-bit word
+// at a time. A row the image marks as repeating the row above adds only
+// its mark: the marks and the distinct rows together determine every
+// pixel, and the marks are a function of the pixels (raster.MarkRows), so
+// the key still depends on the pixels alone — equal cores share a key
+// whether a bitmap or geometry drew them — while a core whose rows mostly
+// repeat hashes a few of them. An unmarked image hashes every row.
+//
+// Four independent lanes each take every fourth pixel of a distinct row
+// through an xxHash64-style round, so the multiplies of neighbouring
+// pixels overlap instead of queueing behind one chain; a row's last
+// W mod 4 pixels go to the first lanes. The lanes are then merged, the
+// marks folded in 64 rows to a word, then W and H, and the result
+// avalanched. The bit-pattern basis means the key — unlike any rounded
+// representation — can never merge clips whose tensors would differ
+// except by a 64-bit collision. The key never leaves the LRU.
 func hashImage(im *raster.Image) uint64 {
-	pix := im.Pix
+	w, rep := im.W, im.Repeats()
 	v1, v2, v3, v4 := prime1, prime2, prime3, prime4
-	i := 0
-	for ; i+4 <= len(pix); i += 4 {
-		p := pix[i : i+4 : i+4]
-		v1 = hashRound(v1, math.Float64bits(p[0]))
-		v2 = hashRound(v2, math.Float64bits(p[1]))
-		v3 = hashRound(v3, math.Float64bits(p[2]))
-		v4 = hashRound(v4, math.Float64bits(p[3]))
+	for y := 0; y < im.H; y++ {
+		if rep != nil && rep[y] {
+			continue
+		}
+		row := im.Pix[y*w : y*w+w]
+		i := 0
+		for ; i+4 <= len(row); i += 4 {
+			p := row[i : i+4 : i+4]
+			v1 = hashRound(v1, math.Float64bits(p[0]))
+			v2 = hashRound(v2, math.Float64bits(p[1]))
+			v3 = hashRound(v3, math.Float64bits(p[2]))
+			v4 = hashRound(v4, math.Float64bits(p[3]))
+		}
+		switch tail := row[i:]; len(tail) {
+		case 3:
+			v3 = hashRound(v3, math.Float64bits(tail[2]))
+			fallthrough
+		case 2:
+			v2 = hashRound(v2, math.Float64bits(tail[1]))
+			fallthrough
+		case 1:
+			v1 = hashRound(v1, math.Float64bits(tail[0]))
+		}
 	}
 	h := bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
 	for _, v := range [4]uint64{v1, v2, v3, v4} {
 		h = (h^hashRound(0, v))*prime1 + prime4
 	}
-	for _, p := range pix[i:] {
-		h = hashFold(h, math.Float64bits(p))
+	for y0 := 0; y0 < im.H; y0 += 64 {
+		var word uint64
+		for y := y0; y < min(y0+64, len(rep)); y++ {
+			if rep[y] {
+				word |= 1 << (y - y0)
+			}
+		}
+		h = hashFold(h, word)
 	}
 	h = hashFold(h, uint64(im.W))
 	h = hashFold(h, uint64(im.H))

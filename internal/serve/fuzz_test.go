@@ -13,12 +13,14 @@ import (
 // decoding: the JSON decode, the rectangle bound and coreImage, as
 // handlePredict runs them. Nothing may panic, and an accepted clip must
 // come back as the served core, a square CoreSide/ResNM-px image with
-// every pixel 0 or in [0x1p-1022, 1] (never subnormal); it then goes back
-// to the pool. The server is smallServer's. The seed corpus in
+// every pixel 0 or in [0x1p-1022, 1] (never subnormal), whose row marks
+// are what a row-by-row bitwise comparison of its pixels gives; it then
+// goes back to the pool. The server is smallServer's. The seed corpus in
 // testdata/fuzz/FuzzClipRequest holds the TestImageSideBounds bodies, a
 // core filling a 2048-px frame, a body with a bare NaN token (not JSON, so
 // the decoder rejects it), a full bitmap whose last pixel is subnormal, a
-// valid clip and a valid bitmap.
+// bitmap whose rows alternate +0 and −0 (equal under ==, not bit for bit),
+// a valid clip and a valid bitmap.
 func FuzzClipRequest(f *testing.F) {
 	s := smallServer(f)
 	side := s.cfg.CoreSide / s.cfg.Feature.ResNM
@@ -38,6 +40,19 @@ func FuzzClipRequest(f *testing.F) {
 		for i, v := range im.Pix {
 			if !(v == 0 || v >= 0x1p-1022 && v <= 1) {
 				t.Fatalf("pixel %d is %v, neither 0 nor in [0x1p-1022, 1]", i, v)
+			}
+		}
+		rep := im.Repeats()
+		if len(rep) != side {
+			t.Fatalf("accepted clip has %d row marks, want %d", len(rep), side)
+		}
+		for y := range rep {
+			want := y > 0
+			for x := 0; x < side && want; x++ {
+				want = math.Float64bits(im.Pix[y*side+x]) == math.Float64bits(im.Pix[(y-1)*side+x])
+			}
+			if rep[y] != want {
+				t.Fatalf("row %d marked %v, but its bits say %v", y, rep[y], want)
 			}
 		}
 	})

@@ -307,11 +307,13 @@ func (ip *imagePool) put(ims ...*raster.Image) {
 // coreImage turns a request clip into the rasterized core window the
 // pipeline operates on, mirroring feature.ExtractTensor's geometry exactly
 // (the core window of the clip's frame raster) so served predictions are
-// bit-identical to offline ones. A clip's core is always the served one,
-// Config.CoreSide nm (CoreSide/ResNM px) a side: the network only ever saw
-// that block size, and it bounds each clip to one served core image.
-// Image sides are checked before anything is multiplied or allocated. The
-// image comes from the server's pool; the caller owns it (see imagePool).
+// bit-identical to offline ones. The image's rows are marked either way
+// (raster.MarkRows), for the cache key and the block DCT to read. A
+// clip's core is always the served one, Config.CoreSide nm
+// (CoreSide/ResNM px) a side: the network only ever saw that block size,
+// and it bounds each clip to one served core image. Image sides are
+// checked before anything is multiplied or allocated. The image comes
+// from the server's pool; the caller owns it (see imagePool).
 func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	cfg := s.cfg.Feature
 	if cr.Bitmap != nil {
@@ -343,6 +345,7 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 			}
 			im.Pix[i] = v
 		}
+		im.MarkRows()
 		return im, nil
 	}
 	if cr.Frame == nil {
@@ -381,6 +384,7 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		s.images.put(buf)
 		return nil, err
 	}
+	im.MarkRows()
 	return im, nil
 }
 

@@ -288,6 +288,56 @@ func TestCacheDedup(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIsThePixels: the cache key depends on the core's pixels
+// alone. A bitmap of a geometry request's core hits the entry that request
+// filled, with the same bits. The key hashes only the distinct rows and
+// the row marks, so one flipped bit in a row that repeats the row above —
+// +0 to −0, which compares equal under == — must still miss: the row is
+// no longer a repeat, and its mark and pixels enter the key.
+func TestCacheKeyIsThePixels(t *testing.T) {
+	cfg := testConfig()
+	_, ts := newTestServer(t, cfg, 5)
+	clip := testClips(1, 7)[0]
+	_, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict", clipRequest(clip))
+	first := decodePredict(t, raw)
+	if first.Cached {
+		t.Fatal("first request claims a cache hit")
+	}
+	im, err := feature.ExtractCoreImage(clip, serve.CenteredCore(testFrame, cfg.CoreSide), cfg.Feature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitmap := func(pix []float64) serve.PredictResponse {
+		t.Helper()
+		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict",
+			serve.ClipRequest{Bitmap: &serve.BitmapJSON{W: im.W, H: im.H, Pix: pix}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bitmap: status %d: %s", resp.StatusCode, raw)
+		}
+		return decodePredict(t, raw)
+	}
+	same := bitmap(im.Pix)
+	if !same.Cached || math.Float64bits(same.Prob) != math.Float64bits(first.Prob) {
+		t.Fatalf("bitmap of the geometry core: cached=%v prob %v, want a hit with %v", same.Cached, same.Prob, first.Prob)
+	}
+	// A zero pixel in a row that repeats the row above.
+	im.MarkRows()
+	at := -1
+	for i := im.W; i < len(im.Pix) && at < 0; i++ {
+		if im.Repeats()[i/im.W] && math.Float64bits(im.Pix[i]) == 0 {
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatal("test clip has no zero pixel in a repeated row")
+	}
+	flipped := append([]float64(nil), im.Pix...)
+	flipped[at] = math.Copysign(0, -1)
+	if got := bitmap(flipped); got.Cached {
+		t.Fatalf("pixel %d flipped to −0 in a repeated row hit the cache", at)
+	}
+}
+
 // TestFlushBySize: with a long deadline, MaxBatch concurrent clients
 // coalesce into one full micro-batch.
 func TestFlushBySize(t *testing.T) {

@@ -30,7 +30,13 @@
 #                            FuzzClipRequest over serve's request
 #                            decoding: no panic, and every accepted clip
 #                            is the served core with every pixel 0 or in
-#                            [0x1p-1022, 1]
+#                            [0x1p-1022, 1] and row marks that match its
+#                            pixels bit for bit; then 10 s of
+#                            FuzzRasterizeWindow over arbitrary rectangle
+#                            lists: no panic, a window equals the same
+#                            crop of Rasterize bit for bit, every pixel
+#                            is in [0, 1], and the row marks match a
+#                            row-by-row bitwise recomputation
 #                            (go test -fuzz takes one target per run)
 #   7. perfbench go test     the repository benchmark's own tests, so an
 #                            API change it depends on fails here and not
@@ -126,6 +132,9 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/nn/
 
 echo "==> go test -fuzz FuzzClipRequest (10 s)"
 go test -run '^$' -fuzz '^FuzzClipRequest$' -fuzztime 10s ./internal/serve/
+
+echo "==> go test -fuzz FuzzRasterizeWindow (10 s)"
+go test -run '^$' -fuzz '^FuzzRasterizeWindow$' -fuzztime 10s ./internal/raster/
 
 echo "==> perfbench go test ./..."
 (cd perfbench && go test ./...)
