@@ -132,17 +132,18 @@ func NewTruncated(h, w, kh, kw int) (Truncated, error) {
 // h rows of the kw transformed columns, padded to TileWidth(kw).
 func (t *Truncated) TmpLen() int { return t.h * tensor.TileWidth(t.kw) }
 
-// Forward writes the kh×kw corner of the block whose row y is
-// src[y·stride : y·stride+w] into dst (row-major, at least kh·kw long),
-// using tmp (TmpLen elements) as scratch. A block inside a larger image is
-// read in place by passing the image's row stride.
+// Forward writes the kh×kw corner of an h×w block into dst (row-major,
+// at least kh·kw long), using tmp (TmpLen elements) as scratch. src holds
+// the block's distinct rows, stride apart: the k-th row the block does
+// not repeat is src[k·stride : k·stride+w]. A block inside a larger image
+// or a raster.Rows is read in place by passing its row stride.
 //
 // rep, when non-nil, marks the block's repeated rows: rep[y], for
-// 0 < y < h, reports that row y holds the same bits as row y−1 (rep[0] is
-// not read, so a block's first row is always transformed). The row pass
-// then transforms only the other rows and copies each repeated row's
-// transform from the row above: equal bits in give equal bits out. A nil
-// rep transforms every row.
+// 0 < y < h, reports that row y holds the same bits as row y−1, so src
+// does not hold it (rep[0] is not read: the block's first row is src's
+// first). The row pass transforms only the rows src holds and copies each
+// repeated row's transform from the row above: equal bits in give equal
+// bits out. A nil rep marks no row, so src holds row y at y·stride.
 //
 // Both passes run on the dot tile: the row pass dots four distinct block
 // rows with four basis rows at a time, the column pass four basis rows
@@ -155,19 +156,20 @@ func (t *Truncated) Forward(dst, tmp, src []float64, stride int, rep []bool) {
 	h, kh, kw := t.h, t.kh, t.kw
 	ld := tensor.TileWidth(kw)
 	var s [16]float64
-	// Row pass: tmp[y][v] = Σ_x src[y][x]·Cw[v][x] for the distinct rows,
-	// gathered four to a tile. A short last tile repeats its last row, and
-	// the padding columns multiply zero basis entries; neither is read
-	// into dst.
+	// Row pass: tmp[y][v] = Σ_x src[k][x]·Cw[v][x] for the distinct rows,
+	// row y being src's row k, gathered four to a tile. A short last tile
+	// repeats its last row, and the padding columns multiply zero basis
+	// entries; neither is read into dst.
 	var rows [tensor.TileRows]int
-	n := 0
+	n, k := 0, 0 // rows in the tile; src's row of the tile's first
 	for y := 0; y < h; y++ {
 		if y > 0 && rep != nil && rep[y] {
 			continue
 		}
 		rows[n] = y
 		if n++; n == tensor.TileRows {
-			t.rowTile(tmp, src, stride, &rows, &s)
+			t.rowTile(tmp, src[k*stride:], stride, n, &rows, &s)
+			k += n
 			n = 0
 		}
 	}
@@ -175,7 +177,7 @@ func (t *Truncated) Forward(dst, tmp, src []float64, stride int, rep []bool) {
 		for r := n; r < tensor.TileRows; r++ {
 			rows[r] = rows[n-1]
 		}
-		t.rowTile(tmp, src, stride, &rows, &s)
+		t.rowTile(tmp, src[k*stride:], stride, n, &rows, &s)
 	}
 	if rep != nil {
 		for y := 1; y < h; y++ {
@@ -200,15 +202,17 @@ func (t *Truncated) Forward(dst, tmp, src []float64, stride int, rep []bool) {
 	}
 }
 
-// rowTile runs the row pass over the four block rows rows[0..3], writing
-// each row's kw transformed columns (padded to TileWidth(kw)) into its
-// row of tmp. A row listed twice is written twice with the same bits.
+// rowTile runs the row pass over src's first n rows (1 ≤ n ≤ 4), stride
+// apart, writing each row's kw transformed columns (padded to
+// TileWidth(kw)) into row rows[r] of tmp. A short tile repeats src's row
+// n−1, whose tmp row rows[n−1] = rows[r] is then written again with the
+// same bits.
 //
 //hsd:noalloc
-func (t *Truncated) rowTile(tmp, src []float64, stride int, rows *[tensor.TileRows]int, s *[16]float64) {
+func (t *Truncated) rowTile(tmp, src []float64, stride, n int, rows *[tensor.TileRows]int, s *[16]float64) {
 	w, ld := t.w, tensor.TileWidth(t.kw)
-	b0, b1 := src[rows[0]*stride:rows[0]*stride+w], src[rows[1]*stride:rows[1]*stride+w]
-	b2, b3 := src[rows[2]*stride:rows[2]*stride+w], src[rows[3]*stride:rows[3]*stride+w]
+	r1, r2, r3 := min(1, n-1)*stride, min(2, n-1)*stride, min(3, n-1)*stride
+	b0, b1, b2, b3 := src[:w], src[r1:r1+w], src[r2:r2+w], src[r3:r3+w]
 	for v := 0; v < ld; v += tensor.TileRows {
 		tensor.DotTile(s, t.cwT[v:], ld, b0, b1, b2, b3)
 		for r, y := range rows {

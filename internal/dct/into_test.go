@@ -11,12 +11,12 @@ import (
 
 // TestTruncatedMatchesLoops pins the dot-tile transform to the plain
 // sequential loops it replaced, bit for bit, on every tile kernel body the
-// host has, with and without row marks. Shapes cover corners that are and
-// are not multiples of the tile's 4 lanes. Each block sits below a block
-// of random rows in an image whose other pixels are poison values a
-// misplaced read would carry into the result, read in place at strides
-// w, w+1 and w+5. Its row y is one of a few source rows, chosen by
-// pattern:
+// host has, on dense rows and on distinct rows packed as raster.Rows keeps
+// them. Shapes cover corners that are and are not multiples of the tile's
+// 4 lanes. Each block sits below a block of random rows in an image whose
+// other pixels are poison values a misplaced read would carry into the
+// result, read in place at strides w, w+1 and w+5. Its row y is one of a
+// few source rows, chosen by pattern:
 //   - all rows distinct;
 //   - every row equal;
 //   - runs of 1, 2 and 3 rows;
@@ -25,8 +25,10 @@ import (
 //   - rows of +0 and rows that differ from them only by a −0, which are
 //     equal under == but not bit for bit, so they are not marked either;
 //   - and each of those with the block's first row equal to the last row
-//     of the block above, which the image's marks then mark: Forward
-//     must still transform it, since the block's tmp has no row above it.
+//     of the block above, which the image's marks then mark: the block's
+//     packed rows then start at the stored row above it, and Forward must
+//     still transform its first row, since the block's tmp has no row
+//     above it.
 //
 // The marks are recomputed row by row from the image's bits, and the test
 // checks that they mark what each pattern repeats. The row scratch starts
@@ -87,17 +89,20 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 }
 
 // checkTruncated lays an h×w block whose row y is src[id(y)] below a
-// block of random rows (whose last row repeats the block's first when join is
-// set) in a poisoned image of row stride w+pad, checks the row marks a
-// row-by-row recomputation gives the block, and checks Forward, without
-// and with them, and forwardTruncated2DInto on a contiguous block (pad
-// 0) against the plain loops, by bits.
+// block of random rows (whose last row repeats the block's first when join
+// is set) in a poisoned image of row stride w+pad, checks the row marks a
+// row-by-row recomputation gives the block, packs the image's distinct
+// rows at the same stride into a second poisoned image, and checks
+// Forward on the dense block with nil marks and on the packed rows with
+// the marks, and forwardTruncated2DInto on a contiguous block (pad 0),
+// against the plain loops, by bits.
 func checkTruncated(t *testing.T, what string, tr Truncated, h, w, kh, kw, pad int, join bool, src [][]float64, id func(y int) int, rng *rand.Rand) {
 	t.Helper()
 	stride := w + pad
 	img := make([]float64, (2*h+1)*stride)
+	packed := make([]float64, (2*h+1)*stride)
 	for i := range img {
-		img[i] = math.Inf(1)
+		img[i], packed[i] = math.Inf(1), math.Inf(1)
 	}
 	at := func(y int) []float64 { return img[y*stride : y*stride+w] } // image row y
 	for y := 0; y < h; y++ {
@@ -109,7 +114,8 @@ func checkTruncated(t *testing.T, what string, tr Truncated, h, w, kh, kw, pad i
 	if join {
 		copy(at(h-1), at(h))
 	}
-	rep := markRows(img, stride, 2*h, w)[h:]
+	marks := markRows(img, stride, 2*h, w)
+	rep := marks[h:]
 	if rep[0] != join {
 		t.Fatalf("%s: first row marked %v", what, rep[0])
 	}
@@ -119,19 +125,32 @@ func checkTruncated(t *testing.T, what string, tr Truncated, h, w, kh, kw, pad i
 			t.Fatalf("%s: row %d marked %v, want %v", what, y, rep[y], want)
 		}
 	}
+	k, first := 0, 0 // stored rows; the stored row image row h resolves to
+	for y := 0; y < 2*h; y++ {
+		if y == 0 || !marks[y] {
+			copy(packed[k*stride:k*stride+w], at(y))
+			k++
+		}
+		if y == h {
+			first = k - 1
+		}
+	}
 	block := img[h*stride:]
 	want := make([]float64, kh*kw)
 	truncatedLoops(want, make([]float64, h*kw), block, stride, h, w, kh, kw)
-	for _, marks := range [][]bool{nil, rep} {
+	for _, in := range []struct {
+		rows []float64
+		rep  []bool
+	}{{block, nil}, {packed[first*stride:], rep}} {
 		got := make([]float64, kh*kw)
 		tmp := make([]float64, tr.TmpLen())
 		for i := range tmp {
 			tmp[i] = math.NaN()
 		}
-		tr.Forward(got, tmp, block, stride, marks)
+		tr.Forward(got, tmp, in.rows, stride, in.rep)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s marked %v: coefficient %d = %v, want %v", what, marks != nil, i, got[i], want[i])
+				t.Fatalf("%s packed %v: coefficient %d = %v, want %v", what, in.rep != nil, i, got[i], want[i])
 			}
 		}
 	}

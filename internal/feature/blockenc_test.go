@@ -116,17 +116,17 @@ func TestExtractAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { _, _ = ExtractTensorFromImage(im, cfg) }); n > 10 {
 		t.Errorf("ExtractTensorFromImage: %v allocations per clip, want at most 10", n)
 	}
-	reuse := raster.NewImage(im.W, im.H)
-	if n := testing.AllocsPerRun(5, func() { _, _ = RasterizeCore(reuse, clip, core, cfg) }); n != 0 {
-		t.Errorf("RasterizeCore into a reused image: %v allocations, want 0", n)
+	var rows raster.Rows
+	if n := testing.AllocsPerRun(5, func() { _ = RasterizeCore(&rows, clip, core, cfg) }); n != 0 {
+		t.Errorf("RasterizeCore into a warm form: %v allocations, want 0", n)
 	}
 }
 
-// TestExtractRowMarks: extraction writes the same bits whichever row marks
-// reach the block DCT — the image's own (serve marks its cores), the
-// block-row marks it takes of an unmarked image, or none, for blocks
-// taller than its stack buffer — and each tensor matches EncodeInto,
-// which transforms every row.
+// TestExtractRowMarks: extraction writes the same bits whichever way the
+// core's rows reach the block DCT — drawn as distinct rows by
+// RasterizeCore, as offline ExtractTensor draws them, or drawn dense and
+// packed by ExtractTensorFromImage — at 25- and 75-px blocks, and each
+// tensor matches EncodeInto, which reads every row of a dense block.
 func TestExtractRowMarks(t *testing.T) {
 	clip, core := servedClip()
 	for _, cfg := range []TensorConfig{DefaultTensorConfig(), {Blocks: 4, K: 32, ResNM: 4}} {
@@ -134,12 +134,19 @@ func TestExtractRowMarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unmarked, err := ExtractTensorFromImage(im, cfg)
+		packed, err := ExtractTensorFromImage(im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		im.MarkRows()
-		marked, err := ExtractTensorFromImage(im, cfg)
+		var rows raster.Rows
+		if err := RasterizeCore(&rows, clip, core, cfg); err != nil {
+			t.Fatal(err)
+		}
+		drawn, err := ExtractTensorFromRows(&rows, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline, err := ExtractTensor(clip, core, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,9 +165,13 @@ func TestExtractRowMarks(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, v := range vec[:cfg.K] {
-					u, m := unmarked.At(i, by, bx), marked.At(i, by, bx)
-					if math.Float64bits(u) != math.Float64bits(v) || math.Float64bits(m) != math.Float64bits(v) {
-						t.Fatalf("%d-px blocks, block (%d,%d) coeff %d: unmarked %v, marked %v, EncodeInto %v", b, bx, by, i, u, m, v)
+					for _, got := range []struct {
+						name string
+						x    float64
+					}{{"packed", packed.At(i, by, bx)}, {"drawn", drawn.At(i, by, bx)}, {"offline", offline.At(i, by, bx)}} {
+						if math.Float64bits(got.x) != math.Float64bits(v) {
+							t.Fatalf("%d-px blocks, block (%d,%d) coeff %d: %s %v, EncodeInto %v", b, bx, by, i, got.name, got.x, v)
+						}
 					}
 				}
 			}

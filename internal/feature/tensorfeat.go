@@ -166,13 +166,15 @@ func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 }
 
 // EncodeStrided is EncodeInto for a block read in place and coefficients
-// scattered in place: row y of the block is pix[y·stride : y·stride+blockPx],
-// and coefficient i is written to dst[i·dstStride]. The per-clip extractor
-// passes the core image's row stride and the tensor's channel plane, so no
-// block is copied in or out; the scan engine passes its tile's stride and
-// a cache slot. rep is nil or the marks of the blockPx image rows the
-// block spans (raster.MarkRows), as dct.Truncated.Forward takes them.
-// Short slices panic.
+// scattered in place: the block's rows are read stride apart from pix, as
+// dct.Truncated.Forward reads them, and coefficient i is written to
+// dst[i·dstStride]. rep is nil, for rows stored densely, or the marks of
+// the blockPx rows the block spans, for rows stored distinct as a
+// raster.Rows keeps them; pix then starts at the stored row the block's
+// first row resolves to. The per-clip extractor passes a core's stored
+// rows and the tensor's channel plane, so no block is copied in or out;
+// the scan engine passes its tile's stored rows and a cache slot. Short
+// slices panic.
 //
 //hsd:noalloc
 func (e *BlockEncoder) EncodeStrided(dst []float64, dstStride int, pix []float64, stride int, rep []bool) {
@@ -204,42 +206,53 @@ func ExtractTensor(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*tensor.Te
 	if err != nil {
 		return nil, err
 	}
-	coreIm, err := ExtractCoreImage(clip, core, cfg)
-	if err != nil {
+	var rows raster.Rows
+	if err := RasterizeCore(&rows, clip, core, cfg); err != nil {
 		return nil, err
 	}
-	return extractFromImage(coreIm, b, cfg)
+	return extractRows(&rows, b, cfg)
 }
 
 // ExtractCoreImage rasterizes a clip's core window — the exact pixel grid
-// ExtractTensor feeds into the blocked DCT — into a new image. It is split
-// out so online callers (the inference server) can rasterize once, hash
-// the pixels for clip deduplication, and hand the same image to
-// ExtractTensorFromImage without re-rasterizing.
-func ExtractCoreImage(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
-	return RasterizeCore(nil, clip, core, cfg)
-}
-
-// RasterizeCore is ExtractCoreImage drawing into dst's storage when it
-// has room (raster.Reuse), so a caller that recycles core images pays no
-// allocation. Only the core window of the clip's frame is rasterized; its
+// ExtractTensor feeds into the blocked DCT — into a new dense image. Its
 // pixels equal a full-frame raster.Rasterize cropped to the core, bit for
 // bit.
-func RasterizeCore(dst *raster.Image, clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
-	if cfg.ResNM <= 0 {
-		return nil, fmt.Errorf("feature: ResNM must be positive, got %d", cfg.ResNM)
+func ExtractCoreImage(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
+	x0, y0, side, err := coreWindow(clip, core, cfg)
+	if err != nil {
+		return nil, err
 	}
-	// Window offsets are relative to the frame's lower-left corner, the
-	// origin of the frame's pixel grid.
-	x0 := (core.X0 - clip.Frame.X0) / cfg.ResNM
-	y0 := (core.Y0 - clip.Frame.Y0) / cfg.ResNM
-	side := core.W() / cfg.ResNM
 	st := trace.Time(rasterSum)
-	im, err := raster.RasterizeWindow(dst, clip, cfg.ResNM, x0, y0, side, side)
+	im, err := raster.RasterizeWindow(clip, cfg.ResNM, x0, y0, side, side)
 	if st.Done(err) != nil {
 		return nil, err
 	}
 	return im, nil
+}
+
+// RasterizeCore draws the core window ExtractCoreImage draws into dst as
+// its distinct rows (raster.Rows.RasterizeWindow), keeping dst's storage,
+// so a caller that recycles cores allocates nothing once they are warm.
+// The inference server rasterizes each request clip this way, hashes the
+// rows for clip deduplication and hands the same rows to
+// ExtractTensorFromRows.
+func RasterizeCore(dst *raster.Rows, clip geom.Clip, core geom.Rect, cfg TensorConfig) error {
+	x0, y0, side, err := coreWindow(clip, core, cfg)
+	if err != nil {
+		return err
+	}
+	st := trace.Time(rasterSum)
+	return st.Done(dst.RasterizeWindow(clip, cfg.ResNM, x0, y0, side, side))
+}
+
+// coreWindow returns the core's pixel window in the grid of the clip's
+// frame: offsets relative to the frame's lower-left corner, the origin of
+// that grid, and the side.
+func coreWindow(clip geom.Clip, core geom.Rect, cfg TensorConfig) (x0, y0, side int, err error) {
+	if cfg.ResNM <= 0 {
+		return 0, 0, 0, fmt.Errorf("feature: ResNM must be positive, got %d", cfg.ResNM)
+	}
+	return (core.X0 - clip.Frame.X0) / cfg.ResNM, (core.Y0 - clip.Frame.Y0) / cfg.ResNM, core.W() / cfg.ResNM, nil
 }
 
 // ExtractTensors extracts the feature tensor of every clip's core window,
@@ -254,38 +267,27 @@ func ExtractTensors(clips []geom.Clip, core geom.Rect, cfg TensorConfig, workers
 	})
 }
 
-// extractFromImage runs block-DCT encoding over an already-rasterized core
-// through the shared BlockEncoder — the same kernel the scan engine's
+// extractRows runs block-DCT encoding over a rasterized core's distinct
+// rows through the shared BlockEncoder — the same kernel the scan engine's
 // block cache runs, which is what makes scan-vs-per-clip bit parity
 // structural rather than coincidental. Each block is read in place from
-// the image, with the marks of the rows it spans, and its coefficients
-// land straight in the tensor's channel planes. The marks are the image's
-// own when it has them (serve marks its cores). An unmarked image, as
-// offline extraction draws, has each block row marked here into a stack
-// buffer, so the row pass skips repeats there too without allocating;
-// blocks over 64 px run every row. The block loop is timed once per clip
-// as the feature/dct stage.
-func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor, error) {
-	n := cfg.Blocks
+// the stored rows, from the one its first row resolves to, with the marks
+// of the rows it spans, so the row pass transforms only distinct rows; its
+// coefficients land straight in the tensor's channel planes. The block
+// loop is timed once per clip as the feature/dct stage.
+func extractRows(rows *raster.Rows, b int, cfg TensorConfig) (*tensor.Tensor, error) {
+	n, w := cfg.Blocks, rows.W
 	enc, err := cfg.NewBlockEncoder(b)
 	if err != nil {
 		return nil, err
 	}
 	out := tensor.New(cfg.K, n, n)
 	data := out.Data()
-	rep := im.Repeats()
-	var own [64]bool
 	st := trace.Time(dctSum)
 	for by := 0; by < n; by++ {
-		var brep []bool
-		if rep != nil {
-			brep = rep[by*b : by*b+b]
-		} else if b <= len(own) {
-			brep = own[:b]
-			raster.MarkRows(brep, im.Pix[by*b*im.W:], im.W)
-		}
+		pix, rep := rows.Pix[rows.Stored(by*b)*w:], rows.Rep[by*b:by*b+b]
 		for bx := 0; bx < n; bx++ {
-			enc.EncodeStrided(data[by*n+bx:], n*n, im.Pix[by*b*im.W+bx*b:], im.W, brep)
+			enc.EncodeStrided(data[by*n+bx:], n*n, pix[bx*b:], w, rep)
 		}
 	}
 	st.End()
@@ -293,22 +295,46 @@ func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor
 }
 
 // ExtractTensorFromImage computes the feature tensor directly from a
-// rasterized core image (side pixels must divide evenly into Blocks).
+// rasterized core image (side pixels must divide evenly into Blocks). The
+// image is packed into its distinct rows first, as ExtractTensorFromRows
+// reads them.
 func ExtractTensorFromImage(im *raster.Image, cfg TensorConfig) (*tensor.Tensor, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := cfg.coreBlock(im.W, im.H)
+	if err != nil {
 		return nil, err
 	}
-	if im.W != im.H {
-		return nil, fmt.Errorf("feature: image %dx%d must be square", im.W, im.H)
+	var rows raster.Rows
+	rows.Pack(im)
+	return extractRows(&rows, b, cfg)
+}
+
+// ExtractTensorFromRows computes the feature tensor from a rasterized
+// core's distinct rows (side pixels must divide evenly into Blocks).
+func ExtractTensorFromRows(rows *raster.Rows, cfg TensorConfig) (*tensor.Tensor, error) {
+	b, err := cfg.coreBlock(rows.W, rows.H)
+	if err != nil {
+		return nil, err
 	}
-	b := im.W / cfg.Blocks
-	if b*cfg.Blocks != im.W {
-		return nil, fmt.Errorf("feature: image side %d not divisible into %d blocks", im.W, cfg.Blocks)
+	return extractRows(rows, b, cfg)
+}
+
+// coreBlock validates a rasterized w×h core against the configuration and
+// returns its block side in pixels.
+func (c TensorConfig) coreBlock(w, h int) (int, error) {
+	if err := c.Validate(); err != nil {
+		return 0, err
 	}
-	if cfg.K > b*b {
-		return nil, fmt.Errorf("feature: K=%d exceeds block capacity %d", cfg.K, b*b)
+	if w != h {
+		return 0, fmt.Errorf("feature: image %dx%d must be square", w, h)
 	}
-	return extractFromImage(im, b, cfg)
+	b := w / c.Blocks
+	if b*c.Blocks != w {
+		return 0, fmt.Errorf("feature: image side %d not divisible into %d blocks", w, c.Blocks)
+	}
+	if c.K > b*b {
+		return 0, fmt.Errorf("feature: K=%d exceeds block capacity %d", c.K, b*b)
+	}
+	return b, nil
 }
 
 // DecodeTensor inverts ExtractTensor up to the dropped high-frequency

@@ -134,12 +134,12 @@ func (r *Result) HotWindows() int {
 	return n
 }
 
-// workerState is one worker's scratch: a block encoder and the raster of
-// the tile it encodes, reused from tile to tile (raster.RasterizeWindow
-// clears it before drawing), so the extract pass allocates no images.
+// workerState is one worker's scratch: a block encoder and the distinct
+// rows of the tile it encodes, whose storage is reused from tile to tile,
+// so the extract pass allocates no rasters once the workers are warm.
 type workerState struct {
-	enc *feature.BlockEncoder
-	im  *raster.Image
+	enc  *feature.BlockEncoder
+	rows raster.Rows
 }
 
 // Scanner scans one die. It owns the Grid — the block cache and the
@@ -332,32 +332,28 @@ func (s *Scanner) fail(root trace.Stage, err error) error {
 	return err
 }
 
-// encodeRegion rasterizes the block range [bx0,bx1)×[by0,by1) into the
-// worker's reused tile raster, marks its repeated rows, and encodes every
-// block, read in place from it with the tile's row marks, into its cache
+// encodeRegion rasterizes the block range [bx0,bx1)×[by0,by1) as the
+// distinct rows of the worker's tile, and encodes every block, read in
+// place from the stored rows with the tile's row marks, into its cache
 // cell, coefficient i at channel i of the Grid's input plane. Workers own
 // disjoint block ranges, so cell writes never overlap; pixel values are
 // independent of the region bounds (area-accurate rasterization is
-// per-pixel local, and raster.RasterizeWindow draws the pixels a full-die
-// raster would hold), so the cached values are independent of tiling and
-// worker count.
+// per-pixel local, and a window draws the pixels a full-die raster would
+// hold), so the cached values are independent of tiling and worker count.
 //
 //hsd:hotpath
 func (s *Scanner) encodeRegion(worker, bx0, by0, bx1, by1 int) error {
 	ws := s.workers[worker]
-	b := s.blockPx
-	im, err := raster.RasterizeWindow(ws.im, s.die, s.cfg.Feature.ResNM, bx0*b, by0*b, (bx1-bx0)*b, (by1-by0)*b)
-	if err != nil {
+	b, rows := s.blockPx, &ws.rows
+	if err := rows.RasterizeWindow(s.die, s.cfg.Feature.ResNM, bx0*b, by0*b, (bx1-bx0)*b, (by1-by0)*b); err != nil {
 		return err
 	}
-	ws.im = im
-	im.MarkRows()
-	rep := im.Repeats()
 	for by := by0; by < by1; by++ {
-		brep := rep[(by-by0)*b : (by-by0)*b+b]
+		y := (by - by0) * b
+		pix, rep := rows.Pix[rows.Stored(y)*rows.W:], rows.Rep[y:y+b]
 		for bx := bx0; bx < bx1; bx++ {
 			cell, stride := s.grid.Cell(bx, by)
-			ws.enc.EncodeStrided(cell, stride, im.Pix[(by-by0)*b*im.W+(bx-bx0)*b:], im.W, brep)
+			ws.enc.EncodeStrided(cell, stride, pix[(bx-bx0)*b:], rows.W, rep)
 		}
 	}
 	return nil

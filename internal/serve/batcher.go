@@ -30,7 +30,7 @@ var (
 // exactly one result, so the flush loop never blocks on a caller that
 // timed out and walked away.
 type request struct {
-	im   *raster.Image
+	im   *raster.Rows
 	key  uint64
 	resp chan result
 	// queue is the request's queue-wait stage, started by the handler
@@ -243,7 +243,7 @@ func (b *batcher) run(batch []*request) {
 
 	ex := bsp.Stage(stageExtract, met.extractSum)
 	exts, _ := parallel.Map(b.pool, n, func(_, i int) (extraction, error) {
-		x, err := feature.ExtractTensorFromImage(batch[i].im, b.srv.cfg.Feature)
+		x, err := feature.ExtractTensorFromRows(batch[i].im, b.srv.cfg.Feature)
 		return extraction{x: x, err: err}, nil
 	})
 	ex.End()

@@ -24,7 +24,7 @@ func testFeatureCfg() feature.TensorConfig {
 func TestEnqueueBackpressure(t *testing.T) {
 	b := newBatcher(nil, 2, 4, time.Millisecond, parallel.New(1))
 	mk := func() *request {
-		return &request{im: raster.NewImage(4, 4), resp: make(chan result, 1)}
+		return &request{im: pack(raster.NewImage(4, 4)), resp: make(chan result, 1)}
 	}
 	if err := b.enqueue(mk()); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestEnqueueAfterClose(t *testing.T) {
 	// still an answer — the invariant is one result per accepted request.
 	reqs := make([]*request, 4)
 	for i := range reqs {
-		reqs[i] = &request{im: raster.NewImage(48, 48), resp: make(chan result, 1)}
+		reqs[i] = &request{im: pack(raster.NewImage(48, 48)), resp: make(chan result, 1)}
 		if err := s.batcher.enqueue(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestEnqueueAfterClose(t *testing.T) {
 			t.Fatalf("request %d accepted before Close was never answered", i)
 		}
 	}
-	late := &request{im: raster.NewImage(48, 48), resp: make(chan result, 1)}
+	late := &request{im: pack(raster.NewImage(48, 48)), resp: make(chan result, 1)}
 	if err := s.batcher.enqueue(late); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("enqueue after Close: %v, want ErrShuttingDown", err)
 	}
@@ -126,64 +126,68 @@ func TestClipCacheLRU(t *testing.T) {
 	}
 }
 
-// TestHashImageDistinguishes: images differing in one pixel bit or in
-// shape hash differently, and hashing is reproducible.
-func TestHashImageDistinguishes(t *testing.T) {
+// hashCases are small cores whose keys TestHashImageDistinguishes
+// compares and TestHashImageMatchesDenseOracle checks.
+func hashCases() map[string]*raster.Image {
 	a := raster.NewImage(8, 8)
 	a.Set(3, 4, 0.25)
 	b := a.Clone()
-	if hashImage(a) != hashImage(b) {
-		t.Fatal("equal images hash differently")
-	}
 	b.Set(3, 4, 0.250000000000001)
-	if hashImage(a) == hashImage(b) {
-		t.Fatal("a one-ulp pixel change did not change the hash")
-	}
-	wide := raster.NewImage(16, 4) // same pixel count, different shape
-	tall := raster.NewImage(4, 16)
-	if hashImage(wide) == hashImage(tall) {
-		t.Fatal("shape is not part of the hash")
-	}
-	// Rows A, A, B and A, B, B have the same distinct rows, A then B;
-	// only the marks tell them apart.
+	// Rows A, A, B and A, B, B have the same distinct rows, A then B.
 	aab, abb := raster.NewImage(2, 3), raster.NewImage(2, 3)
 	copy(aab.Pix, []float64{0.25, 0.5, 0.25, 0.5, 1, 0})
 	copy(abb.Pix, []float64{0.25, 0.5, 1, 0, 1, 0})
-	aab.MarkRows()
-	abb.MarkRows()
-	if hashImage(aab) == hashImage(abb) {
-		t.Fatal("the row marks are not part of the hash")
-	}
-	// 70 rows take two words of marks. With no row repeating the row
-	// above, marking the image changes nothing the hash reads.
+	// 70 rows take two words of marks, none of them set.
 	rows := raster.NewImage(5, 70)
 	for i := range rows.Pix {
 		rows.Pix[i] = float64(i) / 350
 	}
-	unmarked := hashImage(rows)
-	rows.MarkRows()
-	if hashImage(rows) != unmarked {
-		t.Fatal("marks with no repeated row changed the hash")
+	return map[string]*raster.Image{
+		"a": a, "a-clone": a.Clone(), "b": b,
+		"wide": raster.NewImage(16, 4), "tall": raster.NewImage(4, 16), // same pixel count, different shape
+		"aab": aab, "abb": abb, "rows70": rows,
+	}
+}
+
+// TestHashImageDistinguishes: images differing in one pixel bit, in shape
+// or only in their row marks hash differently, and hashing is
+// reproducible.
+func TestHashImageDistinguishes(t *testing.T) {
+	key := map[string]uint64{}
+	for name, im := range hashCases() {
+		key[name] = hashImage(pack(im))
+	}
+	if key["a"] != key["a-clone"] {
+		t.Fatal("equal images hash differently")
+	}
+	if key["a"] == key["b"] {
+		t.Fatal("a one-ulp pixel change did not change the hash")
+	}
+	if key["wide"] == key["tall"] {
+		t.Fatal("shape is not part of the hash")
+	}
+	if key["aab"] == key["abb"] {
+		t.Fatal("the row marks are not part of the hash")
 	}
 }
 
 // TestHashImageBitFlips: flipping any one of a sample of bits in any pixel
-// of an unmarked image changes the hash — each 3-pixel row of the 3×3
-// image is a row tail, its pixels fed to the first three lanes — and no
-// two flips collide. Swapping W and H over the same pixels changes it
-// too.
+// of an image with no repeated row changes the hash — each 3-pixel row of
+// the 3×3 image is a row tail, its pixels fed to the first three lanes —
+// and no two flips collide. Swapping W and H over the same pixels changes
+// it too.
 func TestHashImageBitFlips(t *testing.T) {
 	base := raster.NewImage(3, 3)
 	for i := range base.Pix {
 		base.Pix[i] = float64(i+1) / 16
 	}
-	seen := map[uint64]string{hashImage(base): "base"}
+	seen := map[uint64]string{hashImage(pack(base)): "base"}
 	for _, px := range []int{0, 1, 2, 3, 4, 7, 8} {
 		for _, bit := range []uint{0, 1, 31, 52, 62, 63} {
 			im := base.Clone()
 			im.Pix[px] = math.Float64frombits(math.Float64bits(im.Pix[px]) ^ 1<<bit)
 			what := fmt.Sprintf("pixel %d bit %d", px, bit)
-			h := hashImage(im)
+			h := hashImage(pack(im))
 			if prev, dup := seen[h]; dup {
 				t.Fatalf("%s hashes like %s", what, prev)
 			}
@@ -192,7 +196,7 @@ func TestHashImageBitFlips(t *testing.T) {
 	}
 	wide := &raster.Image{W: 3, H: 2, Pix: base.Pix[:6]}
 	tall := &raster.Image{W: 2, H: 3, Pix: base.Pix[:6]}
-	if hashImage(wide) == hashImage(tall) {
+	if hashImage(pack(wide)) == hashImage(pack(tall)) {
 		t.Fatal("swapping W and H over the same pixels kept the hash")
 	}
 }

@@ -117,15 +117,14 @@ func hashFold(h, w uint64) uint64 {
 }
 
 // hashImage fingerprints a rasterized core window from the bit patterns
-// of its distinct rows, its row marks and its dimensions, one 64-bit word
-// at a time. A row the image marks as repeating the row above adds only
-// its mark: the marks and the distinct rows together determine every
-// pixel, and the marks are a function of the pixels (raster.MarkRows), so
-// the key still depends on the pixels alone — equal cores share a key
-// whether a bitmap or geometry drew them — while a core whose rows mostly
-// repeat hashes a few of them. An unmarked image hashes every row.
+// of its stored rows, its row marks and its dimensions, one 64-bit word at
+// a time. The marks and the stored rows together determine every pixel,
+// and both are a function of the pixels (raster.Rows), so the key depends
+// on the pixels alone — equal cores share a key whether a bitmap or
+// geometry drew them — while a core whose rows mostly repeat hashes a few
+// of them.
 //
-// Four independent lanes each take every fourth pixel of a distinct row
+// Four independent lanes each take every fourth pixel of a stored row
 // through an xxHash64-style round, so the multiplies of neighbouring
 // pixels overlap instead of queueing behind one chain; a row's last
 // W mod 4 pixels go to the first lanes. The lanes are then merged, the
@@ -133,14 +132,11 @@ func hashFold(h, w uint64) uint64 {
 // avalanched. The bit-pattern basis means the key — unlike any rounded
 // representation — can never merge clips whose tensors would differ
 // except by a 64-bit collision. The key never leaves the LRU.
-func hashImage(im *raster.Image) uint64 {
-	w, rep := im.W, im.Repeats()
+func hashImage(im *raster.Rows) uint64 {
+	w, rep := im.W, im.Rep
 	v1, v2, v3, v4 := prime1, prime2, prime3, prime4
-	for y := 0; y < im.H; y++ {
-		if rep != nil && rep[y] {
-			continue
-		}
-		row := im.Pix[y*w : y*w+w]
+	for off := 0; w > 0 && off < len(im.Pix); off += w {
+		row := im.Pix[off : off+w]
 		i := 0
 		for ; i+4 <= len(row); i += 4 {
 			p := row[i : i+4 : i+4]

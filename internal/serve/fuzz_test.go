@@ -7,15 +7,19 @@ import (
 	"testing"
 
 	"hotspot/internal/feature"
+	"hotspot/internal/geom"
 )
 
 // FuzzClipRequest feeds arbitrary bytes through single-clip request
 // decoding: the JSON decode, the rectangle bound and coreImage, as
 // handlePredict runs them. Nothing may panic, and an accepted clip must
 // come back as the served core, a square CoreSide/ResNM-px image with
-// every pixel 0 or in [0x1p-1022, 1] (never subnormal), whose row marks
-// are what a row-by-row bitwise comparison of its pixels gives; it then
-// goes back to the pool. The server is smallServer's. The seed corpus in
+// every stored pixel 0 or in [0x1p-1022, 1] (never subnormal), kept as
+// the distinct rows of the dense core — the bitmap sent, or
+// feature.ExtractCoreImage of the same geometry: it stores exactly the
+// rows whose bits differ from the row above, and its row marks are what a
+// row-by-row bitwise comparison of those pixels gives. It then goes back
+// to the pool. The server is smallServer's. The seed corpus in
 // testdata/fuzz/FuzzClipRequest holds the TestImageSideBounds bodies, a
 // core filling a 2048-px frame, a body with a bare NaN token (not JSON, so
 // the decoder rejects it), a full bitmap whose last pixel is subnormal, a
@@ -34,27 +38,33 @@ func FuzzClipRequest(f *testing.F) {
 			return
 		}
 		defer s.images.put(im)
-		if im.W != side || im.H != side || len(im.Pix) != side*side {
-			t.Fatalf("accepted clip rasterized to %dx%d px (%d pixels), want the served %dx%d", im.W, im.H, len(im.Pix), side, side)
+		if im.W != side || im.H != side {
+			t.Fatalf("accepted clip rasterized to %dx%d px, want the served %dx%d", im.W, im.H, side, side)
 		}
 		for i, v := range im.Pix {
 			if !(v == 0 || v >= 0x1p-1022 && v <= 1) {
-				t.Fatalf("pixel %d is %v, neither 0 nor in [0x1p-1022, 1]", i, v)
+				t.Fatalf("stored pixel %d is %v, neither 0 nor in [0x1p-1022, 1]", i, v)
 			}
 		}
-		rep := im.Repeats()
-		if len(rep) != side {
-			t.Fatalf("accepted clip has %d row marks, want %d", len(rep), side)
-		}
-		for y := range rep {
-			want := y > 0
-			for x := 0; x < side && want; x++ {
-				want = math.Float64bits(im.Pix[y*side+x]) == math.Float64bits(im.Pix[(y-1)*side+x])
+		var want []float64
+		if cr.Bitmap != nil {
+			want = cr.Bitmap.Pix
+		} else {
+			frame, core := cr.Frame.rect(), CenteredCore(cr.Frame.rect(), s.cfg.CoreSide)
+			if cr.Core != nil {
+				core = cr.Core.rect()
 			}
-			if rep[y] != want {
-				t.Fatalf("row %d marked %v, but its bits say %v", y, rep[y], want)
+			rects := make([]geom.Rect, len(cr.Rects))
+			for i, r := range cr.Rects {
+				rects[i] = r.rect()
 			}
+			dense, err := feature.ExtractCoreImage(geom.NewClip(frame, rects), core, s.cfg.Feature)
+			if err != nil {
+				t.Fatalf("accepted clip's dense core: %v", err)
+			}
+			want = dense.Pix
 		}
+		checkCoreRows(t, im, want)
 	})
 }
 

@@ -278,23 +278,25 @@ func checkRects(n int) error {
 	return nil
 }
 
-// imagePool recycles core images between requests. The rule: the handler
-// that drew an image puts it back on a cache hit, on any failure before
-// enqueue, and after that request's result has arrived — the batcher never
-// reads an image after it answers. A request abandoned on timeout leaves
-// its image to the GC, because the batcher may still be extracting from
-// it. Every call is made on handler goroutines.
+// imagePool recycles core images, each kept as its distinct rows, between
+// requests. The rule: the handler that drew an image puts it back on a
+// cache hit, on any failure before enqueue, and after that request's
+// result has arrived — the batcher never reads an image after it answers.
+// A request abandoned on timeout leaves its image to the GC, because the
+// batcher may still be extracting from it. Every call is made on handler
+// goroutines.
 type imagePool struct{ p sync.Pool }
 
-// get returns a recycled image, or nil when there is none; raster.Reuse
-// and feature.RasterizeCore allocate in that case.
-func (ip *imagePool) get() *raster.Image {
-	im, _ := ip.p.Get().(*raster.Image)
-	return im
+// get returns a recycled image, or a new empty one when there is none.
+func (ip *imagePool) get() *raster.Rows {
+	if im, ok := ip.p.Get().(*raster.Rows); ok {
+		return im
+	}
+	return new(raster.Rows)
 }
 
 // put recycles images; nil ones are ignored.
-func (ip *imagePool) put(ims ...*raster.Image) {
+func (ip *imagePool) put(ims ...*raster.Rows) {
 	for _, im := range ims {
 		if im != nil {
 			ip.p.Put(im)
@@ -305,16 +307,17 @@ func (ip *imagePool) put(ims ...*raster.Image) {
 // --- request pipeline ---
 
 // coreImage turns a request clip into the rasterized core window the
-// pipeline operates on, mirroring feature.ExtractTensor's geometry exactly
-// (the core window of the clip's frame raster) so served predictions are
-// bit-identical to offline ones. The image's rows are marked either way
-// (raster.MarkRows), for the cache key and the block DCT to read. A
-// clip's core is always the served one, Config.CoreSide nm
-// (CoreSide/ResNM px) a side: the network only ever saw that block size,
-// and it bounds each clip to one served core image. Image sides are
-// checked before anything is multiplied or allocated. The image comes
-// from the server's pool; the caller owns it (see imagePool).
-func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
+// pipeline operates on, kept as its distinct rows (raster.Rows) for the
+// cache key and the block DCT to read. It mirrors feature.ExtractTensor's
+// geometry exactly (the core window of the clip's frame raster) so served
+// predictions are bit-identical to offline ones. A geometry core is drawn
+// by bands (feature.RasterizeCore); a bitmap is packed row by row as each
+// row is validated. A clip's core is always the served one,
+// Config.CoreSide nm (CoreSide/ResNM px) a side: the network only ever saw
+// that block size, and it bounds each clip to one served core image. Image
+// sides are checked before anything is multiplied or allocated. The image
+// comes from the server's pool; the caller owns it (see imagePool).
+func (s *Server) coreImage(cr ClipRequest) (*raster.Rows, error) {
 	cfg := s.cfg.Feature
 	if cr.Bitmap != nil {
 		bm := cr.Bitmap
@@ -330,22 +333,25 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		if len(bm.Pix) != bm.W*bm.H {
 			return nil, fmt.Errorf("bitmap has %d pixels, want %d", len(bm.Pix), bm.W*bm.H)
 		}
-		im := raster.Reuse(s.images.get(), bm.W, bm.H)
-		for i, v := range bm.Pix {
-			// The negated range test also rejects NaN. A subnormal pixel
-			// would send every product it feeds down the CPU's slow path,
-			// and no raster's coverage fraction is one.
-			if !(v >= 0 && v <= 1) {
-				s.images.put(im)
-				return nil, fmt.Errorf("bitmap pixel %d is %v, outside [0, 1]", i, v)
+		im := s.images.get()
+		im.Reset(bm.W, bm.H)
+		for y := 0; y < bm.H; y++ {
+			row := bm.Pix[y*bm.W : y*bm.W+bm.W]
+			for x, v := range row {
+				// The negated range test also rejects NaN. A subnormal
+				// pixel would send every product it feeds down the CPU's
+				// slow path, and no raster's coverage fraction is one.
+				if !(v >= 0 && v <= 1) {
+					s.images.put(im)
+					return nil, fmt.Errorf("bitmap pixel %d is %v, outside [0, 1]", y*bm.W+x, v)
+				}
+				if v != 0 && v < 0x1p-1022 {
+					s.images.put(im)
+					return nil, fmt.Errorf("bitmap pixel %d is %v, subnormal", y*bm.W+x, v)
+				}
 			}
-			if v != 0 && v < 0x1p-1022 {
-				s.images.put(im)
-				return nil, fmt.Errorf("bitmap pixel %d is %v, subnormal", i, v)
-			}
-			im.Pix[i] = v
+			im.Append(row)
 		}
-		im.MarkRows()
 		return im, nil
 	}
 	if cr.Frame == nil {
@@ -378,13 +384,11 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 		return nil, fmt.Errorf("core %+v outside clip frame %+v", core, frame)
 	}
 	clip := geom.NewClip(frame, rects)
-	buf := s.images.get()
-	im, err := feature.RasterizeCore(buf, clip, core, cfg)
-	if err != nil {
-		s.images.put(buf)
+	im := s.images.get()
+	if err := feature.RasterizeCore(im, clip, core, cfg); err != nil {
+		s.images.put(im)
 		return nil, err
 	}
-	im.MarkRows()
 	return im, nil
 }
 
@@ -394,7 +398,7 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 // tracing is lit, is the span the request's queue stage is recorded under
 // (the trace root for single predicts, the per-clip span for batch
 // requests); nil spans no-op.
-func (s *Server) predictOne(ctx context.Context, im *raster.Image, key uint64, parent *trace.Span) (PredictResponse, error) {
+func (s *Server) predictOne(ctx context.Context, im *raster.Rows, key uint64, parent *trace.Span) (PredictResponse, error) {
 	if p, ok := s.cache.get(key); ok {
 		s.images.put(im)
 		s.metrics.cache(true)
@@ -521,7 +525,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	root.SetInt("clips", int64(len(br.Clips)))
 	ras := root.Stage("raster", nil)
-	ims := make([]*raster.Image, len(br.Clips))
+	ims := make([]*raster.Rows, len(br.Clips))
 	for i, cr := range br.Clips {
 		im, err := s.coreImage(cr)
 		if err != nil {

@@ -29,13 +29,20 @@
 #                            saves to the same bytes; then 10 s of
 #                            FuzzClipRequest over serve's request
 #                            decoding: no panic, and every accepted clip
-#                            is the served core with every pixel 0 or in
-#                            [0x1p-1022, 1] and row marks that match its
-#                            pixels bit for bit; then 10 s of
+#                            is the served core with every stored pixel 0
+#                            or in [0x1p-1022, 1], kept as the distinct
+#                            rows of the bitmap sent or of the dense core
+#                            of the same geometry: exactly the rows whose
+#                            bits differ from the row above are stored,
+#                            and the row marks match a bitwise
+#                            recomputation; then 10 s of
 #                            FuzzRasterizeWindow over arbitrary rectangle
-#                            lists: no panic, a window equals the same
-#                            crop of Rasterize bit for bit, every pixel
-#                            is in [0, 1], and the row marks match a
+#                            lists: no panic, the dense window and the
+#                            expanded distinct-row form both equal the
+#                            per-rectangle loop oracle's crop bit for
+#                            bit, every pixel is in [0, 1], and the form
+#                            stores exactly the rows whose bits differ
+#                            from the row above, with marks that match a
 #                            row-by-row bitwise recomputation
 #                            (go test -fuzz takes one target per run)
 #   7. perfbench go test     the repository benchmark's own tests, so an
