@@ -127,7 +127,7 @@ func BenchmarkDCTBlock25(b *testing.B) {
 	dst, tmp := make([]float64, 7*7), make([]float64, tr.TmpLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Forward(dst, tmp, block, 25, nil) // random rows: none repeats
+		tr.Forward(dst, tmp, nil, block, 25, nil) // random rows: none repeats
 	}
 }
 

@@ -89,7 +89,7 @@ var basisTCache sync.Map // [2]int{n, k} -> []float64
 
 // basisT returns the first k rows of Basis(n) transposed into n rows of
 // stride TileWidth(k): t[x·ld + v] = C[v][x] for v < k, and 0 in the
-// padding columns. One vector load then reads four frequencies at one x,
+// padding columns. One vector load then reads the frequencies at one x,
 // which is the layout the dot tile's aT operand takes.
 func basisT(n, k int) []float64 {
 	key := [2]int{n, k}
@@ -108,16 +108,36 @@ func basisT(n, k int) []float64 {
 	return t
 }
 
+// rowOffCache memoizes the dot tile's row tables beside the basis tables.
+var rowOffCache sync.Map // [2]int{n, ld} -> []int
+
+// rowOffsets returns the row table y·ld for y < n: row y of a row-major
+// operand of stride ld, which is how the row pass reads basisT's rows and
+// the column pass reads a dense block's tmp rows.
+func rowOffsets(n, ld int) []int {
+	key := [2]int{n, ld}
+	if v, ok := rowOffCache.Load(key); ok { //hsd:allow hotlint one atomic read of an immutable memo table; contention-free after first use
+		return v.([]int)
+	}
+	off := make([]int, n)
+	for y := range off {
+		off[y] = y * ld
+	}
+	rowOffCache.Store(key, off) //hsd:allow hotlint first-use table build; duplicate stores race benignly with identical values
+	return off
+}
+
 // Truncated computes the top-left kh×kw corner (the lowest frequencies)
 // of the 2-D DCT of h×w blocks. Because zig-zag truncation keeps only
 // low-frequency coefficients, this is all feature extraction needs, and it
 // cuts the per-block cost from O(h·w·(h+w)) to O(h·w·kw + h·kh·kw). The
-// shape is validated and the basis tables are resolved once, at
+// shape is validated and the basis and row tables are resolved once, at
 // NewTruncated, so a caller transforming every block of a clip or a die
 // pays neither per block.
 type Truncated struct {
 	h, w, kh, kw int
 	ch, cwT      []float64
+	off          []int // y·TileWidth(kw) for y < max(h, w)
 }
 
 // NewTruncated validates an h×w block truncated to its kh×kw corner.
@@ -125,7 +145,8 @@ func NewTruncated(h, w, kh, kw int) (Truncated, error) {
 	if kh <= 0 || kw <= 0 || kh > h || kw > w {
 		return Truncated{}, fmt.Errorf("dct: truncation %dx%d invalid for block %dx%d", kh, kw, h, w)
 	}
-	return Truncated{h: h, w: w, kh: kh, kw: kw, ch: Basis(h), cwT: basisT(w, kw)}, nil
+	return Truncated{h: h, w: w, kh: kh, kw: kw, ch: Basis(h), cwT: basisT(w, kw),
+		off: rowOffsets(max(h, w), tensor.TileWidth(kw))}, nil
 }
 
 // TmpLen returns the length of the row-transform scratch Forward takes:
@@ -141,83 +162,48 @@ func (t *Truncated) TmpLen() int { return t.h * tensor.TileWidth(t.kw) }
 // rep, when non-nil, marks the block's repeated rows: rep[y], for
 // 0 < y < h, reports that row y holds the same bits as row y−1, so src
 // does not hold it (rep[0] is not read: the block's first row is src's
-// first). The row pass transforms only the rows src holds and copies each
-// repeated row's transform from the row above: equal bits in give equal
-// bits out. A nil rep marks no row, so src holds row y at y·stride.
+// first). rows is then scratch of h ints, which Forward fills with the
+// block's row table. A nil rep marks no row, so src holds row y at
+// y·stride, and rows is not read (nil will do).
 //
-// Both passes run on the dot tile: the row pass dots four distinct block
-// rows with four basis rows at a time, the column pass four basis rows
-// with four tmp columns. Each coefficient is still one sequential dot
-// product, started at +0 and accumulated in index order, so the result is
-// the one the plain loops produce (see DESIGN.md §12).
+// Both passes run on the dot tile. The row pass transforms only the rows
+// src holds, four to a tile, eight frequencies wide: the k-th into tmp's
+// row k. The column pass dots four basis rows with tmp's columns, reading
+// tmp through the row table, where a repeated row points at the stored
+// row above it: equal bits in give equal bits out, so no row is copied.
+// Each coefficient is still one sequential dot product, started at +0 and
+// accumulated in index order, so the result is the one the plain loops
+// produce (see DESIGN.md §12).
 //
 //hsd:noalloc
-func (t *Truncated) Forward(dst, tmp, src []float64, stride int, rep []bool) {
-	h, kh, kw := t.h, t.kh, t.kw
+func (t *Truncated) Forward(dst, tmp []float64, rows []int, src []float64, stride int, rep []bool) {
+	h, w, kh, kw := t.h, t.w, t.kh, t.kw
 	ld := tensor.TileWidth(kw)
-	var s [16]float64
-	// Row pass: tmp[y][v] = Σ_x src[k][x]·Cw[v][x] for the distinct rows,
-	// row y being src's row k, gathered four to a tile. A short last tile
-	// repeats its last row, and the padding columns multiply zero basis
-	// entries; neither is read into dst.
-	var rows [tensor.TileRows]int
-	n, k := 0, 0 // rows in the tile; src's row of the tile's first
-	for y := 0; y < h; y++ {
-		if y > 0 && rep != nil && rep[y] {
-			continue
-		}
-		rows[n] = y
-		if n++; n == tensor.TileRows {
-			t.rowTile(tmp, src[k*stride:], stride, n, &rows, &s)
-			k += n
-			n = 0
-		}
-	}
-	if n > 0 {
-		for r := n; r < tensor.TileRows; r++ {
-			rows[r] = rows[n-1]
-		}
-		t.rowTile(tmp, src[k*stride:], stride, n, &rows, &s)
-	}
+	col, d := t.off[:h], h // the column pass's row table; the rows src holds
 	if rep != nil {
-		for y := 1; y < h; y++ {
-			if rep[y] {
-				copy(tmp[y*ld:y*ld+ld], tmp[(y-1)*ld:y*ld])
+		col, d = rows[:h], 0
+		for y := range col {
+			if y == 0 || !rep[y] {
+				d++
 			}
+			col[y] = (d - 1) * ld
 		}
 	}
-	// Column pass: dst[u][v] = Σ_y Ch[u][y]·tmp[y][v].
+	// Row pass: tmp[k][v] = Σ_x src[k][x]·Cw[v][x] for the rows src holds.
+	// A short last tile stores only its live rows; the padding columns
+	// multiply zero basis entries and are never read into dst.
+	for k := 0; k < d; k += tensor.TileRows {
+		n := min(tensor.TileRows, d-k)
+		r0, r1 := k*stride, (k+min(1, n-1))*stride
+		r2, r3 := (k+min(2, n-1))*stride, (k+min(3, n-1))*stride
+		tensor.DotTile(tmp[k*ld:], ld, n, ld, t.cwT, t.off[:w],
+			src[r0:r0+w], src[r1:r1+w], src[r2:r2+w], src[r3:r3+w])
+	}
+	// Column pass: dst[u][v] = Σ_y Ch[u][y]·tmp[col(y)][v].
 	for u := 0; u < kh; u += tensor.TileRows {
-		r1, r2, r3 := min(u+1, kh-1), min(u+2, kh-1), min(u+3, kh-1)
-		b0, b1 := t.ch[u*h:u*h+h], t.ch[r1*h:r1*h+h]
-		b2, b3 := t.ch[r2*h:r2*h+h], t.ch[r3*h:r3*h+h]
-		for v := 0; v < kw; v += tensor.TileRows {
-			tensor.DotTile(&s, tmp[v:], ld, b0, b1, b2, b3)
-			for r := 0; r < tensor.TileRows && u+r < kh; r++ {
-				for c := 0; c < tensor.TileRows && v+c < kw; c++ {
-					dst[(u+r)*kw+v+c] = s[tensor.TileRows*r+c]
-				}
-			}
-		}
-	}
-}
-
-// rowTile runs the row pass over src's first n rows (1 ≤ n ≤ 4), stride
-// apart, writing each row's kw transformed columns (padded to
-// TileWidth(kw)) into row rows[r] of tmp. A short tile repeats src's row
-// n−1, whose tmp row rows[n−1] = rows[r] is then written again with the
-// same bits.
-//
-//hsd:noalloc
-func (t *Truncated) rowTile(tmp, src []float64, stride, n int, rows *[tensor.TileRows]int, s *[16]float64) {
-	w, ld := t.w, tensor.TileWidth(t.kw)
-	r1, r2, r3 := min(1, n-1)*stride, min(2, n-1)*stride, min(3, n-1)*stride
-	b0, b1, b2, b3 := src[:w], src[r1:r1+w], src[r2:r2+w], src[r3:r3+w]
-	for v := 0; v < ld; v += tensor.TileRows {
-		tensor.DotTile(s, t.cwT[v:], ld, b0, b1, b2, b3)
-		for r, y := range rows {
-			o := tmp[y*ld+v : y*ld+v+4]
-			o[0], o[1], o[2], o[3] = s[4*r], s[4*r+1], s[4*r+2], s[4*r+3]
-		}
+		n := min(tensor.TileRows, kh-u)
+		r1, r2, r3 := u+min(1, n-1), u+min(2, n-1), u+min(3, n-1)
+		tensor.DotTile(dst[u*kw:], kw, n, kw, tmp, col,
+			t.ch[u*h:u*h+h], t.ch[r1*h:r1*h+h], t.ch[r2*h:r2*h+h], t.ch[r3*h:r3*h+h])
 	}
 }

@@ -13,11 +13,15 @@ import (
 // sequential loops it replaced, bit for bit, on every tile kernel body the
 // host has, on dense rows and on distinct rows packed as raster.Rows keeps
 // them. Shapes cover corners that are and are not multiples of the tile's
-// 4 lanes. Each block sits below a block of random rows in an image whose
-// other pixels are poison values a misplaced read would carry into the
-// result, read in place at strides w, w+1 and w+5. Its row y is one of a
+// 4 lanes, and blocks whose distinct rows fill their last row tile or
+// leave it 1, 2 or 3 rows short. Each block sits below a block of random
+// rows in an image whose other pixels are poison values a misplaced read
+// would carry into the result, read in place at strides w, w+1 and w+5. Its row y is one of a
 // few source rows, chosen by pattern:
 //   - all rows distinct;
+//   - all rows distinct but for one, two or three rows that repeat the row
+//     above, spread through the block (22–24 distinct rows of a 25-row
+//     block: a short last row tile, or a full one);
 //   - every row equal;
 //   - runs of 1, 2 and 3 rows;
 //   - alternating rows, equal to the row two above but never to the one
@@ -32,7 +36,8 @@ import (
 //
 // The marks are recomputed row by row from the image's bits, and the test
 // checks that they mark what each pattern repeats. The row scratch starts
-// as NaN, so a marked row the pass fails to copy shows in the result.
+// as NaN, so a column pass that reads a tmp row the row pass did not
+// store shows in the result.
 func TestTruncatedMatchesLoops(t *testing.T) {
 	cases := []struct{ h, w, kh, kw int }{
 		{25, 25, 8, 8},
@@ -49,6 +54,9 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 		src  func(y int) int // source row of block row y
 	}{
 		{"distinct", func(y int) int { return 5 + y }},
+		{"one repeat", repeatsAt(13)},
+		{"two repeats", repeatsAt(7, 15)},
+		{"three repeats", repeatsAt(3, 11, 19)},
 		{"equal", func(int) int { return 0 }},
 		{"runs", func(y int) int { return []int{0, 1, 1, 2, 2, 2}[y%6] }},
 		{"alternating", func(y int) int { return y % 2 }},
@@ -85,6 +93,20 @@ func TestTruncatedMatchesLoops(t *testing.T) {
 	}
 	for _, name := range tensor.Kernels() {
 		tensor.WithKernel(name, func() { t.Run(name, check) })
+	}
+}
+
+// repeatsAt is a pattern of distinct rows but for each row in ys, which
+// repeats the row above it.
+func repeatsAt(ys ...int) func(y int) int {
+	return func(y int) int {
+		id := 5 + y
+		for _, r := range ys {
+			if r <= y {
+				id--
+			}
+		}
+		return id
 	}
 }
 
@@ -147,7 +169,11 @@ func checkTruncated(t *testing.T, what string, tr Truncated, h, w, kh, kw, pad i
 		for i := range tmp {
 			tmp[i] = math.NaN()
 		}
-		tr.Forward(got, tmp, in.rows, stride, in.rep)
+		var rows []int
+		if in.rep != nil {
+			rows = make([]int, h) // the row table Forward fills
+		}
+		tr.Forward(got, tmp, rows, in.rows, stride, in.rep)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s packed %v: coefficient %d = %v, want %v", what, in.rep != nil, i, got[i], want[i])

@@ -141,7 +141,7 @@ func forwardTruncated2DInto(dst, tmp, src []float64, h, w, kh, kw int) error {
 	if len(tmp) != t.TmpLen() {
 		return fmt.Errorf("dct: tmp length %d does not match %dx%d scratch", len(tmp), h, tensor.TileWidth(kw))
 	}
-	t.Forward(dst, tmp, src, w, nil)
+	t.Forward(dst, tmp, nil, src, w, nil)
 	return nil
 }
 

@@ -112,6 +112,7 @@ type BlockEncoder struct {
 	scale   float64
 	dct     dct.Truncated
 	zigzag  []int     // zigzag[i] = row-major index into the corner block
+	rows    []int     // the DCT's row table for a block with row marks
 	coef    []float64 // corner×corner truncated-DCT output
 	tmp     []float64 // row-transform scratch
 }
@@ -131,7 +132,8 @@ func (c TensorConfig) NewBlockEncoder(blockPx int) (*BlockEncoder, error) {
 		return nil, err
 	}
 	order := dct.ZigZagOrder(blockPx, blockPx)
-	zig := make([]int, c.K)
+	ints := make([]int, c.K+blockPx) // the zig-zag indices, then the row table
+	zig := ints[:c.K:c.K]
 	for i := 0; i < c.K; i++ {
 		u, v := order[i]/blockPx, order[i]%blockPx
 		zig[i] = u*corner + v
@@ -146,6 +148,7 @@ func (c TensorConfig) NewBlockEncoder(blockPx int) (*BlockEncoder, error) {
 		scale:   scale,
 		dct:     tr,
 		zigzag:  zig,
+		rows:    ints[c.K:],
 		coef:    make([]float64, corner*corner),
 		tmp:     make([]float64, tr.TmpLen()),
 	}, nil
@@ -178,7 +181,7 @@ func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 //
 //hsd:noalloc
 func (e *BlockEncoder) EncodeStrided(dst []float64, dstStride int, pix []float64, stride int, rep []bool) {
-	e.dct.Forward(e.coef, e.tmp, pix, stride, rep)
+	e.dct.Forward(e.coef, e.tmp, e.rows, pix, stride, rep)
 	for i, idx := range e.zigzag {
 		dst[i*dstStride] = e.coef[idx] * e.scale
 	}

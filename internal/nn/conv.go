@@ -16,7 +16,7 @@ import (
 // All three products run on tensor's tile kernels, bit-identical to the
 // reference matmuls: the forward W·cols + b and the input gradient Wᵀ·g on
 // tensor.MatMulTiles, the weight gradient g·colsᵀ on
-// tensor.MatMulBTAddTiles.
+// tensor.MatMulBTAddTiles (tensor.MatMulBTTiles on a shadow).
 type Conv2D struct {
 	name                string
 	inC, outC           int
@@ -35,8 +35,9 @@ type Conv2D struct {
 	dx      *tensor.Tensor // (inC, inH, inW); nil until formed
 	// Tile-product scratch, sized with the buffers above.
 	off  []int     // off[p] = p·oh·ow: row p of cols, or of g
+	gOff []int     // gOff[p] = p·TileWidth(outC): row p of gᵀ
 	wT   []float64 // Wᵀ (inC*kh*kw, outC), refreshed per input gradient
-	gT   []float64 // gᵀ (oh*ow, TileWidth(outC)), filled per weight gradient
+	gT   []float64 // gᵀ (oh*ow, TileWidth(outC)) and the dot tile's rows, per weight gradient
 	gPad []float64 // g plus read slack; only when oh·ow % 4 ≠ 0
 	tile []float64 // TileRows × TileWidth(oh*ow) kernel output
 }
@@ -122,7 +123,12 @@ func (c *Conv2D) ensureBuffers(h, w, oh, ow int) {
 	for p := range c.off {
 		c.off[p] = p * n
 	}
-	c.gT = make([]float64, n*tensor.TileWidth(c.outC))
+	ld := tensor.TileWidth(c.outC)
+	c.gOff = make([]int, n)
+	for p := range c.gOff {
+		c.gOff[p] = p * ld
+	}
+	c.gT = make([]float64, (n+tensor.TileRows)*ld)
 	c.tile = make([]float64, tensor.TileRows*tensor.TileWidth(n))
 	c.dCols, c.dx, c.wT, c.gPad = nil, nil, nil, nil
 }
@@ -213,9 +219,9 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) ([]float64, error) {
 	// +0, which can never be −0, so a shadow stores it: the value adding
 	// it to a zeroed gradient would give.
 	if c.storeGrads {
-		tensor.MatMulBTTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.outC, n, kk)
+		tensor.MatMulBTTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.gOff, c.outC, n, kk)
 	} else {
-		tensor.MatMulBTAddTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.outC, n, kk)
+		tensor.MatMulBTAddTiles(c.weight.Grad.Data(), g, c.cols.Data(), c.gT, c.gOff, c.outC, n, kk)
 	}
 	bg := c.bias.Grad.Data()
 	for oc := 0; oc < c.outC; oc++ {

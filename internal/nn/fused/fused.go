@@ -15,8 +15,8 @@
 // sample by sample; the dense tail (the first dense step and everything
 // after it, which can only be dense and ReLU steps) runs over
 // tensor.TileRows samples at a time, held transposed, on tensor.DotTile:
-// each block of four weight rows × four samples is one 4×4 tile, so every
-// weight row is streamed once per four samples instead of once per
+// each block of four weight rows × four samples is one four-lane tile, so
+// every weight row is streamed once per four samples instead of once per
 // sample. Forward is a batch of one on the same path.
 //
 // ForwardGrid scores overlapping windows of one die off a Grid (grid.go):
@@ -99,7 +99,8 @@ type op struct {
 	// stages the explicit im2col matrix: base is the shared cols region,
 	// off[p] = p·oh·ow and vw = ow. width covers the last valid column,
 	// rounded up to a multiple of 4; base is sized so the rounded reads
-	// stay inside it.
+	// stay inside it. A dense op's off[j] = j·TileRows is the dot tile's
+	// row table over its transposed input.
 	base  []float64
 	off   []int
 	width int
@@ -228,6 +229,10 @@ func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 				kind:  opDense,
 				inLen: in, outLen: outN,
 				w: w.Data(), bias: b.Data(),
+				off: make([]int, in),
+			}
+			for j := range o.off {
+				o.off[j] = j * tensor.TileRows
 			}
 			shape = out
 			i++

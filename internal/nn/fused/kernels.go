@@ -91,25 +91,26 @@ func poolRow(dst, src []float64, srcW, ph, pw int) {
 // denseTile executes one fused dense(+bias)(+ReLU) op over TileRows
 // samples held transposed: o.in[j·TileRows + s] is input j of sample s,
 // and o.out[i·TileRows + s] receives output i. Each block of four weight
-// rows × four samples is one tensor.DotTile, whose every lane is
-// tensor.MatVecInto's sequential chain (start at +0, add the products in
-// input order); the bias lands after the full dot and the rectifier after
-// the bias, exactly as the layered Dense.Forward + ReLU pair computes. When
-// outLen is not a multiple of four, the last tile's unused rows recompute
-// the last live row and are never stored.
+// rows × four samples is one tensor.DotTile, four lanes wide, stored
+// straight into its rows of o.out: every lane is tensor.MatVecInto's
+// sequential chain (start at +0, add the products in input order). The
+// bias lands after the full dot and the rectifier after the bias, exactly
+// as the layered Dense.Forward + ReLU pair computes. When outLen is not a
+// multiple of four, the last tile's unused rows recompute the last live
+// row and are never stored.
 //
 //hsd:noalloc
 func denseTile(o *op) {
 	k, m := o.inLen, o.outLen
-	var s [16]float64
 	for i := 0; i < m; i += tensor.TileRows {
-		r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
-		tensor.DotTile(&s, o.in, tensor.TileRows,
+		rows := min(tensor.TileRows, m-i)
+		r1, r2, r3 := i+min(1, rows-1), i+min(2, rows-1), i+min(3, rows-1)
+		tensor.DotTile(o.out[i*tensor.TileRows:], tensor.TileRows, rows, tensor.TileRows, o.in, o.off,
 			o.w[i*k:i*k+k], o.w[r1*k:r1*k+k], o.w[r2*k:r2*k+k], o.w[r3*k:r3*k+k])
-		for r := 0; r < tensor.TileRows && i+r < m; r++ {
-			b := o.bias[i+r]
-			dst := o.out[(i+r)*tensor.TileRows : (i+r+1)*tensor.TileRows]
-			for c, v := range s[4*r : 4*r+4] {
+		for r := i; r < i+rows; r++ {
+			b := o.bias[r]
+			dst := o.out[r*tensor.TileRows : (r+1)*tensor.TileRows]
+			for c, v := range dst {
 				v += b
 				if o.relu {
 					v = rectify(v)

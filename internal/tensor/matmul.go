@@ -4,7 +4,10 @@ import "fmt"
 
 // MatVecInto computes out = a·x for a rank-2 a (m, k) and rank-1 x (k),
 // reusing out's buffer (rank-1, length m). Used by the fully connected
-// layer's allocation-free forward path.
+// layer's allocation-free forward path. Each out[i] is one chain,
+// s = +0; s += a[i][j]·x[j] for j ascending. Four rows advance together
+// per pass over x, each on its own chain, so one load of x[j] feeds four
+// independent adds; the m mod 4 rows left run alone.
 //
 //hsd:hotpath
 func MatVecInto(out, a, x *Tensor) error {
@@ -16,11 +19,24 @@ func MatVecInto(out, a, x *Tensor) error {
 	if x.shape[0] != k || out.shape[0] != m {
 		return fmt.Errorf("tensor: matvecinto shape mismatch %v x %v -> %v", a.shape, x.shape, out.shape)
 	}
-	for i := 0; i < m; i++ {
-		row := a.data[i*k : (i+1)*k]
+	xd := x.data[:k]
+	i := 0
+	for ; i+3 < m; i += 4 {
+		a0, a1 := a.data[i*k:i*k+k], a.data[(i+1)*k:(i+1)*k+k]
+		a2, a3 := a.data[(i+2)*k:(i+2)*k+k], a.data[(i+3)*k:(i+3)*k+k]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for j, xv := range xd {
+			s0 += float64(a0[j] * xv)
+			s1 += float64(a1[j] * xv)
+			s2 += float64(a2[j] * xv)
+			s3 += float64(a3[j] * xv)
+		}
+		out.data[i], out.data[i+1], out.data[i+2], out.data[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m; i++ {
 		s := 0.0
-		for j, v := range row {
-			s += float64(v * x.data[j])
+		for j, v := range a.data[i*k : i*k+k] {
+			s += float64(v * xd[j])
 		}
 		out.data[i] = s
 	}

@@ -85,3 +85,35 @@ func TestMatMulBiasIntoShapeErrors(t *testing.T) {
 		t.Fatalf("valid shapes rejected: %v", err)
 	}
 }
+
+// TestMatVecIntoMatchesLoop pins MatVecInto's four row chains per pass to
+// the one-chain-per-row loop, matVecLoop, bit for bit, over row counts
+// that leave every remainder mod 4 (and fc2's 250) and term counts 1–9
+// and fc1's 288, in every operand regime of the tile tests: ±0, NaN, ±Inf
+// and subnormals.
+func TestMatVecIntoMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	var seen resultClasses
+	for _, rg := range tileRegimes(rng) {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 250} {
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 288} {
+				a := tileOperand(rg, m, k, 0, 0, rng)
+				x := tileOperand(rg, 1, k, 0, 0, rng)
+				want := make([]float64, m)
+				matVecLoop(want, a, x, m, k)
+				got := New(m)
+				got.Fill(math.NaN())
+				if err := MatVecInto(got, MustFromSlice(a, m, k), MustFromSlice(x, k)); err != nil {
+					t.Fatal(err)
+				}
+				for i, wv := range want {
+					if !seen.match(got.data[i], wv) {
+						t.Fatalf("%s m=%d k=%d: row %d = %x (%g), want %x (%g)", rg.name, m, k, i,
+							math.Float64bits(got.data[i]), got.data[i], math.Float64bits(wv), wv)
+					}
+				}
+			}
+		}
+	}
+	seen.complete(t)
+}

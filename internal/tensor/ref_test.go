@@ -3,8 +3,9 @@ package tensor
 import "fmt"
 
 // The products below have only test callers: production multiplies on the
-// tile kernels (MatMulTiles, MatMulBTTiles, MatMulBTAddTiles, DotTile).
-// They stay here as the references the tile kernels are tested against.
+// tile kernels (MatMulTiles, MatMulBTTiles, MatMulBTAddTiles, DotTile) and
+// MatVecInto's row chains. They stay here as the references those are
+// tested against.
 
 // MatMulInto computes out = a · b for rank-2 operands, reusing out's buffer.
 func MatMulInto(out, a, b *Tensor) error {
@@ -97,6 +98,20 @@ func MatMulBiasInto(out, a, b, bias *Tensor) error {
 	}
 	matmulBiasInto(out.data, a.data, b.data, bias.data, m, k, n)
 	return nil
+}
+
+// matVecLoop writes a(m×k)·x into out one row at a time, each element one
+// chain s = +0; s += a[i][j]·x[j] for j ascending: the loop MatVecInto ran
+// before it advanced four rows per pass, kept as its reference.
+func matVecLoop(out, a, x []float64, m, k int) {
+	for i := 0; i < m; i++ {
+		row := a[i*k : (i+1)*k]
+		s := 0.0
+		for j, v := range row {
+			s += float64(v * x[j])
+		}
+		out[i] = s
+	}
 }
 
 // transpose returns a new tensor holding the transpose of a rank-2 tensor.

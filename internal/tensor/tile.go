@@ -17,13 +17,13 @@ func TileWidth(n int) int { return (n + 3) &^ 3 }
 
 // kernelBody is one body of the tile kernels. The amd64 probe reports the
 // best one the host runs, and each body implies the ones before it: an
-// AVX-512 host runs the AVX2 dot tile too.
+// AVX-512 host runs the AVX2 bodies too.
 type kernelBody uint8
 
 const (
 	kernelGeneric kernelBody = iota // block4 and dot4, pure Go
 	kernelAVX2                      // convTileAVX2 and dotTileAVX2
-	kernelAVX512                    // convTileAVX512 and dotTileAVX2
+	kernelAVX512                    // convTileAVX512 and dotTileAVX512
 )
 
 // kernelNames are the bodies' TileKernel names, indexed by kernelBody.
@@ -34,9 +34,10 @@ var kernelNames = [...]string{"generic", "avx2-4x4", "avx512-4x16"}
 var kernel = probed
 
 // TileKernel names the tile kernel body this host runs: "avx512-4x16" for
-// the AVX-512 conv tile (4 rows × 16 columns per step) with the AVX2 dot
-// tile, "avx2-4x4" for the AVX2 assembly kernels (4 rows × 4 columns) and
-// "generic" for the pure-Go bodies. All produce bit-identical results.
+// the AVX-512 assembly kernels (4 rows × 16 columns or lanes per step, then
+// at most one 8-wide and one 4-wide step), "avx2-4x4" for the AVX2 assembly
+// kernels (4 rows × 4 columns or lanes) and "generic" for the pure-Go
+// bodies. All produce bit-identical results.
 func TileKernel() string { return kernelNames[kernel] }
 
 // Kernels lists, by TileKernel name, every tile kernel body this host can
@@ -156,40 +157,93 @@ func biasReLURow(d []float64, bias float64, relu bool) {
 	}
 }
 
-// DotTile computes a 4×4 block of dot products over n = len(b0) ≥ 1
-// terms: s[4·r + c] = Σ_p aT[p·ld + c] · br[p], each sum started at +0 and
-// accumulated in p order with a separate multiply and add per term. aT
-// holds (n−1)·ld + 4 elements and b1..b3 at least n each; both are checked
-// before the kernel runs, so a short slice panics instead of being read
-// past its end. It runs the AVX2 kernel where the host has it (AVX-512
-// hosts included) and the order-identical Go body elsewhere.
+// DotTile computes up to four rows of lane-wide dot products over
+// n = len(aoff) ≥ 1 terms:
+//
+//	out[r·stride + c] = Σ_p aT[aoff[p] + c] · br[p]   for r < rows, c < lanes,
+//
+// each sum started at +0 and accumulated in p order with a separate
+// multiply and add per term. It stores rows rows (1…4) of lanes lanes
+// (≥ 1) and writes nothing else of out. The lanes are computed four at a
+// time, so aT must hold max(aoff) + TileWidth(lanes) elements; the lanes
+// past lanes and the rows past rows are computed and never stored, and a
+// caller gives a dead row any live row's b. b0…b3 each hold at least n
+// elements. The b rows, out's stored extent and aT's extent at the last
+// offset are checked before the kernel runs, so a short slice panics
+// instead of being read or written past its end. Every caller's table
+// ascends, so that check bounds all of its offsets; a table that does not
+// is the caller's to bound. It runs the host's assembly body where it has
+// one and the order-identical Go body, dot4, elsewhere.
 //
 //hsd:noalloc
-func DotTile(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
-	n := len(b0)
-	_, _, _, _ = aT[(n-1)*ld+3], b1[n-1], b2[n-1], b3[n-1]
-	if kernel != kernelGeneric {
-		dotTileAVX2(s, &aT[0], ld, &b0[0], &b1[0], &b2[0], &b3[0], n)
-		return
+func DotTile(out []float64, stride, rows, lanes int, aT []float64, aoff []int, b0, b1, b2, b3 []float64) {
+	n := len(aoff)
+	_, _, _, _ = b0[n-1], b1[n-1], b2[n-1], b3[n-1]
+	_, _ = out[(rows-1)*stride+lanes-1], aT[aoff[n-1]+TileWidth(lanes)-1]
+	switch kernel {
+	case kernelAVX512:
+		dotTileAVX512(&out[0], stride, rows, lanes, &aT[0], &aoff[0], n, &b0[0], &b1[0], &b2[0], &b3[0])
+	case kernelAVX2:
+		dotTileAVX2(&out[0], stride, rows, lanes, &aT[0], &aoff[0], n, &b0[0], &b1[0], &b2[0], &b3[0])
+	default:
+		dot4(out, stride, rows, lanes, aT, aoff, b0, b1, b2, b3)
 	}
-	dot4(s, aT, ld, b0, b1, b2, b3)
 }
 
-// dot4 is the pure-Go body of the dot tile, with DotTile's contract: each
-// of the sixteen sums is MatMulBTAddInto's sequential chain, four of them
-// advancing together per coefficient row.
-func dot4(s *[16]float64, aT []float64, ld int, b0, b1, b2, b3 []float64) {
-	for r, br := range [TileRows][]float64{b0, b1, b2, b3} {
-		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-		for p, bv := range br {
-			a := aT[p*ld : p*ld+4]
-			s0 += float64(a[0] * bv)
-			s1 += float64(a[1] * bv)
-			s2 += float64(a[2] * bv)
-			s3 += float64(a[3] * bv)
+// dot4 is the pure-Go body of the dot tile, with DotTile's contract: two
+// rows at a time, their lanes four at a time, so eight sums advance
+// together per term, and each sum is MatVecInto's sequential chain. A
+// dead second row is computed from the b it is given and not stored.
+func dot4(out []float64, stride, rows, lanes int, aT []float64, aoff []int, b0, b1, b2, b3 []float64) {
+	n := len(aoff)
+	for r := 0; r < rows; r += 2 {
+		ba, bb := b0[:n], b1[:n]
+		if r == 2 {
+			ba, bb = b2[:n], b3[:n]
 		}
-		s[4*r], s[4*r+1], s[4*r+2], s[4*r+3] = s0, s1, s2, s3
+		oa := out[r*stride : r*stride+lanes]
+		for c := 0; c < lanes; c += 4 {
+			a0, a1, a2, a3, s0, s1, s2, s3 := dotLanes(aT[c:], aoff, ba, bb)
+			storeLanes(oa[c:], a0, a1, a2, a3)
+			if r+1 < rows {
+				storeLanes(out[(r+1)*stride+c:(r+1)*stride+lanes], s0, s1, s2, s3)
+			}
+		}
 	}
+}
+
+// dotLanes returns the sums Σ_p aT[aoff[p]+l]·ba[p] and Σ_p
+// aT[aoff[p]+l]·bb[p] for l < 4, advanced together per term, each from +0
+// in p order. It is not inlined: inside dot4's loops the loop counter
+// spills to the stack, and its store and reload then lengthen every
+// term's latency.
+//
+//go:noinline
+func dotLanes(aT []float64, aoff []int, ba, bb []float64) (a0, a1, a2, a3, s0, s1, s2, s3 float64) {
+	bb = bb[:len(ba)]
+	for p, off := range aoff {
+		a := aT[off : off+4]
+		va, vb := ba[p], bb[p]
+		a0 += float64(a[0] * va)
+		a1 += float64(a[1] * va)
+		a2 += float64(a[2] * va)
+		a3 += float64(a[3] * va)
+		s0 += float64(a[0] * vb)
+		s1 += float64(a[1] * vb)
+		s2 += float64(a[2] * vb)
+		s3 += float64(a[3] * vb)
+	}
+	return
+}
+
+// storeLanes stores the first min(4, len(o)) of s0…s3 into o.
+func storeLanes(o []float64, s0, s1, s2, s3 float64) {
+	if len(o) >= 4 {
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		return
+	}
+	s := [4]float64{s0, s1, s2, s3}
+	copy(o, s[:])
 }
 
 // MatMulTiles sets out (m×n) to a·b, adding bias[i] to row i when bias is
@@ -227,14 +281,17 @@ func MatMulTiles(out, a, b, bias []float64, off []int, tile []float64, m, k, n i
 // MatMulBTAddTiles adds a·bᵀ into out (m×k) for a (m×n) and b (k×n), with
 // MatMulBTAddInto's per-element arithmetic: out[i][j] gains one sum
 // s = +0; s += a[i][p]·b[j][p] for p ascending. aT is scratch of
-// n·TileWidth(m) elements that this call fills with aᵀ, so one vector load
-// reads four rows of a at one p; each dot tile then advances sixteen
+// (n+TileRows)·TileWidth(m) elements: this call fills its first n rows
+// with aᵀ, so that lane i of row p is a[i][p], and the dot tile stores
+// four b rows' sums at a time, one lane per row of a, into the last
+// TileRows rows, from which they are added into out's columns. aoff holds
+// p·TileWidth(m) for p < n. Each dot tile advances 4·TileWidth(m)
 // independent sums instead of one latency-bound chain.
 //
 //hsd:hotpath
 //hsd:noalloc
-func MatMulBTAddTiles(out, a, b, aT []float64, m, n, k int) {
-	matMulBTTiles(out, a, b, aT, m, n, k, false)
+func MatMulBTAddTiles(out, a, b, aT []float64, aoff []int, m, n, k int) {
+	matMulBTTiles(out, a, b, aT, aoff, m, n, k, false)
 }
 
 // MatMulBTTiles is MatMulBTAddTiles storing each sum into out instead of
@@ -244,34 +301,52 @@ func MatMulBTAddTiles(out, a, b, aT []float64, m, n, k int) {
 //
 //hsd:hotpath
 //hsd:noalloc
-func MatMulBTTiles(out, a, b, aT []float64, m, n, k int) {
-	matMulBTTiles(out, a, b, aT, m, n, k, true)
+func MatMulBTTiles(out, a, b, aT []float64, aoff []int, m, n, k int) {
+	matMulBTTiles(out, a, b, aT, aoff, m, n, k, true)
 }
 
 //hsd:noalloc
-func matMulBTTiles(out, a, b, aT []float64, m, n, k int, store bool) {
+func matMulBTTiles(out, a, b, aT []float64, aoff []int, m, n, k int, store bool) {
 	ld := TileWidth(m)
-	aT = aT[:n*ld]
+	t := aT[n*ld : (n+TileRows)*ld]
+	aT, aoff = aT[:n*ld], aoff[:n]
 	for i := 0; i < m; i++ {
 		for p, v := range a[i*n : i*n+n] {
 			aT[p*ld+i] = v
 		}
 	}
-	var s [16]float64
 	for j := 0; j < k; j += TileRows {
-		r1, r2, r3 := min(j+1, k-1), min(j+2, k-1), min(j+3, k-1)
-		b0, b1, b2, b3 := b[j*n:j*n+n], b[r1*n:r1*n+n], b[r2*n:r2*n+n], b[r3*n:r3*n+n]
-		for i := 0; i < m; i += TileRows {
-			DotTile(&s, aT[i:], ld, b0, b1, b2, b3)
-			for r := 0; r < TileRows && j+r < k; r++ {
-				for c := 0; c < TileRows && i+c < m; c++ {
+		rows := min(TileRows, k-j)
+		r1, r2, r3 := j+min(1, rows-1), j+min(2, rows-1), j+min(3, rows-1)
+		DotTile(t, ld, rows, ld, aT, aoff, b[j*n:j*n+n], b[r1*n:r1*n+n], b[r2*n:r2*n+n], b[r3*n:r3*n+n])
+		if rows < TileRows {
+			for i := 0; i < m; i++ {
+				for r := range out[i*k+j : i*k+j+rows] {
 					if store {
-						out[(i+c)*k+j+r] = s[4*r+c]
+						out[i*k+j+r] = t[r*ld+i]
 					} else {
-						out[(i+c)*k+j+r] += s[4*r+c]
+						out[i*k+j+r] += t[r*ld+i]
 					}
 				}
 			}
+			continue
+		}
+		// Row r of a full tile is column j+r of out; lane i is out's row i.
+		t0 := t[:m]
+		t1, t2, t3 := t[ld:][:len(t0)], t[2*ld:][:len(t0)], t[3*ld:][:len(t0)]
+		if store {
+			for i, v := range t0 {
+				o := out[i*k+j : i*k+j+4]
+				o[0], o[1], o[2], o[3] = v, t1[i], t2[i], t3[i]
+			}
+			continue
+		}
+		for i, v := range t0 {
+			o := out[i*k+j : i*k+j+4]
+			o[0] += v
+			o[1] += t1[i]
+			o[2] += t2[i]
+			o[3] += t3[i]
 		}
 	}
 }

@@ -37,17 +37,29 @@ func convTileAVX2(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0, 
 //go:noescape
 func convTileAVX512(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0, b1, b2, b3 float64, relu int64)
 
-// dotTileAVX2 computes a 4×4 block of dot products: for r, c in 0..3,
+// dotTileAVX2 computes DotTile's rows of lane-wide dot products: for
+// r < 4 and each lane c of [0, TileWidth(lanes)),
 //
-//	s[4·r + c] = Σ_{p<n} aT[p·ld + c] · br[p]
+//	acc = Σ_{p<n} aT[aoff[p] + c] · br[p],  stored at out[r·stride + c]
 //
-// where b0..b3 each hold n elements and aT holds (n−1)·ld + 4. Each lane
-// of a YMM accumulator is one sum, started at +0 and advanced in p order
-// with separate multiply and add instructions, so it equals dot4's bit for
-// bit (NaN payloads aside).
+// for r < rows and c < lanes only, where b0..b3 each hold n elements and
+// aT holds max(aoff) + TileWidth(lanes). Each lane of a YMM accumulator is
+// one sum, four lanes per step, started at +0 and advanced in p order with
+// separate multiply and add instructions, so it equals dot4's bit for bit
+// (NaN payloads aside). A last step with fewer than four live lanes stores
+// through a lane mask.
 //
 //go:noescape
-func dotTileAVX2(s *[16]float64, aT *float64, ld int, b0, b1, b2, b3 *float64, n int)
+func dotTileAVX2(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64)
+
+// dotTileAVX512 is dotTileAVX2 on ZMM registers: the same contract and the
+// same per-lane chain, sixteen lanes per step (two 8-lane registers per
+// row), then at most one 8-lane and one 4-lane step, the last of which is
+// dotTileAVX2's. Opmask stores write only the live lanes. Its output
+// equals dot4's bit for bit (NaN payloads aside).
+//
+//go:noescape
+func dotTileAVX512(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64)
 
 // cpuKernel returns the best tile kernel body the host runs, a kernelBody
 // (CPUID + XGETBV; implemented in tile_amd64.s).

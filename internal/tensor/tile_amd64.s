@@ -1,7 +1,7 @@
 // AVX2 and AVX-512 tile kernels and CPU feature detection for the tensor
-// products the fused inference engine and the layered Conv2D run. See
-// tile_amd64.go for the calling contracts and the bit-for-bit parity
-// argument; the short version is that vector lanes are independent output
+// products the fused inference engine, the layered Conv2D and the block
+// DCT run. See tile_amd64.go for the calling contracts and the bit-for-bit
+// parity argument; the short version is that vector lanes are independent output
 // elements, every lane executes the exact scalar operation sequence of the
 // Go reference kernel (separate VMULPD/VADDPD — no FMA contraction, which
 // would change results; scripts/check.sh fails on any FMA form in this
@@ -680,39 +680,49 @@ done512:
 	VZEROUPPER
 	RET
 
-// func dotTileAVX2(s *[16]float64, aT *float64, ld int, b0, b1, b2, b3 *float64, n int)
+// func dotTileAVX2(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64)
 //
-// For each lane c in 0..3 and row r in 0..3:
+// For each 4-lane group c of [0, TileWidth(lanes)) and row r in 0..3:
 //
 //	acc = +0
-//	for p in 0..n-1:   acc += aT[p·ld + c]·br[p]
-//	s[4·r + c] = acc
+//	for p in 0..n-1:   acc += aT[aoff[p] + c]·br[p]
+//	out[r·stride + c] = acc      for r < rows and c < lanes
 //
-// Y0-Y3 are the four rows' accumulators (lane c = column c of aT), Y4 the
-// aT row at p, Y5-Y8 the broadcast br[p] and then the products. Four
+// Y0-Y3 are the four rows' accumulators (lane = column of aT), Y4 the aT
+// row at p, Y5-Y8 the broadcast br[p] and then the products. Four
 // independent add chains keep the adder busy while each chain stays in p
-// order.
+// order. A last group with fewer than four live lanes stores through
+// VMASKMOVPD, so no lane past lanes is written.
 //
-// Registers: SI = &aT[p·ld], DX = ld·8, R8-R11 rows b0..b3, AX = p, CX = n.
-TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
-	MOVQ aT+8(FP), SI
-	MOVQ ld+16(FP), DX
-	SHLQ $3, DX
-	MOVQ b0+24(FP), R8
-	MOVQ b1+32(FP), R9
-	MOVQ b2+40(FP), R10
-	MOVQ b3+48(FP), R11
-	MOVQ n+56(FP), CX
+// Registers: SI = &aT[c], DX = aoff, R8-R11 rows b0..b3, AX = p, BX = n,
+// R12 = stride·8, R13 = live lanes from c on, R14 = &out[c], CX = rows,
+// DI scratch.
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-88
+	MOVQ out+0(FP), R14
+	MOVQ stride+8(FP), R12
+	SHLQ $3, R12
+	MOVQ rows+16(FP), CX
+	MOVQ lanes+24(FP), R13
+	MOVQ aT+32(FP), SI
+	MOVQ aoff+40(FP), DX
+	MOVQ n+48(FP), BX
+	MOVQ b0+56(FP), R8
+	MOVQ b1+64(FP), R9
+	MOVQ b2+72(FP), R10
+	MOVQ b3+80(FP), R11
+
+group2:
 	VXORPD Y0, Y0, Y0              // acc = +0 per lane, like the Go
 	VXORPD Y1, Y1, Y1              // reference's s := 0.0
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	XORQ AX, AX
 
-loopdot:
-	CMPQ AX, CX
-	JGE  dotdone
-	VMOVUPD (SI), Y4               // aT[p·ld .. p·ld+3]
+dot2:
+	CMPQ AX, BX
+	JGE  store2
+	MOVQ (DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Y4         // aT[aoff[p]+c .. aoff[p]+c+3]
 	VBROADCASTSD (R8)(AX*8), Y5
 	VBROADCASTSD (R9)(AX*8), Y6
 	VBROADCASTSD (R10)(AX*8), Y7
@@ -721,20 +731,309 @@ loopdot:
 	VMULPD Y4, Y6, Y6
 	VMULPD Y4, Y7, Y7
 	VMULPD Y4, Y8, Y8
-	VADDPD Y5, Y0, Y0              // acc += aT[p·ld + c]·br[p]
+	VADDPD Y5, Y0, Y0              // acc += aT[aoff[p]+c]·br[p]
 	VADDPD Y6, Y1, Y1
 	VADDPD Y7, Y2, Y2
 	VADDPD Y8, Y3, Y3
-	ADDQ DX, SI
 	INCQ AX
-	JMP  loopdot
+	JMP  dot2
 
-dotdone:
-	MOVQ s+0(FP), DI
+store2:
+	CMPQ R13, $4
+	JL   tail2
+	MOVQ R14, DI
 	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
+	CMPQ CX, $1
+	JLE  next2
+	ADDQ R12, DI
+	VMOVUPD Y1, (DI)
+	CMPQ CX, $2
+	JLE  next2
+	ADDQ R12, DI
+	VMOVUPD Y2, (DI)
+	CMPQ CX, $3
+	JLE  next2
+	ADDQ R12, DI
+	VMOVUPD Y3, (DI)
+
+next2:
+	ADDQ $32, SI
+	ADDQ $32, R14
+	SUBQ $4, R13
+	JG   group2
+	VZEROUPPER
+	RET
+
+// The last group, with 1-3 live lanes: the mask's first R13 lanes are set.
+tail2:
+	MOVQ $4, AX
+	SUBQ R13, AX
+	LEAQ dotTailMask<>(SB), DI
+	VMOVUPD (DI)(AX*8), Y4
+	MOVQ R14, DI
+	VMASKMOVPD Y0, Y4, (DI)
+	CMPQ CX, $1
+	JLE  done2
+	ADDQ R12, DI
+	VMASKMOVPD Y1, Y4, (DI)
+	CMPQ CX, $2
+	JLE  done2
+	ADDQ R12, DI
+	VMASKMOVPD Y2, Y4, (DI)
+	CMPQ CX, $3
+	JLE  done2
+	ADDQ R12, DI
+	VMASKMOVPD Y3, Y4, (DI)
+
+done2:
+	VZEROUPPER
+	RET
+
+// dotTailMask read at element 4−t is a VMASKMOVPD mask of t leading lanes.
+DATA dotTailMask<>+0(SB)/8, $-1
+DATA dotTailMask<>+8(SB)/8, $-1
+DATA dotTailMask<>+16(SB)/8, $-1
+DATA dotTailMask<>+24(SB)/8, $-1
+DATA dotTailMask<>+32(SB)/8, $0
+DATA dotTailMask<>+40(SB)/8, $0
+DATA dotTailMask<>+48(SB)/8, $0
+DATA dotTailMask<>+56(SB)/8, $0
+GLOBL dotTailMask<>(SB), RODATA|NOPTR, $64
+
+// func dotTileAVX512(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64)
+//
+// dotTileAVX2's contract and per-lane chain, sixteen lanes per step: each
+// row's accumulator is two ZMM registers (eight lanes each), so one aT
+// row at p feeds 64 independent sums. A TileWidth(lanes) that is not a
+// multiple of 16 ends with at most one 8-lane step (one ZMM per row) and
+// at most one 4-lane step, whose arithmetic is dotTileAVX2's loop body
+// unchanged. Every lane still computes
+//
+//	acc = +0; acc += aT[aoff[p]+c]·br[p] for p in order
+//
+// with separate VMULPD/VADDPD (no FMA). Dead lanes (at most three) sit
+// only in the tile's last four, so every register but a step's last is
+// stored whole. The last is stored through an opmask: K3 sets all eight
+// lanes, K4 the live lanes of the tile's last eight and K5 those of its
+// last four, so the register holding the last lanes writes only the live
+// ones. A row past rows is not stored.
+//
+// In the 16-lane loop Z0-Z7 are the accumulators (row r in Z(2r) and
+// Z(2r+1): lanes 0-7 and 8-15), Z8-Z9 the aT row at p, Z10-Z13 the four
+// broadcast br[p] and Z16-Z23 the products, laid out like the
+// accumulators.
+//
+// Registers: SI = &aT[c], DX = aoff, R8-R11 rows b0..b3, AX = p, BX = n,
+// R12 = stride·8, R13 = lanes left to compute (a multiple of 4),
+// R14 = &out[c], CX = rows, DI scratch.
+TEXT ·dotTileAVX512(SB), NOSPLIT, $0-88
+	MOVQ out+0(FP), R14
+	MOVQ stride+8(FP), R12
+	SHLQ $3, R12
+	MOVQ lanes+24(FP), CX
+	LEAQ 3(CX), R13
+	ANDQ $-4, R13                   // R13 = TileWidth(lanes)
+	SUBQ R13, CX
+	ADDQ $4, CX                     // CX = live lanes of the last group, 1..4
+	MOVL $1, DI
+	SHLL CX, DI
+	DECL DI
+	KMOVW DI, K5                    // the last group's live lanes
+	SHLL $4, DI
+	ORL  $15, DI
+	KMOVW DI, K4                    // the last eight lanes' live lanes
+	MOVL $255, DI
+	KMOVW DI, K3                    // all eight lanes
+	MOVQ rows+16(FP), CX
+	MOVQ aT+32(FP), SI
+	MOVQ aoff+40(FP), DX
+	MOVQ n+48(FP), BX
+	MOVQ b0+56(FP), R8
+	MOVQ b1+64(FP), R9
+	MOVQ b2+72(FP), R10
+	MOVQ b3+80(FP), R11
+
+loop16d:
+	CMPQ R13, $16
+	JLT  step8d                     // fewer than 16 lanes left
+	VXORPD Y0, Y0, Y0               // acc = +0; a VEX write clears the upper lanes
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+
+dot16:
+	CMPQ AX, BX
+	JGE  store16d
+	MOVQ (DX)(AX*8), DI             // aT row p at aT + aoff[p] + c
+	VMOVUPD (SI)(DI*8), Z8
+	VMOVUPD 64(SI)(DI*8), Z9
+	VBROADCASTSD (R8)(AX*8), Z10
+	VBROADCASTSD (R9)(AX*8), Z11
+	VBROADCASTSD (R10)(AX*8), Z12
+	VBROADCASTSD (R11)(AX*8), Z13
+	VMULPD Z8, Z10, Z16
+	VMULPD Z9, Z10, Z17
+	VMULPD Z8, Z11, Z18
+	VMULPD Z9, Z11, Z19
+	VMULPD Z8, Z12, Z20
+	VMULPD Z9, Z12, Z21
+	VMULPD Z8, Z13, Z22
+	VMULPD Z9, Z13, Z23
+	VADDPD Z16, Z0, Z0              // acc += aT[aoff[p]+c]·br[p]
+	VADDPD Z17, Z1, Z1
+	VADDPD Z18, Z2, Z2
+	VADDPD Z19, Z3, Z3
+	VADDPD Z20, Z4, Z4
+	VADDPD Z21, Z5, Z5
+	VADDPD Z22, Z6, Z6
+	VADDPD Z23, Z7, Z7
+	INCQ AX
+	JMP  dot16
+
+store16d:
+	KMOVW K3, K2                    // the upper register's mask: all lanes,
+	CMPQ R13, $16                   // or the live ones in the last step
+	JNE  st16d
+	KMOVW K4, K2
+
+st16d:
+	MOVQ R14, DI
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, K2, 64(DI)
+	CMPQ CX, $1
+	JLE  next16d
+	ADDQ R12, DI
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, K2, 64(DI)
+	CMPQ CX, $2
+	JLE  next16d
+	ADDQ R12, DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, K2, 64(DI)
+	CMPQ CX, $3
+	JLE  next16d
+	ADDQ R12, DI
+	VMOVUPD Z6, (DI)
+	VMOVUPD Z7, K2, 64(DI)
+
+next16d:
+	ADDQ $128, SI
+	ADDQ $128, R14
+	SUBQ $16, R13
+	JMP  loop16d
+
+// One 8-lane step, when 8 or 12 lanes are left: the 16-lane step with one
+// ZMM per row (Z0-Z3 accumulators, Z16-Z19 products).
+step8d:
+	CMPQ R13, $8
+	JLT  step4d
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+
+dot8:
+	CMPQ AX, BX
+	JGE  store8d
+	MOVQ (DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Z8
+	VBROADCASTSD (R8)(AX*8), Z10
+	VBROADCASTSD (R9)(AX*8), Z11
+	VBROADCASTSD (R10)(AX*8), Z12
+	VBROADCASTSD (R11)(AX*8), Z13
+	VMULPD Z8, Z10, Z16
+	VMULPD Z8, Z11, Z17
+	VMULPD Z8, Z12, Z18
+	VMULPD Z8, Z13, Z19
+	VADDPD Z16, Z0, Z0
+	VADDPD Z17, Z1, Z1
+	VADDPD Z18, Z2, Z2
+	VADDPD Z19, Z3, Z3
+	INCQ AX
+	JMP  dot8
+
+store8d:
+	KMOVW K3, K2
+	CMPQ R13, $8
+	JNE  st8d
+	KMOVW K4, K2
+
+st8d:
+	MOVQ R14, DI
+	VMOVUPD Z0, K2, (DI)
+	CMPQ CX, $1
+	JLE  next8d
+	ADDQ R12, DI
+	VMOVUPD Z1, K2, (DI)
+	CMPQ CX, $2
+	JLE  next8d
+	ADDQ R12, DI
+	VMOVUPD Z2, K2, (DI)
+	CMPQ CX, $3
+	JLE  next8d
+	ADDQ R12, DI
+	VMOVUPD Z3, K2, (DI)
+
+next8d:
+	ADDQ $64, SI
+	ADDQ $64, R14
+	SUBQ $8, R13
+
+// One 4-lane step, when 4 lanes are left: dotTileAVX2's loop body,
+// register for register; it is always the last step, so it stores
+// through K5.
+step4d:
+	CMPQ R13, $4
+	JLT  done512d
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+
+dot4d:
+	CMPQ AX, BX
+	JGE  store4d
+	MOVQ (DX)(AX*8), DI
+	VMOVUPD (SI)(DI*8), Y4
+	VBROADCASTSD (R8)(AX*8), Y5
+	VBROADCASTSD (R9)(AX*8), Y6
+	VBROADCASTSD (R10)(AX*8), Y7
+	VBROADCASTSD (R11)(AX*8), Y8
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VMULPD Y4, Y7, Y7
+	VMULPD Y4, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	INCQ AX
+	JMP  dot4d
+
+store4d:
+	MOVQ R14, DI
+	VMOVUPD Y0, K5, (DI)
+	CMPQ CX, $1
+	JLE  done512d
+	ADDQ R12, DI
+	VMOVUPD Y1, K5, (DI)
+	CMPQ CX, $2
+	JLE  done512d
+	ADDQ R12, DI
+	VMOVUPD Y2, K5, (DI)
+	CMPQ CX, $3
+	JLE  done512d
+	ADDQ R12, DI
+	VMOVUPD Y3, K5, (DI)
+
+done512d:
 	VZEROUPPER
 	RET
 

@@ -96,44 +96,89 @@ func checkConvTile(t *testing.T, seed int64, widths []int,
 	seen.complete(t)
 }
 
-// TestDotTileAVX2MatchesGo pins the assembly dot tile bit-for-bit against
-// its pure-Go body, dot4, over reduction lengths from 1 to 144, row strides
-// 4–32, 1–4 live rows (the others alias the last live row, as
-// MatMulBTAddTiles arranges) and every operand regime.
+// TestDotTileAVX2MatchesGo pins the AVX2 dot tile bit-for-bit against its
+// pure-Go body, dot4, over the shapes checkDotTile draws, at lane counts
+// that end on a whole 4-lane group and on 1-3 live lanes of one.
 func TestDotTileAVX2MatchesGo(t *testing.T) {
 	if probed < kernelAVX2 {
 		t.Skip("no AVX2 on this host")
 	}
-	rng := rand.New(rand.NewSource(73))
+	checkDotTile(t, 73, []int{1, 3, 4, 8, 13, 16, 32}, dotTileAVX2)
+}
+
+// TestDotTileAVX512MatchesGo pins the AVX-512 dot tile the same way, over
+// lane counts that leave every mix of its 16-, 8- and 4-lane steps and
+// lane tails narrower than a step: the weight gradients' 16 and 32, the
+// DCT's 8, the dense tail's 4, and 5, 13, 21 and 35, whose last register
+// holds dead lanes.
+func TestDotTileAVX512MatchesGo(t *testing.T) {
+	if probed < kernelAVX512 {
+		t.Skip("no AVX-512 on this host")
+	}
+	checkDotTile(t, 74, []int{4, 8, 12, 16, 20, 32, 36, 1, 5, 13, 21, 35}, dotTileAVX512)
+}
+
+// dotPoison fills the slots around and between a dot tile's stored
+// elements: a quiet NaN whose payload no arithmetic result carries, so a
+// stray store shows even when it stores a NaN.
+var dotPoison = math.Float64frombits(0x7ff80000deadbeef)
+
+// checkDotTile compares the assembly dot tile asm with dot4 over term
+// counts 1–9, 25, 36 and 144, the given lane counts, offset tables whose
+// entries repeat the one before or jump anywhere in aT, output strides of
+// the lanes and wider, and 1–4 stored rows (the other b rows alias the
+// last stored one, as the callers arrange), in every operand regime. The
+// output sits in dotPoison slack that asm must leave as it is.
+func checkDotTile(t *testing.T, seed int64, lanesList []int,
+	asm func(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64)) {
+	rng := rand.New(rand.NewSource(seed))
 	var seen resultClasses
 	for _, rg := range tileRegimes(rng) {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 36, 144} {
-			for _, ld := range []int{4, 8, 32} {
-				aT := make([]float64, n*ld)
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 25, 36, 144} {
+			for _, lanes := range lanesList {
+				w := TileWidth(lanes)
+				span := 3 * w
+				aoff := make([]int, n)
+				for p := range aoff {
+					if p > 0 && rng.Intn(4) == 0 {
+						aoff[p] = aoff[p-1]
+					} else {
+						aoff[p] = rng.Intn(span + 1)
+					}
+				}
+				aT := make([]float64, span+w)
 				for i := range aT {
 					aT[i] = rg.val(n)
 				}
-				var rows [TileRows][]float64
-				for r := range rows {
-					rows[r] = make([]float64, n)
-					for p := range rows[r] {
-						rows[r][p] = rg.val(n)
+				var bs [TileRows][]float64
+				for r := range bs {
+					bs[r] = make([]float64, n)
+					for p := range bs[r] {
+						bs[r][p] = rg.val(n)
 					}
 				}
-				for live := 1; live <= TileRows; live++ {
-					var b [TileRows][]float64
-					for r := range b {
-						b[r] = rows[min(r, live-1)]
-					}
-					col := ld - 4 // the last lane group of the row
-					var got, want [16]float64
-					dotTileAVX2(&got, &aT[col], ld, &b[0][0], &b[1][0], &b[2][0], &b[3][0], n)
-					dot4(&want, aT[col:], ld, b[0], b[1], b[2], b[3])
-					for i, g := range got {
-						if !seen.match(g, want[i]) {
-							t.Fatalf("%s n=%d ld=%d live=%d row=%d lane=%d: asm %x (%g) != go %x (%g)",
-								rg.name, n, ld, live, i/4, i%4,
-								math.Float64bits(g), g, math.Float64bits(want[i]), want[i])
+				for _, stride := range []int{lanes, lanes + 5} {
+					for rows := 1; rows <= TileRows; rows++ {
+						var b [TileRows][]float64
+						for r := range b {
+							b[r] = bs[min(r, rows-1)]
+						}
+						const pre, post = 9, 17
+						size := pre + (rows-1)*stride + lanes + post
+						got, want := make([]float64, size), make([]float64, size)
+						for i := range got {
+							got[i], want[i] = dotPoison, dotPoison
+						}
+						asm(&got[pre], stride, rows, lanes, &aT[0], &aoff[0], n, &b[0][0], &b[1][0], &b[2][0], &b[3][0])
+						dot4(want[pre:], stride, rows, lanes, aT, aoff, b[0], b[1], b[2], b[3])
+						for i, wv := range want {
+							live := i >= pre && (i-pre)%stride < lanes && (i-pre)/stride < rows
+							if live && !seen.match(got[i], wv) ||
+								!live && math.Float64bits(got[i]) != math.Float64bits(wv) {
+								t.Fatalf("%s n=%d lanes=%d stride=%d rows=%d slot %d (live %v): asm %x (%g) != go %x (%g)",
+									rg.name, n, lanes, stride, rows, i-pre, live,
+									math.Float64bits(got[i]), got[i], math.Float64bits(wv), wv)
+							}
 						}
 					}
 				}

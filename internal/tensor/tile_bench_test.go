@@ -62,3 +62,99 @@ func benchConvTile(b *testing.B, k, w, hp int) {
 	}
 	b.ReportMetric(float64(2*TileRows*k*w)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
+
+// BenchmarkDotTile measures every tile kernel body the host has on the dot
+// tile's production shapes: the four Table 1 conv weight gradients,
+// outC × oh·ow × inC·9, each one MatMulBTTiles with its transpose and its
+// scatter into dW, and the block DCT's two passes over a 25×25 block with
+// an 8×8 corner (seven 8-lane row tiles over 25 terms, the last with one
+// live row, then two 8-lane column tiles over 25 terms). Each reports
+// GFLOP/s of its live sums, two operations per term; compare bodies with
+// -cpu 1 and alternating runs, one body per run.
+func BenchmarkDotTile(b *testing.B) {
+	grads := []struct {
+		name    string
+		m, n, k int
+	}{
+		{"conv1-1", 16, 144, 288},
+		{"conv1-2", 16, 144, 144},
+		{"conv2-1", 32, 36, 144},
+		{"conv2-2", 32, 36, 288},
+	}
+	for _, name := range Kernels() {
+		for _, g := range grads {
+			b.Run(name+"/"+g.name, func(b *testing.B) {
+				WithKernel(name, func() { benchWeightGrad(b, g.m, g.n, g.k) })
+			})
+		}
+		b.Run(name+"/dct-rows", func(b *testing.B) {
+			WithKernel(name, func() { benchDCTPass(b, 25, 25, 8, true) })
+		})
+		b.Run(name+"/dct-cols", func(b *testing.B) {
+			WithKernel(name, func() { benchDCTPass(b, 25, 25, 8, false) })
+		})
+	}
+}
+
+// benchWeightGrad times the store form of the conv weight gradient,
+// dW = g·colsᵀ for g (m×n) and cols (k×n).
+func benchWeightGrad(b *testing.B, m, n, k int) {
+	rng := rand.New(rand.NewSource(6))
+	g, cols := make([]float64, m*n), make([]float64, k*n)
+	for i := range g {
+		g[i] = rng.NormFloat64()
+	}
+	for i := range cols {
+		cols[i] = rng.NormFloat64()
+	}
+	out := make([]float64, m*k)
+	aT, aoff := make([]float64, (n+TileRows)*TileWidth(m)), rowOffsets(n, TileWidth(m))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulBTTiles(out, g, cols, aT, aoff, m, n, k)
+	}
+	b.ReportMetric(float64(2*m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// benchDCTPass times one pass of the truncated DCT of an h×w block with a
+// kw-wide corner, laid out as dct.Truncated.Forward lays it out: the row
+// pass dots every block row with the kw basis columns (aT of row stride
+// TileWidth(kw)), the column pass dots the kw corner rows of the basis
+// with tmp's h rows.
+func benchDCTPass(b *testing.B, h, w, kw int, rowPass bool) {
+	rng := rand.New(rand.NewSource(7))
+	ld := TileWidth(kw)
+	fill := func(n int) []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		return d
+	}
+	src, basisT, ch, tmp := fill(h*w), fill(w*ld), fill(h*h), fill(h*ld)
+	rowOff, colOff := rowOffsets(w, ld), rowOffsets(h, ld)
+	dst := make([]float64, kw*kw)
+	flops := 2 * kw * kw * h
+	if rowPass {
+		flops = 2 * h * kw * w
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rowPass {
+			for k := 0; k < h; k += TileRows {
+				n := min(TileRows, h-k)
+				r1, r2, r3 := (k+min(1, n-1))*w, (k+min(2, n-1))*w, (k+min(3, n-1))*w
+				DotTile(tmp[k*ld:], ld, n, ld, basisT, rowOff,
+					src[k*w:k*w+w], src[r1:r1+w], src[r2:r2+w], src[r3:r3+w])
+			}
+			continue
+		}
+		for u := 0; u < kw; u += TileRows {
+			n := min(TileRows, kw-u)
+			r1, r2, r3 := u+min(1, n-1), u+min(2, n-1), u+min(3, n-1)
+			DotTile(dst[u*kw:], kw, n, kw, tmp, colOff,
+				ch[u*h:u*h+h], ch[r1*h:r1*h+h], ch[r2*h:r2*h+h], ch[r3*h:r3*h+h])
+		}
+	}
+	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}

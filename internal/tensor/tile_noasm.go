@@ -24,6 +24,13 @@ func convTileAVX512(d, a0, a1, a2, a3, base *float64, off *int, k, width int, b0
 // dotTileAVX2 is never called off amd64, like convTileAVX2.
 //
 //hsd:noalloc
-func dotTileAVX2(s *[16]float64, aT *float64, ld int, b0, b1, b2, b3 *float64, n int) {
+func dotTileAVX2(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64) {
 	panic("tensor: dotTileAVX2 called without AVX2 support")
+}
+
+// dotTileAVX512 is never called off amd64, like convTileAVX2.
+//
+//hsd:noalloc
+func dotTileAVX512(out *float64, stride, rows, lanes int, aT *float64, aoff *int, n int, b0, b1, b2, b3 *float64) {
+	panic("tensor: dotTileAVX512 called without AVX-512 support")
 }

@@ -113,6 +113,10 @@ func nanScratch(n int) []float64 {
 	return d
 }
 
+// btScratch returns the NaN-poisoned aᵀ-and-tile scratch a weight-gradient
+// product of m rows over n terms takes.
+func btScratch(m, n int) []float64 { return nanScratch((n + TileRows) * TileWidth(m)) }
+
 // rowOffsets returns the offset table p·n for p < k.
 func rowOffsets(k, n int) []int {
 	off := make([]int, k)
@@ -218,7 +222,7 @@ func TestMatMulBTAddTilesMatchesReference(t *testing.T) {
 				if err := MatMulBTAddInto(want, MustFromSlice(g, outC, n), MustFromSlice(cols, kk, n)); err != nil {
 					t.Fatal(err)
 				}
-				MatMulBTAddTiles(dw, g, cols, nanScratch(n*TileWidth(outC)), outC, n, kk)
+				MatMulBTAddTiles(dw, g, cols, btScratch(outC, n), rowOffsets(n, TileWidth(outC)), outC, n, kk)
 				for i, wv := range want.data {
 					if !seen.match(dw[i], wv) {
 						t.Fatalf("%s outC=%d n=%d kk=%d: element %d = %g, want %g",
@@ -250,9 +254,10 @@ func TestMatMulBTTilesStoresZeroedSums(t *testing.T) {
 					}
 					cols := tileOperand(rg, kk, n, 0, 0, rng)
 					want := make([]float64, outC*kk)
-					MatMulBTAddTiles(want, g, cols, nanScratch(n*TileWidth(outC)), outC, n, kk)
+					aoff := rowOffsets(n, TileWidth(outC))
+					MatMulBTAddTiles(want, g, cols, btScratch(outC, n), aoff, outC, n, kk)
 					got := nanScratch(outC * kk)
-					MatMulBTTiles(got, g, cols, nanScratch(n*TileWidth(outC)), outC, n, kk)
+					MatMulBTTiles(got, g, cols, btScratch(outC, n), aoff, outC, n, kk)
 					for i, wv := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(wv) && !(math.IsNaN(wv) && math.IsNaN(got[i])) {
 							t.Fatalf("%s zeros=%v outC=%d n=%d kk=%d: element %d stored %v, added %v",

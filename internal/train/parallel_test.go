@@ -144,6 +144,38 @@ func TestMGDWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestMGDLoneLastWave trains a batch of 7 at 3 workers. Each wave's
+// position 0 runs on the network itself and adds into the master
+// gradients; the last wave is position 6 alone, so it folds nothing. The
+// weights must equal one worker's bit for bit.
+func TestMGDLoneLastWave(t *testing.T) {
+	samples := imbalancedToy(40, 31)
+	cfg := quickCfg()
+	cfg.MaxIters, cfg.ValEvery, cfg.BatchSize = 12, 0, 7
+	var want []float64
+	for _, workers := range []int{1, 3} {
+		net := dropoutNet(t, 37)
+		c := cfg
+		c.Workers = workers
+		if _, err := MGD(net, samples, nil, c); err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		for _, p := range net.Params() {
+			got = append(got, p.W.Data()...)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i, v := range got {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%d workers: weight %d = %v, one worker %v", workers, i, v, want[i])
+			}
+		}
+	}
+}
+
 // TestEvaluatorMatchesEvalSet: parallel inference must report the exact
 // metrics of the serial path, and stay correct after the wrapped network's
 // weights change in place (the engines alias them).
@@ -199,7 +231,9 @@ func TestEvaluatorMatchesEvalSet(t *testing.T) {
 // must reproduce the host kernels' trained weights bit for bit. The net's
 // odd geometry (3- and 5-channel convs over 5×5 maps, so neither the
 // channel counts nor oh·ow are multiples of 4) takes every aliased and
-// padded tile path, including the second conv's input gradient.
+// padded tile path, including the second conv's input gradient; a second
+// geometry with 16- and 20-channel convs runs the weight gradient's
+// 16-lane dot-tile steps.
 func TestMGDGenericKernelParity(t *testing.T) {
 	if len(tensor.Kernels()) == 1 {
 		t.Skip("every MGD test already runs the only tile body on this host")
@@ -213,17 +247,17 @@ func TestMGDGenericKernelParity(t *testing.T) {
 		}
 		samples[i] = Sample{X: x, Hotspot: i%3 == 0}
 	}
-	train := func(workers int) []float64 {
+	train := func(workers, maps1, maps2 int) []float64 {
 		r := rand.New(rand.NewSource(43))
-		conv1, err := nn.NewConv2D("c1", 2, 3, 3, 1, 1, r)
+		conv1, err := nn.NewConv2D("c1", 2, maps1, 3, 1, 1, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conv2, err := nn.NewConv2D("c2", 3, 5, 3, 1, 1, r)
+		conv2, err := nn.NewConv2D("c2", maps1, maps2, 3, 1, 1, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc1, err := nn.NewDense("f1", 5*2*2, 6, r)
+		fc1, err := nn.NewDense("f1", maps2*2*2, 6, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,20 +282,25 @@ func TestMGDGenericKernelParity(t *testing.T) {
 		}
 		return w
 	}
-	want := train(1)
-	for _, name := range tensor.Kernels() {
-		if name == tensor.TileKernel() {
-			continue
-		}
-		tensor.WithKernel(name, func() {
-			for _, workers := range []int{1, 2} {
-				for i, v := range train(workers) {
-					if math.Float64bits(v) != math.Float64bits(want[i]) {
-						t.Fatalf("%s kernels, %d workers: weight %d = %v, host kernels %v", name, workers, i, v, want[i])
+	// Conv output channels set the weight gradient's dot-tile lanes: 3 and
+	// 5 run 4- and 8-lane steps, 16 and 20 the 16-lane step and 16 + 4.
+	for _, maps := range [][2]int{{3, 5}, {16, 20}} {
+		want := train(1, maps[0], maps[1])
+		for _, name := range tensor.Kernels() {
+			if name == tensor.TileKernel() {
+				continue
+			}
+			tensor.WithKernel(name, func() {
+				for _, workers := range []int{1, 2} {
+					for i, v := range train(workers, maps[0], maps[1]) {
+						if math.Float64bits(v) != math.Float64bits(want[i]) {
+							t.Fatalf("%s kernels, %d workers, maps %v: weight %d = %v, host kernels %v",
+								name, workers, maps, i, v, want[i])
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -214,9 +214,10 @@ func sampleGrad(net *nn.Network, s Sample, yn, yh *tensor.Tensor, seed int64) (f
 // with the best performance on the validation set").
 //
 // With cfg.Workers > 1 the per-sample gradients of each batch are computed
-// concurrently on worker shadows of net (nn.Network.Shadow), built once per
-// call, and reduced in batch-position order; see DESIGN.md ("Concurrency
-// model") for why the result is bit-identical to the single-worker path.
+// concurrently in waves, one position on net itself and the others on
+// worker shadows of net (nn.Network.Shadow), built once per call, and
+// reduced in batch-position order; see DESIGN.md ("Concurrency model") for
+// why the result is bit-identical to the single-worker path.
 func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -247,7 +248,10 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 		}
 	}
 
-	// Worker setup. More shadows than batch positions can never help.
+	// Worker setup. More workers than batch positions can never help.
+	// Each wave's position 0 runs on net itself, whose layers add into the
+	// master gradients as the serial path does; position s ≥ 1 runs on
+	// shadow s−1.
 	nW := parallel.Workers(cfg.Workers)
 	if nW > cfg.BatchSize {
 		nW = cfg.BatchSize
@@ -255,14 +259,14 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	pool := parallel.New(nW)
 	masterParams := net.Params()
 	var (
-		shadows []*nn.Network // shadow s runs wave position s
-		slots   [][]*nn.Param // slots[s]: shadow s's parameters, whose gradients are position s's
+		shadows []*nn.Network // shadow s−1 runs wave position s ≥ 1
+		slots   [][]*nn.Param // slots[s−1]: shadow s−1's parameters, whose gradients are position s's
 		losses  []float64
 		ranges  []foldRange
 	)
 	if nW > 1 {
-		shadows = make([]*nn.Network, nW)
-		slots = make([][]*nn.Param, nW)
+		shadows = make([]*nn.Network, nW-1)
+		slots = make([][]*nn.Param, nW-1)
 		for s := range shadows {
 			if shadows[s], err = net.Shadow(); err != nil {
 				return nil, err
@@ -283,20 +287,23 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 	}
 
 	// Two fan-out closures, built once, serve every wave: the positions'
-	// gradients, then their fold into the master gradients.
+	// gradients, then the fold of positions 1… into the master gradients.
 	var counterBase int64
 	var wave, waveLen int // first batch position and size of the running wave
 	gradTask := func(_, s int) error {
-		b := wave + s
-		loss, err := sampleGrad(shadows[s], trainSet[batchIdx[b]], yn, yh, sampleSeed(cfg.Seed, counterBase+int64(b)))
+		b, sn := wave+s, net
+		if s > 0 {
+			sn = shadows[s-1]
+		}
+		loss, err := sampleGrad(sn, trainSet[batchIdx[b]], yn, yh, sampleSeed(cfg.Seed, counterBase+int64(b)))
 		losses[s] = loss
 		return err
 	}
 	foldTask := func(_, r int) error {
 		fr := ranges[r]
 		dst := masterParams[fr.param].Grad.Data()[fr.lo:fr.hi]
-		for s := 0; s < waveLen; s++ {
-			for j, v := range slots[s][fr.param].Grad.Data()[fr.lo:fr.hi] {
+		for _, slot := range slots[:waveLen-1] {
+			for j, v := range slot[fr.param].Grad.Data()[fr.lo:fr.hi] {
 				dst[j] += v
 			}
 		}
@@ -357,12 +364,16 @@ func MGD(net *nn.Network, trainSet, valSet []Sample, cfg MGDConfig) (History, er
 				for s := 0; s < waveLen; s++ {
 					batchLoss += losses[s]
 				}
-				// Fold the wave in before the next, in parallel over
-				// disjoint pieces of the parameters, each element's slots
-				// in batch-position order: fold-left addition per element
-				// is exactly the serial loop's in-place accumulation.
-				if err := pool.For(len(ranges), foldTask); err != nil {
-					return nil, err
+				// Position 0 has added into the master gradients already.
+				// Fold positions 1… in before the next wave, in parallel
+				// over disjoint pieces of the parameters, each element's
+				// slots in batch-position order: fold-left addition per
+				// element is exactly the serial loop's in-place
+				// accumulation.
+				if waveLen > 1 {
+					if err := pool.For(len(ranges), foldTask); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
